@@ -29,20 +29,23 @@
 //!
 //! ## Trust boundary
 //!
-//! Each function's HLI unit is [`vet_unit`]-verified the first time a
-//! work item resolves it. A unit failing [`hli_core::verify`] is
+//! Each work item resolves its function's HLI unit once, before the first
+//! pass, and [`vet_unit`]-verifies it once; every pass then reads that
+//! same entry. A unit failing [`hli_core::verify`] — or, for an `HLI\x03`
+//! image, its structural validation ([`image_entry`]) — is
 //! **quarantined**: the function compiles with HLI disabled (the pure
 //! GCC-dependence conservative path — the paper's baseline) instead of
 //! aborting the compile, with `backend.quarantine.*` counters and a
 //! `Blocked` provenance record explaining what was refused. Because the
-//! vet runs inside the item's observability capture, quarantine output
-//! obeys the same determinism contract as everything else.
+//! lookup and the vet run inside the item's observability capture,
+//! quarantine output obeys the same determinism contract as everything
+//! else.
 
 use crate::ddg::{DepMode, HliSide, QueryStats};
 use crate::rtl::RtlProgram;
 use crate::sched::{schedule_function, SchedResult};
 use hli_core::image::EntryRef;
-use hli_core::QueryCache;
+use hli_core::{HliImage, QueryCache};
 use hli_lir::MachineBackend;
 use std::collections::HashMap;
 
@@ -103,6 +106,19 @@ pub fn vet_unit(function: &str, entry: EntryRef<'_>) -> bool {
     false
 }
 
+/// Resolve `function`'s unit in an `HLI\x03` image — the lookup the
+/// image gives [`schedule_program_passes`]. A unit whose bytes fail the
+/// image's structural validation is quarantined ([`record_quarantine`],
+/// one error) and resolves to `None`, the conservative no-HLI path, so a
+/// corrupt unit is counted rather than silently read as "no HLI". A
+/// function the image has no unit for resolves to `None` unrecorded.
+pub fn image_entry<'a>(img: &'a HliImage, function: &str) -> Option<EntryRef<'a>> {
+    img.get_ref(function).unwrap_or_else(|e| {
+        record_quarantine(function, None, 1, &e.to_string());
+        None
+    })
+}
+
 /// One scheduling pass the driver should run over every function.
 pub struct PassSpec<'c> {
     /// Dependence-combination mode for this pass.
@@ -119,15 +135,11 @@ pub struct PassSpec<'c> {
 /// inline sequential). Returns one `(scheduled program, total stats)` per
 /// pass, functions in original program order.
 ///
-/// `lookup` resolves a function's HLI entry and is called once per pass
-/// per function — exactly the sequential driver's access pattern, so
-/// `hli.reader.{units_decoded,reused}` counts are unchanged. It runs on
-/// pool threads and must be `Sync`; an eagerly-decoded
-/// [`hli_core::HliFile`] and a lazy [`hli_core::HliReader`] qualify
-/// (wrap with [`EntryRef::Owned`]), as does a zero-copy
-/// [`hli_core::HliImage`] (`img.get_ref(n).ok().flatten()` — a unit
-/// whose bytes fail structural validation resolves to `None`, the same
-/// conservative no-HLI path a quarantined unit takes).
+/// `lookup` resolves a function's HLI entry. It is called once per
+/// function, inside that function's work item and before its first pass,
+/// so it runs on pool threads and must be `Sync`. An `HLI\x03`
+/// [`HliImage`] qualifies through [`image_entry`]; an in-memory
+/// [`hli_core::HliFile`] through `|n| file.entry(n).map(EntryRef::Owned)`.
 pub fn schedule_program_passes<'h>(
     prog: &RtlProgram,
     lookup: &(dyn Fn(&str) -> Option<EntryRef<'h>> + Sync),
@@ -141,35 +153,30 @@ pub fn schedule_program_passes<'h>(
     let obs_cfg = hli_obs::CaptureCfg::from_env();
     let results = hli_pool::run(jobs, &prog.funcs, |_w, f| {
         hli_obs::capture_cfg(obs_cfg, || {
-            // Trust boundary: the unit is verified once per work item, at
-            // the first pass's lookup (memoized so later passes neither
-            // re-verify nor re-record the quarantine). The quarantine
-            // counters and provenance land in this item's capture shard,
-            // so they commit in the same name-sorted order as everything
-            // else — byte-identical across `--jobs` values.
-            let mut vetted: Option<bool> = None;
+            // Trust boundary: the unit is resolved and verified once per
+            // work item, and every pass reads that one vetted entry. The
+            // quarantine counters and provenance land in this item's
+            // capture shard, so they commit in the same name-sorted order
+            // as everything else — byte-identical across `--jobs` values.
+            let entry = lookup(&f.name).filter(|e| vet_unit(&f.name, *e));
             passes
                 .iter()
-                .map(|pass| {
-                    let entry = lookup(&f.name)
-                        .filter(|e| *vetted.get_or_insert_with(|| vet_unit(&f.name, *e)));
-                    match entry {
-                        Some(e) => {
-                            let fresh;
-                            let cache = match pass.caches.and_then(|c| c.get(&f.name)) {
-                                Some(c) => c,
-                                None => {
-                                    fresh = QueryCache::new();
-                                    &fresh
-                                }
-                            };
-                            let q = cache.attach_ref(e);
-                            let map = crate::mapping::map_function_ref(f, e);
-                            let side = HliSide { query: &q, map: &map };
-                            schedule_function(f, Some(&side), pass.mode, mach)
-                        }
-                        None => schedule_function(f, None, DepMode::GccOnly, mach),
+                .map(|pass| match entry {
+                    Some(e) => {
+                        let fresh;
+                        let cache = match pass.caches.and_then(|c| c.get(&f.name)) {
+                            Some(c) => c,
+                            None => {
+                                fresh = QueryCache::new();
+                                &fresh
+                            }
+                        };
+                        let q = cache.attach_ref(e);
+                        let map = crate::mapping::map_function_ref(f, e);
+                        let side = HliSide { query: &q, map: &map };
+                        schedule_function(f, Some(&side), pass.mode, mach)
                     }
+                    None => schedule_function(f, None, DepMode::GccOnly, mach),
                 })
                 .collect::<Vec<SchedResult>>()
         })
@@ -223,12 +230,17 @@ mod tests {
         void f3(int n) { int i; for (i = 0; i < n; i++) g += a[i]; }\n\
         int main() { f1(32); f2(32); f3(32); return g; }";
 
-    /// Run the two-pass driver at `jobs`, returning the scheduled
-    /// programs, stats, a metrics JSON snapshot and the provenance JSONL.
-    fn run_at(jobs: usize, prov: bool) -> (Vec<(RtlProgram, QueryStats)>, String, String) {
-        let (p, s) = compile_to_ast(SRC).unwrap();
-        let hli = generate_hli(&p, &s);
-        let prog = lower_program(&p, &s);
+    /// Run the two-pass driver over `lookup` at `jobs` under fresh scoped
+    /// observability state, returning the scheduled programs, stats, a
+    /// metrics JSON snapshot and the provenance JSONL.
+    /// With `shared`, both passes share one memo cache per function.
+    fn drive<'h>(
+        prog: &RtlProgram,
+        lookup: &(dyn Fn(&str) -> Option<EntryRef<'h>> + Sync),
+        shared: bool,
+        jobs: usize,
+        prov: bool,
+    ) -> (Vec<(RtlProgram, QueryStats)>, String, String) {
         let reg = Arc::new(MetricsRegistry::new());
         let sink = Arc::new(ProvenanceSink::new());
         sink.set_enabled(prov);
@@ -237,22 +249,27 @@ mod tests {
             let _m = metrics::scoped(reg.clone());
             let _s = provenance::scoped(sink.clone());
             let _i = provenance::scoped_ids(ids);
-            let caches: HashMap<String, QueryCache> =
+            // Built inside the scope: a cache meters into the registry
+            // that is current when it is created.
+            let map: HashMap<String, QueryCache> =
                 prog.funcs.iter().map(|f| (f.name.clone(), QueryCache::new())).collect();
+            let caches = shared.then_some(&map);
             let passes = [
-                PassSpec { mode: DepMode::GccOnly, caches: Some(&caches) },
-                PassSpec { mode: DepMode::Combined, caches: Some(&caches) },
+                PassSpec { mode: DepMode::GccOnly, caches },
+                PassSpec { mode: DepMode::Combined, caches },
             ];
-            schedule_program_passes(
-                &prog,
-                &|n| hli.entry(n).map(EntryRef::Owned),
-                &passes,
-                &hli_lir::TableBackend::scalar(),
-                jobs,
-            )
+            schedule_program_passes(prog, lookup, &passes, &hli_lir::TableBackend::scalar(), jobs)
         };
         let jsonl = provenance::to_jsonl(&sink.drain());
         (out, reg.snapshot().to_json(), jsonl)
+    }
+
+    /// Run the two-pass driver at `jobs` with shared memo caches.
+    fn run_at(jobs: usize, prov: bool) -> (Vec<(RtlProgram, QueryStats)>, String, String) {
+        let (p, s) = compile_to_ast(SRC).unwrap();
+        let hli = generate_hli(&p, &s);
+        let prog = lower_program(&p, &s);
+        drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), true, jobs, prov)
     }
 
     #[test]
@@ -298,28 +315,7 @@ mod tests {
             "corruption must be detectable"
         );
         let prog = lower_program(&p, &s);
-        let reg = Arc::new(MetricsRegistry::new());
-        let sink = Arc::new(ProvenanceSink::new());
-        sink.set_enabled(prov);
-        let ids = Arc::new(AtomicU64::new(1));
-        let out = {
-            let _m = metrics::scoped(reg.clone());
-            let _s = provenance::scoped(sink.clone());
-            let _i = provenance::scoped_ids(ids);
-            let passes = [
-                PassSpec { mode: DepMode::GccOnly, caches: None },
-                PassSpec { mode: DepMode::Combined, caches: None },
-            ];
-            schedule_program_passes(
-                &prog,
-                &|n| hli.entry(n).map(EntryRef::Owned),
-                &passes,
-                &hli_lir::TableBackend::scalar(),
-                jobs,
-            )
-        };
-        let jsonl = provenance::to_jsonl(&sink.drain());
-        (out, reg.snapshot().to_json(), jsonl)
+        drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), false, jobs, prov)
     }
 
     #[test]
@@ -372,6 +368,72 @@ mod tests {
             }
             assert_eq!(seq_json, par_json, "--stats json diverges (prov={prov})");
             assert_eq!(seq_prov, par_prov, "provenance JSONL diverges (prov={prov})");
+        }
+    }
+
+    /// Claim more line records for `unit`'s body than it holds (body
+    /// header word 2 is the line count), so the image's structural
+    /// validation rejects exactly that unit.
+    fn corrupt_unit_body(bytes: &mut [u8], unit: &str) {
+        let word = |b: &[u8], w: usize| u32::from_le_bytes(b[w * 4..w * 4 + 4].try_into().unwrap());
+        for i in 0..word(bytes, 1) as usize {
+            let rec = 2 + 4 * i;
+            let (name_off, name_len) = (word(bytes, rec) as usize, word(bytes, rec + 1) as usize);
+            if &bytes[name_off..name_off + name_len] == unit.as_bytes() {
+                let at = (word(bytes, rec + 2) as usize + 2) * 4;
+                bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                return;
+            }
+        }
+        panic!("no unit `{unit}` in the image");
+    }
+
+    /// Run the two-pass driver at `jobs` over an `HLI\x03` image of `SRC`
+    /// whose `f2` body fails structural validation.
+    fn run_corrupt_image_at(jobs: usize) -> (Vec<(RtlProgram, QueryStats)>, String, String) {
+        let (p, s) = compile_to_ast(SRC).unwrap();
+        let hli = generate_hli(&p, &s);
+        let opts = hli_core::serialize::SerializeOpts::default();
+        let mut bytes = hli_core::encode_file_v3(&hli, opts);
+        corrupt_unit_body(&mut bytes, "f2");
+        let img = HliImage::open(bytes, opts).unwrap();
+        assert!(img.get_ref("f2").is_err(), "corruption must fail structural validation");
+        let prog = lower_program(&p, &s);
+        drive(&prog, &|n| image_entry(&img, n), false, jobs, true)
+    }
+
+    #[test]
+    fn corrupt_image_unit_is_quarantined_once_and_jobs_invariant() {
+        let (seq, seq_json, seq_prov) = run_corrupt_image_at(1);
+        let (par, par_json, par_prov) = run_corrupt_image_at(8);
+        assert_eq!(seq, par, "scheduled programs or stats diverge across --jobs");
+        assert_eq!(seq_json, par_json, "--stats json diverges across --jobs");
+        assert_eq!(seq_prov, par_prov, "provenance JSONL diverges across --jobs");
+
+        // One quarantine for the one corrupt unit, however many passes ran.
+        assert!(seq_json.contains("\"backend.quarantine.units\": 1"), "{seq_json}");
+        assert!(seq_json.contains("\"backend.quarantine.errors\": 1"), "{seq_json}");
+        assert_eq!(seq_prov.matches("quarantine.unit").count(), 1, "{seq_prov}");
+        assert!(seq_prov.contains("\"function\": \"f2\""), "{seq_prov}");
+
+        // `f2` compiles as if it had no unit; every other function keeps
+        // its HLI schedule from the clean file.
+        let (p, s) = compile_to_ast(SRC).unwrap();
+        let hli = generate_hli(&p, &s);
+        let prog = lower_program(&p, &s);
+        let (clean, _, _) = drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), false, 1, false);
+        let (blind, _, _) = drive(&prog, &|_| None, false, 1, false);
+        let (combined, clean_combined, blind_combined) = (&seq[1].0, &clean[1].0, &blind[1].0);
+        for (i, f) in combined.funcs.iter().enumerate() {
+            let want = if f.name == "f2" {
+                &blind_combined.funcs[i]
+            } else {
+                &clean_combined.funcs[i]
+            };
+            assert_eq!(f, want, "`{}` scheduled unlike its reference", f.name);
+        }
+        for f in ["f1", "f3"] {
+            assert!(seq_prov.contains(&format!("\"function\": \"{f}\"")), "{f} used no HLI");
         }
     }
 

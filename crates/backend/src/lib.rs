@@ -33,9 +33,7 @@
 //! * [`licm`] — loop-invariant load hoisting with alias/REF/MOD legality
 //!   and HLI maintenance;
 //! * [`unroll`] — constant-trip loop unrolling with the Figure-6 HLI
-//!   update (body copies, remainder loop, LCDD distance remap);
-//! * [`swp`] — software-pipelining lower bounds (ResMII/RecMII) from the
-//!   LCDD table, the paper's "indispensable for cyclic scheduling" use.
+//!   update (body copies, remainder loop, LCDD distance remap).
 
 pub mod cfg;
 pub mod cse;
@@ -48,7 +46,6 @@ pub mod lower;
 pub mod mapping;
 pub mod rtl;
 pub mod sched;
-pub mod swp;
 pub mod unroll;
 
 pub use ddg::{DepMode, QueryStats};

@@ -254,10 +254,8 @@ pub fn schedule_program(
     schedule_program_cached(prog, |n| hli.entry(n), mode, mach, &caches)
 }
 
-/// Schedule every function, resolving HLI entries through `lookup` (so the
-/// caller may serve them from an eagerly-decoded [`hli_core::HliFile`] or an
-/// on-demand [`hli_core::HliReader`]) and memoizing query answers in the
-/// per-function `caches`. Passing the same `caches` map to several
+/// Schedule every function, resolving owned HLI entries through `lookup`
+/// and memoizing query answers in the per-function `caches`. Passing the same `caches` map to several
 /// scheduling passes lets the second pass hit memos the first one filled;
 /// functions absent from `caches` get a throwaway cache.
 pub fn schedule_program_cached<'h>(

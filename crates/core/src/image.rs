@@ -1,11 +1,11 @@
-//! Zero-copy HLI images (`HLI\x03`).
+//! Zero-copy HLI images (`HLI\x03`) — the one form the back end imports.
 //!
-//! The v1/v2 containers decode each unit into an owned [`HliEntry`], so
-//! import cost and peak RSS grow with corpus size even when the back-end
-//! only *reads* the tables. The v3 container stores every table as
-//! fixed-width little-endian `u32` words so a borrowed
-//! [`HliEntryView`] can serve the five basic queries **directly from the
-//! image bytes** — no per-unit allocation, no decode pass.
+//! The paper's back end reads the HLI file on demand, one program unit at
+//! a time (§3.2.1). The v3 container stores every table as fixed-width
+//! little-endian `u32` words so a borrowed [`HliEntryView`] can serve the
+//! five basic queries **directly from the image bytes** — no per-unit
+//! allocation, no decode pass — and only the units the maintenance API
+//! rewrites are ever copied into an owned [`HliEntry`].
 //!
 //! Layout contract (see DESIGN.md "Zero-copy image layout & overlay
 //! contract" for the full rules):
@@ -44,16 +44,16 @@
 //! unchanged — views report generation 0, the same value a freshly
 //! decoded owned entry carries.
 //!
-//! Reader activity is mirrored into the metrics registry under
-//! `hli.image.*`: `opens`, `units_total`, `units_validated` (structural
-//! passes run), `overlays` (units materialized for mutation). Bytes
-//! consumed by the open itself (magic + directory + names) are counted
-//! as `hli.deserialize.bytes`, so importbench's eager/lazy/zero-copy
-//! byte comparison stays honest; view accesses decode nothing and count
-//! nothing.
+//! Image activity is mirrored into the metrics registry under
+//! `hli.image.*`: `bytes` (image bytes encoded), `opens`, `units_total`,
+//! `units_validated` (structural passes run), `overlays` (units
+//! materialized for mutation). Bytes consumed by the open itself (magic +
+//! directory + names) are counted as `hli.deserialize.bytes`; view
+//! accesses decode nothing and count nothing. `hli.serialize.*` is left
+//! to the compact `HLI\x01` form, Table 1's size meter.
 
 use crate::ids::{ItemId, RegionId, UNIT_REGION};
-use crate::serialize::{count_decoded, count_encoded, DecodeError, SerializeOpts};
+use crate::serialize::{count_decoded, DecodeError, SerializeOpts};
 use crate::tables::{
     AliasEntry, CallRef, CallRefMod, DepKind, Distance, EquivClass, EquivKind, HliEntry, HliFile,
     ItemEntry, ItemType, LcddEntry, LineTable, MemberRef, Region, RegionKind,
@@ -252,7 +252,7 @@ fn encode_entry_v3(e: &HliEntry, opts: SerializeOpts) -> Vec<u32> {
 /// word-aligned directory plus one fixed-width word-table body per unit,
 /// readable through [`HliImage`] without decoding.
 pub fn encode_file_v3(file: &HliFile, opts: SerializeOpts) -> Vec<u8> {
-    let _t = hli_obs::phase::timed("hli.encode");
+    let _t = hli_obs::phase::timed("hli.image.encode");
     let bodies: Vec<Vec<u32>> = file.entries.iter().map(|e| encode_entry_v3(e, opts)).collect();
     let n = file.entries.len();
     let dir_words = 2 + 4 * n;
@@ -285,7 +285,7 @@ pub fn encode_file_v3(file: &HliFile, opts: SerializeOpts) -> Vec<u8> {
             out.extend_from_slice(&w.to_le_bytes());
         }
     }
-    count_encoded(out.len());
+    hli_obs::metrics::cur().counter("hli.image.bytes").add(out.len() as u64);
     out
 }
 
@@ -746,11 +746,11 @@ impl<'a> HliEntryView<'a> {
 // EntryRef: one accessor surface over owned entries and views
 // ---------------------------------------------------------------------------
 
-/// A borrowed HLI entry that is either an owned [`HliEntry`] (v1/v2
-/// import, or a COW overlay) or a zero-copy [`HliEntryView`]. `Copy`, so
-/// the back-end can hand it through lookups exactly like the `&HliEntry`
-/// it used to pass; the query layer reads both shapes through one
-/// accessor surface.
+/// A borrowed HLI entry that is either an owned [`HliEntry`] (an
+/// in-memory file, or a COW overlay) or a zero-copy [`HliEntryView`].
+/// `Copy`, so the back-end can hand it through lookups exactly like the
+/// `&HliEntry` it used to pass; the query layer reads both shapes through
+/// one accessor surface.
 #[derive(Clone, Copy)]
 pub enum EntryRef<'a> {
     /// A decoded (or overlaid) owned entry.
@@ -1375,15 +1375,17 @@ impl HliImage {
     pub fn open(data: Vec<u8>, _opts: SerializeOpts) -> Result<Self, DecodeError> {
         let _t = hli_obs::phase::timed("hli.image.open");
         let r = hli_obs::metrics::cur();
+        // The magic first, so a file in another format (such as one an
+        // older `hlicc front` wrote) is named as such.
+        if data.get(..4) != Some(&MAGIC_V3[..]) {
+            return Err(DecodeError("bad magic: not an `HLI\\x03` image".into()));
+        }
         if !data.len().is_multiple_of(4) {
             return Err(DecodeError(format!("image length {} is not word-aligned", data.len())));
         }
         let n_words = data.len() / 4;
         if n_words < 2 {
             return Err(DecodeError("image shorter than its header".into()));
-        }
-        if data[0..4] != MAGIC_V3 {
-            return Err(DecodeError("bad magic".into()));
         }
         let n = word_at(&data, 1) as usize;
         let dir_words = 2usize
@@ -1503,7 +1505,7 @@ impl HliImage {
 
     /// The entry for `unit`: its COW overlay when one exists, otherwise a
     /// zero-copy view (structurally validated on first access, memoized —
-    /// thread-safe like `HliReader::get`). `Ok(None)` when the directory
+    /// thread-safe). `Ok(None)` when the directory
     /// has no such unit; `Err` when the unit's body fails validation.
     pub fn get_ref(&self, unit: &str) -> Result<Option<EntryRef<'_>>, DecodeError> {
         let Some(&i) = self.index.get(unit) else {
@@ -1691,6 +1693,19 @@ mod tests {
     }
 
     #[test]
+    fn image_bytes_are_metered_apart_from_table1_bytes() {
+        // `hli.serialize.*` is Table 1's compact-size meter; the image
+        // is counted under `hli.image.bytes` only.
+        let reg = std::sync::Arc::new(hli_obs::MetricsRegistry::new());
+        let _g = hli_obs::metrics::scoped(reg.clone());
+        let bytes = encode_file_v3(&two_unit_file(), SerializeOpts::default());
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("hli.image.bytes"), bytes.len() as u64);
+        assert_eq!(snap.counter("hli.serialize.bytes"), 0);
+        assert_eq!(snap.counter("hli.serialize.calls"), 0);
+    }
+
+    #[test]
     fn cow_overlay_is_allocated_only_for_mutated_units() {
         let opts = SerializeOpts { include_names: true };
         let file = two_unit_file();
@@ -1744,7 +1759,10 @@ mod tests {
         }
         assert!(HliImage::open(b"HLI".to_vec(), opts).is_err());
         assert!(HliImage::open(b"NOPE0000".to_vec(), opts).is_err());
-        // Trailing words after the last body are rejected (v1/v2 parity).
+        // Another format, even of a misaligned length, is named as such.
+        let err = HliImage::open(b"HLI\x02\x01".to_vec(), opts).err().expect("not an image");
+        assert!(err.0.contains("bad magic"), "got: {err:?}");
+        // Trailing words after the last body are rejected (as in v1).
         let mut trailing = bytes.clone();
         trailing.extend_from_slice(&[0, 0, 0, 0]);
         assert!(HliImage::open(trailing, opts).is_err());

@@ -26,8 +26,12 @@
 //!
 //! On top of the data model this crate provides:
 //!
-//! * [`serialize`] — the compact binary encoding whose size Table 1 of the
-//!   paper reports, plus a reader;
+//! * [`serialize`] — the compact `HLI\x01` encoding whose size Table 1 of
+//!   the paper reports, with its round-trip reference decoder;
+//! * [`image`] — the word-aligned `HLI\x03` image the back end imports
+//!   from: each program unit is validated on first touch and read in place
+//!   (the paper's §3.2.1 on-demand import), with copy-on-write overlays
+//!   for the units maintenance rewrites;
 //! * [`query`] — the *query function* interface of Section 3.2.2 (the five
 //!   basic queries: equivalent access, alias, LCDD, call REF/MOD, region
 //!   info), backed by a prebuilt index so back-end passes pay hash-lookup
@@ -52,7 +56,6 @@ pub mod ids;
 pub mod image;
 pub mod maintain;
 pub mod query;
-pub mod reader;
 pub mod serialize;
 pub mod tables;
 pub mod textdump;
@@ -62,7 +65,6 @@ pub use cache::{CachedQuery, QueryCache};
 pub use ids::{ItemId, RegionId};
 pub use image::{encode_file_v3, EntryRef, HliEntryView, HliImage, RegionMeta};
 pub use query::{CallAcc, EquivAcc, HliQuery};
-pub use reader::HliReader;
 pub use tables::{
     AliasEntry, CallRef, CallRefMod, DepKind, Distance, EquivClass, EquivKind, HliEntry, HliFile,
     ItemEntry, ItemType, LcddEntry, LineEntry, LineTable, MemberRef, Region, RegionKind,

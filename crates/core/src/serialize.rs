@@ -1,4 +1,4 @@
-//! Compact binary serialization of HLI files.
+//! Compact binary serialization of HLI files (`HLI\x01`).
 //!
 //! Table 1 of the paper reports the HLI size in KB per benchmark (10–69
 //! bytes per source line); this module defines the byte format those
@@ -7,22 +7,22 @@
 //! excluded unless [`SerializeOpts::include_names`] is set (the harness
 //! measures the compact form).
 //!
+//! The compact form has two jobs: it is Table 1's size meter, and
+//! [`decode_file`] is the round-trip reference the tests check the format
+//! against. The back end does not import it; it reads the word-aligned
+//! `HLI\x03` image of [`crate::image`] one unit at a time.
+//!
 //! Byte sizes crossing this boundary are mirrored into the metrics
 //! registry (`hli.serialize.bytes` / `hli.deserialize.bytes`), making the
-//! paper's §4 HLI-size claim a measured metric.
+//! paper's §4 HLI-size claim a measured metric. `hli.serialize.*` counts
+//! only this compact form; the image is metered under `hli.image.*`.
 
 use crate::ids::{ItemId, RegionId};
 use crate::tables::*;
 use std::fmt;
 
-/// Magic number of an HLI file: "HLI" + version 1 (monolithic, decoded
-/// eagerly).
+/// Magic number of a compact HLI file: "HLI" + version 1.
 pub const MAGIC: [u8; 4] = *b"HLI\x01";
-
-/// Magic number of a version-2 HLI file: a per-unit directory follows the
-/// header so a reader can decode one program unit at a time (the paper's
-/// §3.2.1 on-demand import model). See [`crate::reader::HliReader`].
-pub const MAGIC_V2: [u8; 4] = *b"HLI\x02";
 
 /// Serialization options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,7 +43,7 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-pub(crate) fn count_encoded(n: usize) {
+fn count_encoded(n: usize) {
     let r = hli_obs::metrics::cur();
     r.counter("hli.serialize.bytes").add(n as u64);
     r.counter("hli.serialize.calls").inc();
@@ -188,11 +188,10 @@ fn encode_entry_into(e: &HliEntry, opts: SerializeOpts, b: &mut Vec<u8>) {
     }
 }
 
-/// Read the 4-byte magic header, advancing `b` past it. The one shared
-/// length-checked entry point for every image-opening code path (the v1
-/// decoder here and [`crate::reader::HliReader::open`]), so no caller can
-/// reintroduce the unchecked `b[..4]` slice the fuzzer guards against.
-pub(crate) fn read_magic(b: &mut &[u8]) -> Result<[u8; 4], DecodeError> {
+/// Read the 4-byte magic header, advancing `b` past it, length-checked so
+/// the decoder never takes the unchecked `b[..4]` slice the fuzzer guards
+/// against.
+fn read_magic(b: &mut &[u8]) -> Result<[u8; 4], DecodeError> {
     if b.len() < 4 {
         return Err(DecodeError("truncated header".into()));
     }
@@ -222,7 +221,7 @@ pub fn decode_file(buf: &[u8], opts: SerializeOpts) -> Result<HliFile, DecodeErr
     Ok(HliFile { entries })
 }
 
-pub(crate) fn decode_entry(b: &mut &[u8], opts: SerializeOpts) -> Result<HliEntry, DecodeError> {
+fn decode_entry(b: &mut &[u8], opts: SerializeOpts) -> Result<HliEntry, DecodeError> {
     let unit_name = get_str(b)?;
     let next_id = get_u32(b)?;
     let mut line_table = LineTable::default();
@@ -354,37 +353,6 @@ pub(crate) fn decode_entry(b: &mut &[u8], opts: SerializeOpts) -> Result<HliEntr
     Ok(HliEntry { unit_name, line_table, regions, next_id, generation: 0 })
 }
 
-/// Encode a version-2 (`HLI\x02`) file: magic, unit count, then a directory
-/// of (unit name, body length) followed by the entry bodies in order. The
-/// directory lets [`crate::reader::HliReader`] locate and decode exactly one
-/// program unit per request, realizing the paper's §3.2.1 on-demand import:
-/// *"The HLI file is read on demand as GCC compiles a program function by
-/// function. This approach eliminates the need to keep all of the HLI in
-/// memory at the same time."*
-pub fn encode_file_v2(file: &HliFile, opts: SerializeOpts) -> Vec<u8> {
-    let _t = hli_obs::phase::timed("hli.encode");
-    // Encode entries first to learn their extents.
-    let mut bodies: Vec<(String, Vec<u8>)> = Vec::with_capacity(file.entries.len());
-    for e in &file.entries {
-        let mut b = Vec::new();
-        encode_entry_into(e, opts, &mut b);
-        bodies.push((e.unit_name.clone(), b));
-    }
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC_V2);
-    put_varint(&mut out, bodies.len() as u64);
-    // Directory: name, length (offsets are implied by order).
-    for (name, body) in &bodies {
-        put_str(&mut out, name);
-        put_varint(&mut out, body.len() as u64);
-    }
-    for (_, body) in &bodies {
-        out.extend_from_slice(body);
-    }
-    count_encoded(out.len());
-    out
-}
-
 fn put_varint(b: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -397,7 +365,7 @@ fn put_varint(b: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-pub(crate) fn get_varint(b: &mut &[u8]) -> Result<u64, DecodeError> {
+fn get_varint(b: &mut &[u8]) -> Result<u64, DecodeError> {
     let mut v: u64 = 0;
     let mut shift = 0;
     loop {
@@ -426,7 +394,7 @@ fn get_u32(b: &mut &[u8]) -> Result<u32, DecodeError> {
 
 /// Decode a varint used as an in-memory count or length, rejecting values
 /// that would wrap `usize` on narrower targets.
-pub(crate) fn get_len(b: &mut &[u8]) -> Result<usize, DecodeError> {
+fn get_len(b: &mut &[u8]) -> Result<usize, DecodeError> {
     let v = get_varint(b)?;
     usize::try_from(v).map_err(|_| DecodeError(format!("varint {v} out of usize range")))
 }
@@ -443,7 +411,7 @@ fn put_str(b: &mut Vec<u8>, s: &str) {
     b.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn get_str(b: &mut &[u8]) -> Result<String, DecodeError> {
+fn get_str(b: &mut &[u8]) -> Result<String, DecodeError> {
     let len = get_len(b)?;
     if b.len() < len {
         return Err(DecodeError("truncated string".into()));

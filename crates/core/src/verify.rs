@@ -155,7 +155,7 @@ impl HliEntry {
 }
 
 /// Verify a whole HLI file: every entry, plus the file-level invariant
-/// that unit names are unique (the on-demand reader's directory key).
+/// that unit names are unique (the key of the `HLI\x03` image directory).
 /// Each violation is paired with the offending unit's name.
 pub fn verify_file(file: &HliFile) -> Vec<(String, VerifyError)> {
     let mut out = Vec::new();

@@ -3,8 +3,8 @@
 //! come from a seeded xorshift64 stream, so every run checks the same
 //! cases deterministically.
 
-use hli_core::serialize::{decode_file, encode_file, encode_file_v2, SerializeOpts};
-use hli_core::HliReader;
+use hli_core::serialize::{decode_file, encode_file, SerializeOpts};
+use hli_core::{encode_file_v3, HliImage};
 
 /// xorshift64 — tiny deterministic PRNG for test-input generation.
 struct Rng(u64);
@@ -56,16 +56,16 @@ fn reader_open_never_panics() {
     let mut rng = Rng(0x0bad_c0de_dead_beef);
     for round in 0..512 {
         let mut bytes = rng.bytes(256);
-        // Cycle the rounds through the v2 and v1 magics so both the
-        // directory parser and the eager fallback actually run.
+        // Cycle the rounds through the image and compact magics so the
+        // directory parser and the bad-magic rejection both run.
         match round % 3 {
-            0 => drop(bytes.splice(0..0, *b"HLI\x02")),
+            0 => drop(bytes.splice(0..0, *b"HLI\x03")),
             1 => drop(bytes.splice(0..0, *b"HLI\x01")),
             _ => (),
         };
-        if let Ok(r) = HliReader::open(bytes, SerializeOpts::default()) {
-            for unit in r.units().map(str::to_owned).collect::<Vec<_>>() {
-                let _ = r.get(&unit);
+        if let Ok(img) = HliImage::open(bytes, SerializeOpts::default()) {
+            for unit in img.units().map(str::to_owned).collect::<Vec<_>>() {
+                let _ = img.get_ref(&unit);
             }
         }
     }
@@ -97,14 +97,14 @@ fn truncations_of_valid_files_fail_cleanly() {
         for cut in 0..v1.len() {
             assert!(decode_file(&v1[..cut], opts).is_err(), "truncated at {cut}");
         }
-        let v2 = encode_file_v2(&hli, opts);
-        for cut in 0..v2.len() {
-            let slice = v2[..cut].to_vec();
-            if let Ok(r) = HliReader::open(slice, opts) {
-                // Directory may parse; decoding any unit of a truncated
+        let v3 = encode_file_v3(&hli, opts);
+        for cut in 0..v3.len() {
+            let slice = v3[..cut].to_vec();
+            if let Ok(img) = HliImage::open(slice, opts) {
+                // The frame may parse; resolving any unit of a truncated
                 // image must error, never panic.
-                for unit in r.units().map(str::to_owned).collect::<Vec<_>>() {
-                    let _ = r.get(&unit);
+                for unit in img.units().map(str::to_owned).collect::<Vec<_>>() {
+                    let _ = img.get_ref(&unit);
                 }
             }
         }
@@ -136,16 +136,20 @@ fn trailing_garbage_after_valid_file_rejected() {
 }
 
 #[test]
-fn v1_and_v2_images_agree_unit_by_unit() {
+fn v1_and_v3_images_agree_unit_by_unit() {
     let hli = sample_hli();
     let opts = SerializeOpts { include_names: true };
-    let v1 = HliReader::open(encode_file(&hli, opts), opts).unwrap();
-    let v2 = HliReader::open(encode_file_v2(&hli, opts), opts).unwrap();
-    assert_eq!(v1.len(), v2.len());
-    assert_eq!(v1.units().collect::<Vec<_>>(), v2.units().collect::<Vec<_>>());
-    for unit in hli.entries.iter().map(|e| e.unit_name.clone()) {
-        let a = v1.get(&unit).unwrap().unwrap();
-        let b = v2.get(&unit).unwrap().unwrap();
-        assert_eq!(a, b, "unit `{unit}` differs between v1 and v2");
+    let v1 = decode_file(&encode_file(&hli, opts), opts).unwrap();
+    let v3 = HliImage::open(encode_file_v3(&hli, opts), opts).unwrap();
+    assert_eq!(v1.entries.len(), v3.len());
+    let names: Vec<&str> = v1.entries.iter().map(|e| e.unit_name.as_str()).collect();
+    assert_eq!(names, v3.units().collect::<Vec<_>>());
+    for unit in &v1.entries {
+        let view = v3.get_ref(&unit.unit_name).unwrap().unwrap();
+        assert!(
+            view.same_tables(unit),
+            "unit `{}` differs between v1 and v3",
+            unit.unit_name
+        );
     }
 }

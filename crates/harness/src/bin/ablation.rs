@@ -4,16 +4,16 @@
 //! and prints the reduction each achieves.
 //!
 //! Usage: `cargo run --release -p hli-harness --bin ablation [n iters]
-//! [--lazy-import] [--jobs N] [--stats text|json] [--trace-out t.json]
-//! [--provenance-out p.jsonl]`
+//! [--jobs N] [--machine NAME[,NAME...]] [--stats text|json]
+//! [--trace-out t.json] [--provenance-out p.jsonl]`
 
 use hli_frontend::FrontendOptions;
 use hli_harness::report::bench_args;
-use hli_harness::{mean, run_benchmark_on};
+use hli_harness::{mean, run_benchmark_on, ImportConfig};
 
 fn main() {
     let a = bench_args("ablation");
-    let (scale, obs, cfg, jobs) = (a.scale, a.obs, a.cfg, a.jobs);
+    let (scale, obs, jobs) = (a.scale, a.obs, a.jobs);
     let machines = a.machines;
     let variants: Vec<(&str, FrontendOptions)> = vec![
         ("full HLI", FrontendOptions::default()),
@@ -62,7 +62,7 @@ fn main() {
             variants
                 .iter()
                 .map(|(_, opts)| {
-                    run_benchmark_on(b, *opts, cfg, &machines)
+                    run_benchmark_on(b, *opts, ImportConfig::default(), &machines)
                         .map(|r| r.reduction() * 100.0)
                         .unwrap_or(f64::NAN)
                 })

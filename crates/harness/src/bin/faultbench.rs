@@ -8,12 +8,11 @@
 //! binary stress-tests that contract at two layers:
 //!
 //! * **byte level** — seeded bit flips, byte substitutions, truncations
-//!   and zeroed windows on the encoded `HLI\x01` / `HLI\x02` / `HLI\x03`
-//!   images of every suite benchmark, pushed through the real import +
-//!   two-pass scheduling pipeline under `catch_unwind` (the `HLI\x03`
-//!   mutants exercise the zero-copy view path: structural validation at
-//!   first access, semantic verify on the transiently-materialized
-//!   entry);
+//!   and zeroed windows on the `HLI\x03` image of every suite benchmark
+//!   (the one form the back end imports), pushed through the real import
+//!   and two-pass scheduling pipeline under `catch_unwind`: structural
+//!   validation at first access, semantic verify on the
+//!   transiently-materialized entry;
 //! * **table level** — semantic mutations on *decoded* tables (flip an
 //!   LCDD entry's direction, drop an alias edge, re-home an item into a
 //!   different equivalence class), checking that the verifier rejects
@@ -30,14 +29,12 @@
 //!   stats or a different schedule;
 //! * a rejected or quarantined image whose combined counters leave the
 //!   `clean.combined ≤ mut.combined ≤ clean.gcc` degradation envelope,
-//!   or whose compiled output disagrees with the AST-interpreter oracle;
-//! * a v1/v2 byte mutant that decodes, passes the verifier, and either
-//!   makes the combined pass *more* aggressive than the clean run or
-//!   miscompiles. (Verify-clean `HLI\x03` mutants get the table-level
-//!   stance instead: the fixed-word layout turns random byte damage
-//!   into well-formed *semantic* mutations no static verifier can
-//!   reject, so oracle-detected ones are counted, not failed — see
-//!   [`ByteClass::Caught`].)
+//!   or whose compiled output disagrees with the AST-interpreter oracle.
+//!
+//! Verify-clean byte mutants get the table-level stance: the fixed-word
+//! image layout turns random byte damage into well-formed *semantic*
+//! mutations no static verifier can reject, so oracle-detected ones are
+//! counted, not failed — see [`ByteClass::Caught`].
 //!
 //! Table-level mutations that stay well-formed are *semantically wrong
 //! but syntactically trusted* — no static verifier can reject a
@@ -69,12 +66,12 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use hli_backend::ddg::{DepMode, QueryStats};
-use hli_backend::driver::{schedule_program_passes, PassSpec};
+use hli_backend::driver::{image_entry, schedule_program_passes, PassSpec};
 use hli_backend::lower::lower_program;
 use hli_backend::rtl::RtlProgram;
 use hli_core::image::EntryRef;
-use hli_core::serialize::{decode_file, encode_file, encode_file_v2, SerializeOpts};
-use hli_core::{encode_file_v3, HliFile, HliImage, HliReader, MemberRef, QueryCache};
+use hli_core::serialize::SerializeOpts;
+use hli_core::{encode_file_v3, HliFile, HliImage, MemberRef, QueryCache};
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 use hli_obs::{metrics, provenance, MetricsRegistry, ProvenanceSink};
@@ -87,10 +84,9 @@ struct Prep {
     name: String,
     unit_names: Vec<String>,
     rtl: RtlProgram,
+    /// The tables as the clean image serves them.
     clean: HliFile,
-    v1: Vec<u8>,
-    v2: Vec<u8>,
-    v3: Vec<u8>,
+    image: Vec<u8>,
     oracle_ret: i64,
     oracle_sum: u64,
     /// Combined-pass stats of the clean image (carries `gcc_yes` too).
@@ -133,10 +129,13 @@ fn prepare() -> Vec<Prep> {
                 die(&b.name, &format!("clean HLI invalid for `{unit}`: {err}"));
             }
             let opts = SerializeOpts::default();
-            let v1 = encode_file(&hli, opts);
-            let v2 = encode_file_v2(&hli, opts);
-            let v3 = encode_file_v3(&hli, opts);
-            let clean = decode_file(&v1, opts).unwrap_or_else(|e| die(&b.name, &e.0));
+            let image = encode_file_v3(&hli, opts);
+            let img = HliImage::open(image.clone(), opts).unwrap_or_else(|e| die(&b.name, &e.0));
+            let entries = img.units().map(|n| match img.get_ref(n) {
+                Ok(Some(e)) => e.materialize(),
+                _ => die(&b.name, &format!("clean image cannot serve `{n}`")),
+            });
+            let clean = HliFile { entries: entries.collect() };
             let rtl = lower_program(&p, &s);
             let (clean_gcc_prog, clean_hli_prog, clean_stats) =
                 schedule(&rtl, &|n| clean.entry(n).map(EntryRef::Owned));
@@ -161,9 +160,7 @@ fn prepare() -> Vec<Prep> {
                 unit_names: clean.entries.iter().map(|e| e.unit_name.clone()).collect(),
                 rtl,
                 clean,
-                v1,
-                v2,
-                v3,
+                image,
                 oracle_ret: oracle.ret,
                 oracle_sum: oracle.global_checksum,
                 clean_stats,
@@ -200,15 +197,13 @@ enum ByteClass {
     Identical,
     /// Decoded to *different* tables that still pass the verifier.
     Variant,
-    /// A verify-clean `HLI\x03` variant whose compiled output the
-    /// differential executor caught. The fixed-word v3 layout lets a
-    /// random byte flip land as a *semantic* table mutation (one field
-    /// cleanly rewritten, everything still well-formed) — the same
+    /// A verify-clean variant whose compiled output the differential
+    /// executor caught. The fixed-word image layout lets a random byte
+    /// flip land as a *semantic* table mutation (one field cleanly
+    /// rewritten, everything still well-formed) — the same
     /// wrong-but-trusted class the table-level campaign reports via
     /// [`TableClass::Detected`] rather than hard-fails, because no
-    /// static verifier can reject it. For the variable-length v1/v2
-    /// encodings such landings are effectively impossible, so there a
-    /// verify-clean miscompile stays a hard failure (a verifier gap).
+    /// static verifier can reject it.
     Caught,
 }
 
@@ -232,78 +227,32 @@ fn mutate_bytes(bytes: &mut Vec<u8>, rng: &mut XorShift64) {
     }
 }
 
-/// Which encoded format a byte-level iteration mutates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fmt {
-    V1,
-    V2,
-    V3,
-}
-
 fn byte_iteration(preps: &[Prep], seed: u64, k: u64) -> Result<ByteClass, String> {
     let mut rng = iter_rng(seed, k);
     let p = &preps[(k as usize) % preps.len()];
-    let fmt = match rng.next_range(3) {
-        0 => Fmt::V1,
-        1 => Fmt::V2,
-        _ => Fmt::V3,
-    };
-    let mut bytes = match fmt {
-        Fmt::V1 => p.v1.clone(),
-        Fmt::V2 => p.v2.clone(),
-        Fmt::V3 => p.v3.clone(),
-    };
+    let mut bytes = p.image.clone();
     mutate_bytes(&mut bytes, &mut rng);
 
     let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_byte_mutant(p, bytes, fmt)));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_byte_mutant(p, bytes)));
     match outcome {
         Ok(r) => r.map_err(|e| format!("{} k={k}: {e}", p.name)),
         Err(_) => Err(format!("{} k={k}: PANIC escaped the import/compile pipeline", p.name)),
     }
 }
 
-/// A mutated image after the decode attempt: the whole v1 file, the lazy
-/// v2 reader decoding units on first request, or the zero-copy v3 image
-/// serving structurally-validated views of the mutated bytes.
-enum Img {
-    Eager(HliFile),
-    Lazy(HliReader),
-    ZeroCopy(HliImage),
-}
-
-fn run_byte_mutant(p: &Prep, bytes: Vec<u8>, fmt: Fmt) -> Result<ByteClass, String> {
-    let opts = SerializeOpts::default();
+fn run_byte_mutant(p: &Prep, bytes: Vec<u8>) -> Result<ByteClass, String> {
     let reg = Arc::new(MetricsRegistry::new());
     let _m = metrics::scoped(reg.clone());
 
-    // Decode: eager whole-file for v1, per-unit through the reader for
-    // v2, borrowed views over the image for v3. Units that fail to
-    // decode (or fail the v3 structural validation) become `None` in the
-    // lookup, exactly as `hlicc` treats them.
-    let img = match fmt {
-        Fmt::V1 => match decode_file(&bytes, opts) {
-            Ok(f) => Img::Eager(f),
-            Err(_) => return Ok(ByteClass::Rejected),
-        },
-        Fmt::V2 => match HliReader::open(bytes, opts) {
-            Ok(r) => Img::Lazy(r),
-            Err(_) => return Ok(ByteClass::Rejected),
-        },
-        Fmt::V3 => match HliImage::open(bytes, opts) {
-            Ok(i) => Img::ZeroCopy(i),
-            Err(_) => return Ok(ByteClass::Rejected),
-        },
+    // Open the mutated image; units are validated on first access. A unit
+    // that fails validation is quarantined by the scheduling lookup,
+    // exactly as `hlicc` and the harness treat it.
+    let Ok(img) = HliImage::open(bytes, SerializeOpts::default()) else {
+        return Ok(ByteClass::Rejected);
     };
-    let lookup = |n: &str| -> Option<EntryRef<'_>> {
-        match &img {
-            Img::Eager(f) => f.entry(n).map(EntryRef::Owned),
-            Img::Lazy(r) => r.get(n).ok().flatten().map(EntryRef::Owned),
-            Img::ZeroCopy(i) => i.get_ref(n).ok().flatten(),
-        }
-    };
-
-    let dropped = p.unit_names.iter().filter(|n| lookup(n).is_none()).count();
+    let served = |n: &str| img.get_ref(n).ok().flatten();
+    let dropped = p.unit_names.iter().filter(|n| served(n).is_none()).count();
     if dropped == p.unit_names.len() {
         // Nothing decoded: the pipeline degenerates to the no-HLI
         // control run validated during setup.
@@ -313,9 +262,9 @@ fn run_byte_mutant(p: &Prep, bytes: Vec<u8>, fmt: Fmt) -> Result<ByteClass, Stri
         && p.clean
             .entries
             .iter()
-            .all(|clean| lookup(&clean.unit_name).is_some_and(|e| e.same_tables(clean)));
+            .all(|clean| served(&clean.unit_name).is_some_and(|e| e.same_tables(clean)));
 
-    let (gcc_prog, hli_prog, stats) = schedule(&p.rtl, &lookup);
+    let (gcc_prog, hli_prog, stats) = schedule(&p.rtl, &|n| image_entry(&img, n));
     let quarantined = reg.snapshot().counter("backend.quarantine.units");
 
     // The GCC-only path must be bit-for-bit blind to HLI input.
@@ -359,30 +308,15 @@ fn run_byte_mutant(p: &Prep, bytes: Vec<u8>, fmt: Fmt) -> Result<ByteClass, Stri
         return Ok(ByteClass::Quarantined);
     }
 
-    // A verify-clean variant. For v1/v2 the strictest stance holds — it
-    // must not be more aggressive than the clean image and must not
-    // miscompile; a failure means the verifier has a gap worth closing.
-    // For v3 the fixed-word layout makes byte damage land as well-formed
-    // semantic mutations (see [`ByteClass::Caught`]), so the campaign
-    // takes the table-level stance: aggressive-but-validated variants
-    // are reported as variants, oracle-detected ones as `Caught`.
-    if fmt == Fmt::V3 {
-        return Ok(if exec_matches()? {
-            ByteClass::Variant
-        } else {
-            ByteClass::Caught
-        });
-    }
-    if stats.combined_yes < p.clean_stats.combined_yes {
-        return Err(format!(
-            "verify-clean byte mutant went aggressive: combined {} < clean {}",
-            stats.combined_yes, p.clean_stats.combined_yes
-        ));
-    }
-    if !exec_matches()? {
-        return Err("verify-clean byte mutant miscompiled".into());
-    }
-    Ok(ByteClass::Variant)
+    // A verify-clean variant: byte damage landed as a well-formed
+    // semantic mutation (see [`ByteClass::Caught`]), so the campaign takes
+    // the table-level stance: aggressive-but-validated variants are
+    // reported as variants, oracle-detected ones as `Caught`.
+    Ok(if exec_matches()? {
+        ByteClass::Variant
+    } else {
+        ByteClass::Caught
+    })
 }
 
 // ---------------------------------------------------------------------

@@ -30,14 +30,15 @@
 
 use hli_backend::cse::cse_function;
 use hli_backend::ddg::DepMode;
+use hli_backend::driver::record_quarantine;
 use hli_backend::licm::licm_function;
 use hli_backend::lower::lower_with_loops;
-use hli_backend::mapping::map_function;
+use hli_backend::mapping::map_function_ref;
 use hli_backend::rtl::dump_func;
 use hli_backend::sched::schedule_function;
 use hli_backend::unroll::unroll_function;
-use hli_core::serialize::{encode_file_v2, SerializeOpts};
-use hli_core::{HliReader, QueryCache};
+use hli_core::serialize::SerializeOpts;
+use hli_core::{encode_file_v3, HliImage, QueryCache};
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 use hli_machine::MachineBackend;
@@ -62,7 +63,7 @@ fn front(input: &str, out: Option<String>) {
     if let Some((unit, err)) = errs.first() {
         fail(&format!("internal: invalid HLI for `{unit}`: {err}"));
     }
-    let bytes = encode_file_v2(&hli, OPTS);
+    let bytes = encode_file_v3(&hli, OPTS);
     let out = out.unwrap_or_else(|| format!("{}.hli", input.trim_end_matches(".c")));
     std::fs::write(&out, &bytes).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
     println!(
@@ -79,7 +80,6 @@ struct BackFlags {
     cse: bool,
     licm: bool,
     time: bool,
-    lazy_import: bool,
     jobs: usize,
     /// Machine models (`--machine NAME[,NAME...]`): the first supplies the
     /// scheduler's and the estimators' latency table, and `--time`
@@ -98,6 +98,21 @@ struct FuncOut {
     func: hli_backend::rtl::RtlFunc,
 }
 
+/// Quarantine `function`'s HLI unit (§3.2.3's trust boundary): count it
+/// and record why, and tell the user the function compiles without HLI.
+fn quarantine(
+    function: &str,
+    messages: &mut Vec<String>,
+    region: Option<u32>,
+    errors: u64,
+    why: &str,
+) {
+    record_quarantine(function, region, errors, why);
+    messages.push(format!(
+        "warning: `{function}`: HLI unit quarantined ({why}); compiling without HLI"
+    ));
+}
+
 fn back(input: &str, hli_path: &str, flags: BackFlags) {
     let _phase = hli_obs::span("hlicc.back");
     let src = read_source(input);
@@ -106,19 +121,12 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
         let _s = hli_obs::span("backend.lower");
         lower_with_loops(&prog, &sema)
     };
-    // On-demand import: open the index, decode per function (§3.2.1).
-    // Without `--lazy-import` every unit is decoded up front, matching the
-    // monolithic import a batch build performs.
-    let image =
-        std::fs::read(hli_path).unwrap_or_else(|e| fail(&format!("cannot read {hli_path}: {e}")));
-    let reader = HliReader::open(image, OPTS).unwrap_or_else(|e| fail(&e.to_string()));
-    if !flags.lazy_import {
-        // A unit failing to decode is not fatal: its error is memoized and
-        // the function it belongs to is quarantined below.
-        if let Err(e) = reader.preload() {
-            eprintln!("hlicc: warning: eager import: {e}; affected unit(s) will be quarantined");
-        }
-    }
+    // On-demand import (§3.2.1): opening the image reads only its
+    // directory; each function's unit is validated on first touch and
+    // read in place.
+    let image = HliImage::open_file(std::path::Path::new(hli_path), OPTS)
+        .unwrap_or_else(|e| fail(&e.to_string()));
+    let maintain = flags.unroll.is_some() || flags.cse || flags.licm;
     let mode = if flags.use_hli {
         DepMode::Combined
     } else {
@@ -136,44 +144,37 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
         hli_obs::capture(prov_on, || -> Result<FuncOut, String> {
             let _s = hli_obs::span(format!("backend.func.{}", f.name));
             let mut messages = Vec::new();
-            // Trust boundary (§3.2.3): a unit that fails to decode or to
-            // verify is *quarantined* — this function compiles on the pure
+            // Trust boundary (§3.2.3): a unit that fails the image's
+            // structural validation or semantic verification is
+            // *quarantined* — this function compiles on the pure
             // GCC-dependence path instead of aborting the whole build.
-            let entry = match reader.get(&f.name) {
-                Ok(e) => e.cloned(),
-                Err(e) if flags.use_hli => {
-                    hli_backend::driver::record_quarantine(&f.name, None, 1, &e.to_string());
-                    messages.push(format!(
-                        "warning: `{}`: HLI unit quarantined ({e}); compiling without HLI",
-                        f.name
-                    ));
+            let entry = match image.get_ref(&f.name) {
+                _ if !flags.use_hli => None,
+                Ok(e) => e,
+                Err(e) => {
+                    quarantine(&f.name, &mut messages, None, 1, &e.to_string());
                     None
                 }
-                Err(_) => None,
             };
+            // Verification reads an owned copy of the unit, which is kept
+            // only where CSE/LICM/unroll maintenance will rewrite it.
+            let mut owned = None;
             let entry = entry.filter(|e| {
-                if !flags.use_hli {
+                let copy = e.materialize();
+                let errs = copy.verify();
+                let Some(first) = errs.first() else {
+                    owned = maintain.then_some(copy);
                     return true;
-                }
-                let errs = e.verify();
-                let Some(first) = errs.first() else { return true };
-                hli_backend::driver::record_quarantine(
-                    &f.name,
-                    first.region.map(|r| r.0),
-                    errs.len() as u64,
-                    &first.to_string(),
-                );
-                messages.push(format!(
-                    "warning: `{}`: HLI unit quarantined ({first}); compiling without HLI",
-                    f.name
-                ));
+                };
+                let region = first.region.map(|r| r.0);
+                quarantine(&f.name, &mut messages, region, errs.len() as u64, &first.to_string());
                 false
             });
             let mut cur = f.clone();
             let mut stats = hli_backend::ddg::QueryStats::default();
             let scheduled = match entry {
-                Some(mut entry) if flags.use_hli => {
-                    let mut map = map_function(&cur, &entry);
+                Some(view) => {
+                    let mut map = map_function_ref(&cur, view);
                     if !map.unmapped_insns.is_empty() || !map.unmapped_items.is_empty() {
                         messages.push(format!(
                             "warning: `{}`: {} refs / {} items unmapped (treated as unknown)",
@@ -187,7 +188,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                             &cur,
                             &loops[&f.name],
                             u,
-                            Some((&mut entry, &mut map)),
+                            owned.as_mut().map(|e| (e, &mut map)),
                             mach,
                         );
                         cur = r.func;
@@ -199,7 +200,8 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                         }
                     }
                     if flags.cse {
-                        let r = cse_function(&cur, Some((&mut entry, &mut map)), mode, mach);
+                        let r =
+                            cse_function(&cur, owned.as_mut().map(|e| (e, &mut map)), mode, mach);
                         if r.loads_eliminated > 0 {
                             messages.push(format!(
                                 "`{}`: CSE removed {} load(s)",
@@ -209,7 +211,8 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                         cur = r.func;
                     }
                     if flags.licm {
-                        let r = licm_function(&cur, Some((&mut entry, &mut map)), mode, mach);
+                        let r =
+                            licm_function(&cur, owned.as_mut().map(|e| (e, &mut map)), mode, mach);
                         if r.hoisted > 0 {
                             messages
                                 .push(format!("`{}`: LICM hoisted {} load(s)", f.name, r.hoisted));
@@ -219,7 +222,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                     // Unlike import-time corruption (quarantined above), a
                     // verify failure *after* maintenance is our own bug —
                     // keep it fatal so it cannot hide.
-                    let errs = entry.verify();
+                    let errs = owned.as_ref().map(|e| e.verify()).unwrap_or_default();
                     if let Some(first) = errs.first() {
                         return Err(format!(
                             "maintenance broke `{}`: {first} ({} violation(s))",
@@ -228,7 +231,10 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                         ));
                     }
                     let cache = QueryCache::new();
-                    let q = cache.attach(&entry);
+                    let q = match &owned {
+                        Some(entry) => cache.attach(entry),
+                        None => cache.attach_ref(view),
+                    };
                     let side = hli_backend::ddg::HliSide { query: &q, map: &map };
                     let r = schedule_function(&cur, Some(&side), mode, mach);
                     stats.add(&r.stats);
@@ -348,7 +354,7 @@ fn serve(rest: &[String]) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: hlicc front <input.c> [-o out.hli]\n       hlicc back <input.c> <in.hli> [--no-hli --lazy-import --jobs N --machine NAME[,NAME...] --dump-rtl --unroll N --cse --licm --time]\n       hlicc build <input.c> [back-end flags]\n       hlicc serve [--cache DIR --cache-max-mb N --jobs N --socket PATH]\n       (all: --stats [text|json], --trace-out <file.json>, --provenance-out <file.jsonl>)";
+    let usage = "usage: hlicc front <input.c> [-o out.hli]\n       hlicc back <input.c> <in.hli> [--no-hli --jobs N --machine NAME[,NAME...] --dump-rtl --unroll N --cse --licm --time]\n       hlicc build <input.c> [back-end flags]\n       hlicc serve [--cache DIR --cache-max-mb N --jobs N --socket PATH]\n       (all: --stats [text|json], --trace-out <file.json>, --provenance-out <file.jsonl>)";
     let obs = hli_harness::cli::ObsArgs::extract(&mut args).unwrap_or_else(|e| fail(&e));
     let Some(cmd) = args.first() else { fail(usage) };
     match cmd.as_str() {
@@ -379,7 +385,6 @@ fn main() {
                 cse: false,
                 licm: false,
                 time: false,
-                lazy_import: false,
                 jobs: 0,
                 machines: hli_harness::default_machines(),
             };
@@ -387,7 +392,6 @@ fn main() {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--no-hli" => flags.use_hli = false,
-                    "--lazy-import" => flags.lazy_import = true,
                     "--dump-rtl" => flags.dump_rtl = true,
                     "--cse" => flags.cse = true,
                     "--licm" => flags.licm = true,

@@ -1,72 +1,46 @@
-//! `importbench` — eager-vs-lazy-vs-zero-copy import, cold-vs-shared
-//! query-cache and sequential-vs-parallel driver comparison over the
-//! whole suite.
+//! `importbench` — per-pass-vs-shared query caches and
+//! sequential-vs-parallel driver comparison over the whole suite, all
+//! importing through the `HLI\x03` image.
 //!
-//! Runs the measurement pipeline over a configuration grid — the
-//! {eager, lazy, zcopy} × {per-pass, shared} cache configurations on one
-//! worker, then the three shared-cache configurations again on `--jobs N`
-//! workers (default: all CPUs) — and prints, for each configuration, the
-//! wall time, the bytes the decoder actually consumed
-//! (`hli.deserialize.bytes`), the units the v2 reader decoded or the v3
-//! image structurally validated, the per-configuration peak RSS
+//! Runs the measurement pipeline over three configurations — per-pass
+//! and shared query caches on one worker, then shared caches again on
+//! `--jobs N` workers (default: all CPUs) — and prints, for each, the
+//! wall time, the bytes the image opens consumed
+//! (`hli.deserialize.bytes`), the units the image structurally validated
+//! (`hli.image.units_validated`), the per-configuration peak RSS
 //! (`obs.mem.peak_rss_kb`, high-water mark reset between rows where the
 //! kernel allows), and the query-cache hit/miss/invalidate counters.
 //!
-//! The run doubles as a self-check and exits 1 if any of the claims the
+//! The run doubles as a self-check and exits 1 if either claim the
 //! configurations exist to demonstrate fails to hold:
 //!
-//! * lazy import must deserialize strictly fewer bytes than eager;
-//! * zero-copy import must deserialize strictly fewer bytes than lazy —
-//!   opening an `HLI\x03` image decodes only the header, directory and
-//!   name pool, never the unit bodies;
 //! * shared caches must produce hits (the second scheduling pass re-asks
 //!   what the first already asked);
-//! * every configuration — including the multi-threaded ones — must
-//!   report identical Table-2 query counters: caching, laziness,
-//!   zero-copy views and parallelism change cost, never answers.
+//! * every configuration — including the multi-threaded one — must
+//!   report identical Table-2 query counters: caching and parallelism
+//!   change cost, never answers.
 //!
-//! The lazy/shared speedup at `--jobs N` over one worker and the
-//! zero-copy peak-RSS delta against eager are printed; they are reported
-//! rather than hard-checked because wall-clock ratios and allocator
-//! high-water marks on a loaded or sandboxed CI machine are not
-//! soundness properties.
+//! The shared-cache speedup at `--jobs N` over one worker is printed; it
+//! is reported rather than hard-checked because a wall-clock ratio on a
+//! loaded or sandboxed CI machine is not a soundness property.
 //!
 //! Usage: `cargo run --release -p hli-harness --bin importbench [n iters]
-//! [--jobs N] [--stats text|json] [--trace-out t.json]
-//! [--provenance-out p.jsonl]`
+//! [--jobs N] [--machine NAME[,NAME...]] [--stats text|json]
+//! [--trace-out t.json] [--provenance-out p.jsonl]`
 
-use hli_harness::report::{bench_args, collect_suite_jobs, merged_metrics, total_query_stats};
+use hli_harness::report::{bench_args, collect_suite_jobs_on, merged_metrics, total_query_stats};
 use hli_harness::ImportConfig;
 
 fn main() {
     let a = bench_args("importbench");
-    let (scale, obs, jobs) = (a.scale, a.obs, a.jobs);
+    let (scale, obs, jobs, machines) = (a.scale, a.obs, a.jobs, a.machines);
     let par = hli_pool::resolve_jobs(jobs).max(2);
-    let eager_shared = ImportConfig { lazy: false, zero_copy: false, shared_cache: true };
-    let lazy_shared = ImportConfig { lazy: true, zero_copy: false, shared_cache: true };
-    let zcopy_shared = ImportConfig { lazy: false, zero_copy: true, shared_cache: true };
+    let per_pass = ImportConfig { shared_cache: false };
+    let shared = ImportConfig { shared_cache: true };
     let configs = [
-        (
-            "eager, per-pass caches",
-            ImportConfig { lazy: false, zero_copy: false, shared_cache: false },
-            1,
-        ),
-        ("eager, shared caches", eager_shared, 1),
-        (
-            "lazy,  per-pass caches",
-            ImportConfig { lazy: true, zero_copy: false, shared_cache: false },
-            1,
-        ),
-        ("lazy,  shared caches", lazy_shared, 1),
-        (
-            "zcopy, per-pass caches",
-            ImportConfig { lazy: false, zero_copy: true, shared_cache: false },
-            1,
-        ),
-        ("zcopy, shared caches", zcopy_shared, 1),
-        ("eager, shared caches", eager_shared, par),
-        ("lazy,  shared caches", lazy_shared, par),
-        ("zcopy, shared caches", zcopy_shared, par),
+        ("per-pass caches", per_pass, 1),
+        ("shared caches", shared, 1),
+        ("shared caches", shared, par),
     ];
 
     eprintln!(
@@ -92,12 +66,12 @@ fn main() {
     // Reset the kernel's RSS high-water mark before each row so the peak
     // column describes that configuration alone, not the process so far.
     // When the reset is refused (read-only procfs) the column degrades to
-    // the process-lifetime peak and the RSS comparison is skipped.
-    let rss_resets = hli_obs::mem::reset_peak_rss();
+    // the process-lifetime peak.
     let mut rows = Vec::new();
     for (label, cfg, row_jobs) in configs {
         hli_obs::mem::reset_peak_rss();
-        let (reports, wall) = hli_obs::timing::time(|| collect_suite_jobs(scale, cfg, row_jobs));
+        let (reports, wall) =
+            hli_obs::timing::time(|| collect_suite_jobs_on(scale, cfg, row_jobs, &machines));
         let peak_kb = hli_obs::mem::peak_rss_kb();
         let reports = reports.unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -105,44 +79,23 @@ fn main() {
         });
         let m = merged_metrics(&reports);
         let stats = total_query_stats(&reports);
-        // One counter per import path: the v2 reader counts decoded
-        // units, the v3 image counts structurally-validated units.
-        let units = m.counter("hli.reader.units_decoded") + m.counter("hli.image.units_validated");
         println!(
             "{:<24} {:>7} {:>10} {:>12} {:>9} {:>10} {:>9} {:>9} {:>11}",
             label,
             row_jobs,
             hli_obs::timing::fmt_ms(wall),
             m.counter("hli.deserialize.bytes"),
-            units,
+            m.counter("hli.image.units_validated"),
             peak_kb.map(|k| k.to_string()).unwrap_or_else(|| "-".into()),
             m.counter("backend.query_cache.hit"),
             m.counter("backend.query_cache.miss"),
             m.counter("backend.query_cache.invalidate"),
         );
-        rows.push((label, cfg, row_jobs, wall, m, stats, peak_kb));
+        rows.push((label, cfg, row_jobs, wall, m, stats));
     }
 
     let mut ok = true;
-    let bytes_of = |pick: fn(&ImportConfig) -> bool| {
-        rows.iter()
-            .filter(|(_, c, ..)| pick(c))
-            .map(|(.., m, _, _)| m.counter("hli.deserialize.bytes"))
-            .max()
-            .unwrap()
-    };
-    let eager_bytes = bytes_of(|c| !c.lazy && !c.zero_copy);
-    let lazy_bytes = bytes_of(|c| c.lazy);
-    let zcopy_bytes = bytes_of(|c| c.zero_copy);
-    if lazy_bytes >= eager_bytes {
-        eprintln!("FAIL: lazy import deserialized {lazy_bytes} B, eager {eager_bytes} B");
-        ok = false;
-    }
-    if zcopy_bytes >= lazy_bytes {
-        eprintln!("FAIL: zero-copy import deserialized {zcopy_bytes} B, lazy {lazy_bytes} B");
-        ok = false;
-    }
-    for (label, cfg, row_jobs, _, m, _, _) in &rows {
+    for (label, cfg, row_jobs, _, m, _) in &rows {
         if cfg.shared_cache && m.counter("backend.query_cache.hit") == 0 {
             eprintln!(
                 "FAIL: `{label}` ({row_jobs} threads) saw no cache hits despite shared caches"
@@ -151,7 +104,7 @@ fn main() {
         }
     }
     let baseline = &rows[0].5;
-    for (label, _, row_jobs, _, _, stats, _) in &rows[1..] {
+    for (label, _, row_jobs, _, _, stats) in &rows[1..] {
         if stats != baseline {
             eprintln!(
                 "FAIL: `{label}` ({row_jobs} threads) changed the Table-2 counters: \
@@ -160,46 +113,19 @@ fn main() {
             ok = false;
         }
     }
-    let wall_of = |cfg: ImportConfig, j: usize| {
-        rows.iter()
-            .find(|(_, c, rj, ..)| *c == cfg && *rj == j)
-            .map(|(.., w, _, _, _)| *w)
-            .unwrap()
-    };
-    let seq = wall_of(lazy_shared, 1);
-    let threaded = wall_of(lazy_shared, par);
+    let (seq, threaded) = (rows[1].3, rows[2].3);
     let speedup = seq.as_secs_f64() / threaded.as_secs_f64().max(1e-9);
     println!();
     println!(
-        "lazy/shared speedup at {par} workers: {speedup:.2}x ({} -> {})",
+        "shared-cache speedup at {par} workers: {speedup:.2}x ({} -> {})",
         hli_obs::timing::fmt_ms(seq),
         hli_obs::timing::fmt_ms(threaded)
     );
     if speedup < 1.0 {
         eprintln!("note: no parallel speedup observed (small scale or loaded machine?)");
     }
-    let peak_of = |cfg: ImportConfig, j: usize| {
-        rows.iter().find(|(_, c, rj, ..)| *c == cfg && *rj == j).and_then(|r| r.6)
-    };
-    match (rss_resets, peak_of(eager_shared, 1), peak_of(zcopy_shared, 1)) {
-        (true, Some(eager_kb), Some(zcopy_kb)) => {
-            println!(
-                "peak RSS (1 worker, shared caches): eager {eager_kb} kB, zero-copy {zcopy_kb} kB \
-                 ({:+} kB)",
-                zcopy_kb as i64 - eager_kb as i64
-            );
-            if zcopy_kb >= eager_kb {
-                eprintln!("note: no zero-copy RSS drop observed (allocator reuse at this scale?)");
-            }
-        }
-        _ => {
-            println!("peak RSS comparison skipped (VmHWM reset or procfs unavailable)");
-        }
-    }
     println!(
-        "checks: lazy deserializes fewer bytes ({lazy_bytes} < {eager_bytes}), zero-copy fewer \
-         still ({zcopy_bytes} < {lazy_bytes}), shared caches hit, all {} configurations agree \
-         on query counters: {}",
+        "checks: shared caches hit, all {} configurations agree on query counters: {}",
         rows.len(),
         if ok { "ok" } else { "FAILED" }
     );

@@ -34,9 +34,9 @@ const GROUPS: &[&str] = &[
     "backend.unroll.",
     "backend.query_cache.",
     "backend.quarantine.",
+    "hli.image.",
     "hli.maintain.",
     "hli.query.",
-    "hli.reader.",
     "provenance.",
 ];
 
@@ -159,7 +159,10 @@ fn numbers(doc: &Json, section: &str, path: &str) -> BTreeMap<String, f64> {
 }
 
 fn group_sum(map: &BTreeMap<String, f64>, prefix: &str) -> f64 {
-    map.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, v)| v).sum()
+    // A fold from +0.0: `Sum` over no f64 yields -0.0, printed as "-0".
+    map.iter()
+        .filter(|(k, _)| k.starts_with(prefix))
+        .fold(0.0, |acc, (_, v)| acc + v)
 }
 
 fn main() {
@@ -258,6 +261,13 @@ mod tests {
             "must name the expected schema: {err}"
         );
         assert!(err.contains("--stats json"), "must say how to regenerate: {err}");
+    }
+
+    #[test]
+    fn empty_group_sums_to_positive_zero() {
+        let map = BTreeMap::from([("a.x".to_string(), 2.0)]);
+        assert_eq!(group_sum(&map, "b.").to_string(), "0");
+        assert_eq!(group_sum(&map, "a.").to_string(), "2");
     }
 
     #[test]

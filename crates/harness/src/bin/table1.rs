@@ -2,7 +2,7 @@
 //! code size in lines, HLI size, and HLI bytes per source line.
 //!
 //! Usage: `cargo run --release -p hli-harness --bin table1 [n iters]
-//! [--lazy-import] [--jobs N] [--machine NAME[,NAME...]]
+//! [--jobs N] [--machine NAME[,NAME...]]
 //! [--stats text|json] [--trace-out t.json] [--provenance-out p.jsonl]`
 //!
 //! Table 1 reports machine-independent characteristics; `--machine` only
@@ -11,15 +11,17 @@
 
 use hli_harness::format_table1;
 use hli_harness::report::{bench_args, collect_suite_jobs_on};
+use hli_harness::ImportConfig;
 
 fn main() {
     let a = bench_args("table1");
-    let (scale, obs, cfg, jobs) = (a.scale, a.obs, a.cfg, a.jobs);
+    let (scale, obs, jobs) = (a.scale, a.obs, a.jobs);
     eprintln!("running suite at scale n={} iters={}...", scale.n, scale.iters);
-    let reports = collect_suite_jobs_on(scale, cfg, jobs, &a.machines).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let reports = collect_suite_jobs_on(scale, ImportConfig::default(), jobs, &a.machines)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     println!("Table 1. Benchmark program characteristics.");
     println!();
     print!("{}", format_table1(&reports));

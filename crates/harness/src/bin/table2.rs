@@ -4,7 +4,7 @@
 //! vs GCC-scheduled code on the R4600-like and R10000-like machine models.
 //!
 //! Usage: `cargo run --release -p hli-harness --bin table2 [n iters]
-//! [--lazy-import] [--jobs N] [--machine NAME[,NAME...]]
+//! [--jobs N] [--machine NAME[,NAME...]]
 //! [--stats text|json] [--trace-out t.json] [--provenance-out p.jsonl]`
 //!
 //! `--machine` picks the simulated targets (r4600, r10000, w4); the first
@@ -13,15 +13,17 @@
 
 use hli_harness::format_table2;
 use hli_harness::report::{bench_args, collect_suite_jobs_on};
+use hli_harness::ImportConfig;
 
 fn main() {
     let a = bench_args("table2");
-    let (scale, obs, cfg, jobs) = (a.scale, a.obs, a.cfg, a.jobs);
+    let (scale, obs, jobs) = (a.scale, a.obs, a.jobs);
     eprintln!("running suite at scale n={} iters={}...", scale.n, scale.iters);
-    let reports = collect_suite_jobs_on(scale, cfg, jobs, &a.machines).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let reports = collect_suite_jobs_on(scale, ImportConfig::default(), jobs, &a.machines)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     println!("Table 2. Dependence queries, edge reduction, and speedups.");
     println!("(speedups = cycles of GCC-scheduled / cycles of HLI-scheduled)");
     println!();

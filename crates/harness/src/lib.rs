@@ -18,16 +18,15 @@
 //! miscompiled instead of mis-reporting a speedup.
 
 use hli_backend::ddg::{DepMode, QueryStats};
-use hli_backend::driver::{schedule_program_passes, PassSpec};
+use hli_backend::driver::{image_entry, schedule_program_passes, PassSpec};
 use hli_backend::lower::lower_program;
-use hli_core::image::EntryRef;
-use hli_core::serialize::{decode_file, encode_file, encode_file_v2, SerializeOpts};
-use hli_core::{HliImage, HliReader, QueryCache};
+use hli_core::serialize::{encode_file, SerializeOpts};
+use hli_core::{encode_file_v3, HliImage, QueryCache};
 use hli_frontend::{generate_hli_with, FrontendOptions};
 use hli_lang::compile_to_ast;
 use hli_machine::{backend_by_name, MachineBackend};
 use hli_obs::{MetricsRegistry, MetricsSnapshot};
-use hli_suite::{Benchmark, Scale};
+use hli_suite::Benchmark;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -123,17 +122,9 @@ impl BenchReport {
     }
 }
 
-/// How the pipeline imports the encoded HLI back into the back-end.
+/// How the back end memoizes query answers while it schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImportConfig {
-    /// Open the `HLI\x02` indexed image through [`HliReader`] and decode
-    /// units on first request, instead of eagerly decoding the whole v1
-    /// image up front.
-    pub lazy: bool,
-    /// Open the `HLI\x03` word-aligned image through [`HliImage`] and
-    /// serve queries from borrowed views of the image bytes — no owned
-    /// tables are decoded at all. Takes precedence over `lazy`.
-    pub zero_copy: bool,
     /// Keep one query-memo cache per function across the two scheduling
     /// passes (GCC-only then Combined) instead of starting each pass cold.
     pub shared_cache: bool,
@@ -141,34 +132,14 @@ pub struct ImportConfig {
 
 impl Default for ImportConfig {
     fn default() -> Self {
-        ImportConfig { lazy: false, zero_copy: false, shared_cache: true }
+        ImportConfig { shared_cache: true }
     }
 }
 
-/// Run the full measurement pipeline on one benchmark.
-pub fn run_benchmark(b: &Benchmark) -> Result<BenchReport, String> {
-    run_benchmark_with(b, FrontendOptions::default())
-}
-
-/// [`run_benchmark`] with explicit front-end precision options (the
-/// ablation knob).
-pub fn run_benchmark_with(b: &Benchmark, opts: FrontendOptions) -> Result<BenchReport, String> {
-    run_benchmark_cfg(b, opts, ImportConfig::default())
-}
-
-/// [`run_benchmark_with`] with an explicit import strategy, on the
-/// default machine list.
-pub fn run_benchmark_cfg(
-    b: &Benchmark,
-    opts: FrontendOptions,
-    cfg: ImportConfig,
-) -> Result<BenchReport, String> {
-    run_benchmark_on(b, opts, cfg, &default_machines())
-}
-
-/// [`run_benchmark_cfg`] on an explicit machine list. The first machine is
-/// the scheduler's latency source; every listed machine is simulated and
-/// reported.
+/// Run the full measurement pipeline on one benchmark with the given
+/// front-end precision options (the ablation knob), query-cache setting
+/// and machine list. The first machine is the scheduler's latency source;
+/// every listed machine is simulated and reported.
 ///
 /// The pipeline runs under a scoped per-run [`MetricsRegistry`]; the
 /// resulting snapshot is carried on the report and also absorbed into the
@@ -222,43 +193,24 @@ fn run_pipeline(
     if let Some((unit, err)) = errs.first() {
         return Err(format!("{}: invalid HLI for `{unit}`: {err}", b.name));
     }
-    let v1_bytes = {
+    // Table 1's size meter is the compact encoding.
+    let hli_bytes = {
         let _s = hli_obs::span("harness.encode_hli");
-        encode_file(&hli, SerializeOpts::default())
+        encode_file(&hli, SerializeOpts::default()).len()
     };
-    let hli_bytes = v1_bytes.len();
 
-    // Back-end import: round-trip the HLI through its encoded image, the
-    // way a separately-invoked back-end receives it (Section 3.2.1).
-    // Eager decodes every unit of the v1 image up front; lazy opens the
-    // indexed `HLI\x02` image and decodes units on first request;
-    // zero-copy opens the word-aligned `HLI\x03` image and serves borrowed
-    // views straight from the image bytes.
-    let _import_span = hli_obs::span("harness.import_hli");
-    let (imported, reader, image) = if cfg.zero_copy {
-        let bytes = hli_core::encode_file_v3(&hli, SerializeOpts::default());
-        let img = HliImage::open(bytes, SerializeOpts::default())
-            .map_err(|e| format!("{}: v3 import: {e}", b.name))?;
-        (None, None, Some(img))
-    } else if cfg.lazy {
-        let bytes = encode_file_v2(&hli, SerializeOpts::default());
-        let r = HliReader::open(bytes, SerializeOpts::default())
-            .map_err(|e| format!("{}: v2 import: {e}", b.name))?;
-        (None, Some(r), None)
-    } else {
-        let f = decode_file(&v1_bytes, SerializeOpts::default())
-            .map_err(|e| format!("{}: v1 import: {e}", b.name))?;
-        (Some(f), None, None)
+    // Back-end import: hand the HLI over as the `HLI\x03` image a
+    // separately-invoked back-end receives (Section 3.2.1). Opening it
+    // reads only the directory; each function's unit is validated on
+    // first touch and served in place. A unit that fails validation is
+    // quarantined by the lookup.
+    let image = {
+        let _s = hli_obs::span("harness.import_hli");
+        let bytes = encode_file_v3(&hli, SerializeOpts::default());
+        HliImage::open(bytes, SerializeOpts::default())
+            .map_err(|e| format!("{}: HLI import: {e}", b.name))?
     };
-    drop(_import_span);
-    let lookup = |name: &str| -> Option<EntryRef<'_>> {
-        match (&imported, &reader, &image) {
-            (Some(f), _, _) => f.entry(name).map(EntryRef::Owned),
-            (_, Some(r), _) => r.get(name).ok().flatten().map(EntryRef::Owned),
-            (_, _, Some(img)) => img.get_ref(name).ok().flatten(),
-            _ => None,
-        }
-    };
+    let lookup = |name: &str| image_entry(&image, name);
 
     // Back-end: lower once, schedule twice (the two compiler builds) via
     // the per-function driver. Both passes run inside one work item per
@@ -356,60 +308,17 @@ where
     hli_pool::run(0, items, |_w, t| f(t))
 }
 
-/// Run the whole suite in parallel.
-pub fn run_suite(scale: Scale) -> Vec<Result<BenchReport, String>> {
-    run_suite_cfg(scale, ImportConfig::default())
-}
-
-/// [`run_suite`] with an explicit import strategy (the `--lazy-import`
-/// path of the table binaries), on all available CPUs.
-pub fn run_suite_cfg(scale: Scale, cfg: ImportConfig) -> Vec<Result<BenchReport, String>> {
-    run_suite_jobs(scale, cfg, 0)
-}
-
-/// Run the suite on `jobs` pool workers (`0` = one per CPU, `1` = inline
-/// sequential), one benchmark per work item.
+/// Run `benches` (the fixed paper suite from [`hli_suite::all`], or a
+/// generated [`hli_suite::corpus`]) on `jobs` pool workers (`0` = one per
+/// CPU, `1` = inline sequential), one benchmark per work item, on the
+/// given machine list.
 ///
 /// Each benchmark runs under an [`hli_obs::capture`] shard; the shards
-/// are committed on the calling thread in suite order, so metrics totals,
+/// are committed on the calling thread in input order, so metrics totals,
 /// gauge values, provenance record order and query-id numbering are all
 /// identical for `--jobs 1` and `--jobs N` — the reports (and therefore
-/// the table rows, whose int/fp split is positional) stay in suite order
+/// the table rows, whose int/fp split is positional) stay in input order
 /// regardless of worker completion order.
-pub fn run_suite_jobs(
-    scale: Scale,
-    cfg: ImportConfig,
-    jobs: usize,
-) -> Vec<Result<BenchReport, String>> {
-    run_benchmarks_jobs(&hli_suite::all(scale), cfg, jobs)
-}
-
-/// [`run_suite_jobs`] on an explicit machine list (the `--machine` path of
-/// the table binaries).
-pub fn run_suite_jobs_on(
-    scale: Scale,
-    cfg: ImportConfig,
-    jobs: usize,
-    machines: &[&'static dyn MachineBackend],
-) -> Vec<Result<BenchReport, String>> {
-    run_benchmarks_jobs_on(&hli_suite::all(scale), cfg, jobs, machines)
-}
-
-/// The suite driver generalized over any benchmark list (the fixed paper
-/// suite, or a generated [`hli_suite::corpus`]): parallel over `jobs`
-/// workers, shard capture/commit in input order, same determinism
-/// guarantees as [`run_suite_jobs`].
-pub fn run_benchmarks_jobs(
-    benches: &[Benchmark],
-    cfg: ImportConfig,
-    jobs: usize,
-) -> Vec<Result<BenchReport, String>> {
-    run_benchmarks_jobs_on(benches, cfg, jobs, &default_machines())
-}
-
-/// [`run_benchmarks_jobs`] on an explicit machine list; the determinism
-/// guarantees hold per machine list (shard capture/commit is in input
-/// order regardless of which machines are simulated).
 pub fn run_benchmarks_jobs_on(
     benches: &[Benchmark],
     cfg: ImportConfig,
@@ -576,11 +485,22 @@ pub fn geomean(v: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hli_suite::Scale;
+
+    fn run_default(b: &Benchmark) -> BenchReport {
+        run_benchmark_on(
+            b,
+            FrontendOptions::default(),
+            ImportConfig::default(),
+            &default_machines(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn one_fp_benchmark_end_to_end() {
         let b = hli_suite::by_name("034.mdljdp2", Scale::tiny()).unwrap();
-        let r = run_benchmark(&b).unwrap();
+        let r = run_default(&b);
         assert!(r.validated, "schedules must preserve semantics");
         assert!(r.stats.total_tests > 0);
         assert!(r.stats.combined_yes <= r.stats.gcc_yes);
@@ -593,7 +513,7 @@ mod tests {
     #[test]
     fn one_int_benchmark_end_to_end() {
         let b = hli_suite::by_name("wc", Scale::tiny()).unwrap();
-        let r = run_benchmark(&b).unwrap();
+        let r = run_default(&b);
         assert!(r.validated);
         assert!(r.reduction() >= 0.0);
     }
@@ -601,7 +521,7 @@ mod tests {
     #[test]
     fn hli_never_slower_than_gcc_schedule_on_pointer_kernel() {
         let b = hli_suite::by_name("077.mdljsp2", Scale::tiny()).unwrap();
-        let r = run_benchmark(&b).unwrap();
+        let r = run_default(&b);
         // HLI freed edges: schedule quality must not regress.
         assert!(
             r.speedup_r10000() > 0.95,
@@ -613,10 +533,12 @@ mod tests {
     #[test]
     fn ablation_reduces_precision() {
         let b = hli_suite::by_name("034.mdljdp2", Scale::tiny()).unwrap();
-        let full = run_benchmark(&b).unwrap();
-        let blunt = run_benchmark_with(
+        let full = run_default(&b);
+        let blunt = run_benchmark_on(
             &b,
             FrontendOptions { pointer_analysis: false, ..Default::default() },
+            ImportConfig::default(),
+            &default_machines(),
         )
         .unwrap();
         assert!(
@@ -627,10 +549,8 @@ mod tests {
 
     #[test]
     fn table_formatters_cover_all_rows() {
-        let reports: Vec<BenchReport> = hli_suite::all(Scale::tiny())
-            .iter()
-            .map(|b| run_benchmark(b).unwrap())
-            .collect();
+        let reports: Vec<BenchReport> =
+            hli_suite::all(Scale::tiny()).iter().map(run_default).collect();
         let t1 = format_table1(&reports);
         let t2 = format_table2(&reports);
         for b in hli_suite::all(Scale::tiny()) {

@@ -4,7 +4,7 @@
 //! [`BenchReport`]s.
 
 use crate::cli::ObsArgs;
-use crate::{default_machines, run_suite_jobs_on, BenchReport, ImportConfig};
+use crate::{default_machines, run_benchmarks_jobs_on, BenchReport, ImportConfig};
 use hli_backend::ddg::QueryStats;
 use hli_machine::{backend_by_name, MachineBackend};
 use hli_obs::MetricsSnapshot;
@@ -14,8 +14,7 @@ use hli_suite::Scale;
 pub struct BenchArgs {
     pub scale: Scale,
     pub obs: ObsArgs,
-    pub cfg: ImportConfig,
-    /// Pool workers for [`run_suite_jobs_on`] (`0` = one per CPU).
+    /// Pool workers for [`run_benchmarks_jobs_on`] (`0` = one per CPU).
     pub jobs: usize,
     /// Machine models to simulate, in order; the first also supplies the
     /// scheduler's latency table.
@@ -26,7 +25,6 @@ impl std::fmt::Debug for BenchArgs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BenchArgs")
             .field("scale", &(self.scale.n, self.scale.iters))
-            .field("cfg", &self.cfg)
             .field("jobs", &self.jobs)
             .field("machines", &self.machines.iter().map(|m| m.name()).collect::<Vec<_>>())
             .finish_non_exhaustive()
@@ -34,19 +32,17 @@ impl std::fmt::Debug for BenchArgs {
 }
 
 /// Parse the command line shared by every suite-level binary —
-/// `[n iters]` plus the observability flags, `--lazy-import`,
-/// `--zero-copy`, `--jobs N` and `--machine NAME[,NAME...]` — exiting
-/// with a uniform usage message on a malformed flag or a conflicting
-/// flag pair.
+/// `[n iters]` plus the observability flags, `--jobs N` and
+/// `--machine NAME[,NAME...]` — exiting with a uniform usage message on
+/// a malformed or unknown flag.
 /// `table1`, `table2` and `ablation` call this instead of keeping their
 /// own copies of the loop.
 pub fn bench_args(bin: &str) -> BenchArgs {
     bench_args_from(bin, std::env::args().skip(1).collect()).unwrap_or_else(|e| {
         eprintln!("{bin}: {e}");
         eprintln!(
-            "usage: {bin} [n iters] [--lazy-import] [--zero-copy] [--jobs N] \
-             [--machine NAME[,NAME...]] [--stats text|json] [--trace-out t.json] \
-             [--provenance-out p.jsonl]"
+            "usage: {bin} [n iters] [--jobs N] [--machine NAME[,NAME...]] \
+             [--stats text|json] [--trace-out t.json] [--provenance-out p.jsonl]"
         );
         std::process::exit(1);
     })
@@ -59,26 +55,12 @@ pub fn bench_args_from(bin: &str, mut args: Vec<String>) -> Result<BenchArgs, St
     let obs = ObsArgs::extract(&mut args)?;
     let jobs = extract_jobs(&mut args)?;
     let machines = extract_machines(&mut args)?;
-    let mut cfg = ImportConfig::default();
-    args.retain(|a| {
-        let lazy = a == "--lazy-import";
-        let zero = a == "--zero-copy";
-        if lazy {
-            cfg.lazy = true;
-        }
-        if zero {
-            cfg.zero_copy = true;
-        }
-        !(lazy || zero)
-    });
-    if cfg.lazy && cfg.zero_copy {
-        return Err(
-            "--zero-copy and --lazy-import are conflicting import strategies; pick one".into(),
-        );
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag `{flag}`"));
     }
     let n = args.first().and_then(|a| a.parse().ok()).unwrap_or(64);
     let iters = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(12);
-    Ok(BenchArgs { scale: Scale { n, iters }, obs, cfg, jobs, machines })
+    Ok(BenchArgs { scale: Scale { n, iters }, obs, jobs, machines })
 }
 
 /// Strip `--machine NAME[,NAME...]` from `args` and resolve every name
@@ -130,38 +112,17 @@ pub fn extract_jobs(args: &mut Vec<String>) -> Result<usize, String> {
     Ok(jobs)
 }
 
-/// Run the whole suite and collect the reports, failing on the first
-/// benchmark error (what the table binaries did individually before).
-pub fn collect_suite(scale: Scale) -> Result<Vec<BenchReport>, String> {
-    collect_suite_jobs(scale, ImportConfig::default(), 0)
-}
-
-/// [`collect_suite`] with an explicit import strategy.
-pub fn collect_suite_cfg(scale: Scale, cfg: ImportConfig) -> Result<Vec<BenchReport>, String> {
-    collect_suite_jobs(scale, cfg, 0)
-}
-
-/// [`collect_suite_cfg`] on an explicit pool-worker count.
-pub fn collect_suite_jobs(
-    scale: Scale,
-    cfg: ImportConfig,
-    jobs: usize,
-) -> Result<Vec<BenchReport>, String> {
-    collect_suite_jobs_on(scale, cfg, jobs, &default_machines())
-}
-
-/// [`collect_suite_jobs`] on an explicit machine list.
+/// Run the whole suite at `scale` on `jobs` pool workers and collect the
+/// reports, failing on the first benchmark error.
 pub fn collect_suite_jobs_on(
     scale: Scale,
     cfg: ImportConfig,
     jobs: usize,
     machines: &[&'static dyn MachineBackend],
 ) -> Result<Vec<BenchReport>, String> {
-    let mut reports = Vec::with_capacity(10);
-    for r in run_suite_jobs_on(scale, cfg, jobs, machines) {
-        reports.push(r?);
-    }
-    Ok(reports)
+    run_benchmarks_jobs_on(&hli_suite::all(scale), cfg, jobs, machines)
+        .into_iter()
+        .collect()
 }
 
 /// Sum the Table-2 scheduling-pass query counters across reports.
@@ -220,7 +181,13 @@ mod tests {
     #[test]
     fn per_report_metrics_cover_both_passes() {
         let b = hli_suite::by_name("wc", Scale::tiny()).unwrap();
-        let r = crate::run_benchmark(&b).unwrap();
+        let r = crate::run_benchmark_on(
+            &b,
+            hli_frontend::FrontendOptions::default(),
+            ImportConfig::default(),
+            &default_machines(),
+        )
+        .unwrap();
         let view = QueryStats::from_registry(&r.metrics);
         assert!(view.total_tests >= r.stats.total_tests);
         assert!(view.combined_yes >= r.stats.combined_yes);
@@ -236,7 +203,9 @@ mod tests {
     /// `table2` binary prints and what EXPERIMENTS.md quotes.
     #[test]
     fn table2_totals_pinned() {
-        let reports = collect_suite(Scale::tiny()).unwrap();
+        let reports =
+            collect_suite_jobs_on(Scale::tiny(), ImportConfig::default(), 0, &default_machines())
+                .unwrap();
         let total = total_query_stats(&reports);
         assert_eq!(
             total,
@@ -259,42 +228,35 @@ mod tests {
         let a = bench_args_from("table2", v(&["12", "2", "--stats", "json"])).unwrap();
         assert_eq!((a.scale.n, a.scale.iters), (12, 2));
         assert_eq!(a.obs.stats, Some(crate::cli::StatsFormat::Json));
-        assert!(!a.cfg.lazy);
         assert_eq!(a.jobs, 0, "no --jobs flag means all CPUs");
         let a = bench_args_from("table1", v(&[])).unwrap();
         assert_eq!((a.scale.n, a.scale.iters), (64, 12));
         assert!(a.obs.stats.is_none() && a.obs.trace_out.is_none());
         assert!(a.obs.provenance_out.is_none());
-        assert_eq!(a.cfg, ImportConfig::default());
         assert_eq!(a.jobs, 0);
         let names: Vec<_> = a.machines.iter().map(|m| m.name()).collect();
         assert_eq!(names, vec!["r4600", "r10000"], "default machine pair, r4600 first");
-        // `--lazy-import` and `--jobs` may appear anywhere among the
-        // positionals.
-        let a = bench_args_from("table2", v(&["12", "--lazy-import", "--jobs", "3", "2"])).unwrap();
+        // `--jobs` may appear anywhere among the positionals.
+        let a = bench_args_from("table2", v(&["12", "--jobs", "3", "2"])).unwrap();
         assert_eq!((a.scale.n, a.scale.iters), (12, 2));
-        assert!(a.cfg.lazy && a.cfg.shared_cache && !a.cfg.zero_copy);
         assert_eq!(a.jobs, 3);
-        let a = bench_args_from("table2", v(&["--zero-copy"])).unwrap();
-        assert!(a.cfg.zero_copy && !a.cfg.lazy);
     }
 
-    /// Satellite bugfix: `--zero-copy --lazy-import` used to silently take
-    /// whichever the `ImportConfig` precedence preferred; now it is a hard
-    /// parse error, in either flag order.
+    /// A flag no binary knows is a parse error naming the flag, in any
+    /// position — never silently ignored while the run goes ahead.
     #[test]
-    fn bench_args_reject_conflicting_import_flags() {
+    fn bench_args_reject_unknown_flags() {
         let v = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        for order in [
-            &["--zero-copy", "--lazy-import"][..],
-            &["--lazy-import", "12", "--zero-copy"][..],
+        for args in [
+            &["--bogus"][..],
+            &["12", "--bogus", "2"][..],
+            &["12", "2", "--bogus"][..],
         ] {
-            let err = bench_args_from("table2", v(order)).unwrap_err();
+            let err = bench_args_from("table2", v(args)).unwrap_err();
             assert!(
-                err.contains("--zero-copy") && err.contains("--lazy-import"),
-                "error must name both flags: {err}"
+                err.contains("unknown flag `--bogus`"),
+                "error must name the flag: {err}"
             );
-            assert!(err.contains("conflict"), "error must say they conflict: {err}");
         }
     }
 
@@ -335,7 +297,9 @@ mod tests {
     /// Suite-level aggregation helpers agree with a hand-rolled loop.
     #[test]
     fn aggregation_matches_manual_loop() {
-        let reports = collect_suite(Scale::tiny()).unwrap();
+        let reports =
+            collect_suite_jobs_on(Scale::tiny(), ImportConfig::default(), 0, &default_machines())
+                .unwrap();
         let total = total_query_stats(&reports);
         let manual: u64 = reports.iter().map(|r| r.stats.total_tests).sum();
         assert_eq!(total.total_tests, manual);

@@ -7,25 +7,38 @@
 //! scenario in a single test body keeps it self-contained no matter how
 //! the test harness schedules other tests on sibling threads.
 
-use hli_backend::ddg::DepMode;
-use hli_backend::driver::{schedule_program_passes, PassSpec};
+use hli_backend::ddg::{DepMode, QueryStats};
+use hli_backend::driver::{image_entry, schedule_program_passes, PassSpec};
 use hli_backend::lower::lower_program;
+use hli_backend::rtl::RtlProgram;
 use hli_core::image::EntryRef;
+use hli_core::serialize::SerializeOpts;
+use hli_core::{encode_file_v3, HliImage, QueryCache};
 use hli_harness::attr::rollup;
-use hli_harness::{run_suite_jobs, run_suite_jobs_on, BenchReport, ImportConfig};
+use hli_harness::{default_machines, run_benchmarks_jobs_on, BenchReport, ImportConfig};
 use hli_machine::MachineBackend;
 use hli_obs::{
     metrics, provenance, trace, DecisionRecord, MetricsRegistry, MetricsSnapshot, ProvenanceSink,
     Tracer,
 };
 use hli_suite::Scale;
+use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+
+/// The tiny suite through the harness pipeline on `jobs` workers and the
+/// given machine list.
+fn tiny_suite_on(
+    jobs: usize,
+    machines: &[&'static dyn MachineBackend],
+) -> Vec<Result<BenchReport, String>> {
+    run_benchmarks_jobs_on(&hli_suite::all(Scale::tiny()), ImportConfig::default(), jobs, machines)
+}
 
 /// Run the tiny suite at `jobs` under fresh scoped observability state,
 /// returning the metrics snapshot and provenance-JSONL a binary would
 /// emit (`snapshot.to_json()` is the `--stats json` output).
-fn suite_obs_at(jobs: usize, cfg: ImportConfig) -> (MetricsSnapshot, String) {
+fn suite_obs_at(jobs: usize) -> (MetricsSnapshot, String) {
     let reg = Arc::new(MetricsRegistry::new());
     let sink = Arc::new(ProvenanceSink::new());
     let ids = Arc::new(AtomicU64::new(1));
@@ -33,7 +46,7 @@ fn suite_obs_at(jobs: usize, cfg: ImportConfig) -> (MetricsSnapshot, String) {
         let _m = metrics::scoped(reg.clone());
         let _s = provenance::scoped(sink.clone());
         let _i = provenance::scoped_ids(ids);
-        run_suite_jobs(Scale::tiny(), cfg, jobs)
+        tiny_suite_on(jobs, &default_machines())
     };
     for r in reports {
         assert!(r.expect("benchmark must compile").validated);
@@ -108,33 +121,25 @@ fn quarantine_counters_and_provenance_are_jobs_invariant() {
 
 #[test]
 fn jobs_one_and_jobs_eight_are_byte_identical() {
-    for cfg in [
-        ImportConfig { lazy: false, zero_copy: false, shared_cache: true },
-        ImportConfig { lazy: true, zero_copy: false, shared_cache: true },
-        ImportConfig { lazy: false, zero_copy: true, shared_cache: true },
-    ] {
-        let (seq_snap, seq_prov) = suite_obs_at(1, cfg);
-        let (par_snap, par_prov) = suite_obs_at(8, cfg);
-        let (seq_json, par_json) = (seq_snap.to_json(), par_snap.to_json());
-        assert!(
-            seq_json.contains("backend.ddg.total_tests"),
-            "snapshot must carry the pipeline's counters"
-        );
-        assert_eq!(
-            seq_json, par_json,
-            "--stats json diverges between --jobs 1 and --jobs 8 (lazy={}, zero_copy={})",
-            cfg.lazy, cfg.zero_copy
-        );
-        assert!(
-            !seq_prov.is_empty(),
-            "an enabled sink must collect scheduling decisions"
-        );
-        assert_eq!(
-            seq_prov, par_prov,
-            "--provenance-out diverges between --jobs 1 and --jobs 8 (lazy={}, zero_copy={})",
-            cfg.lazy, cfg.zero_copy
-        );
-    }
+    let (seq_snap, seq_prov) = suite_obs_at(1);
+    let (par_snap, par_prov) = suite_obs_at(8);
+    let (seq_json, par_json) = (seq_snap.to_json(), par_snap.to_json());
+    assert!(
+        seq_json.contains("backend.ddg.total_tests"),
+        "snapshot must carry the pipeline's counters"
+    );
+    assert_eq!(
+        seq_json, par_json,
+        "--stats json diverges between --jobs 1 and --jobs 8"
+    );
+    assert!(
+        !seq_prov.is_empty(),
+        "an enabled sink must collect scheduling decisions"
+    );
+    assert_eq!(
+        seq_prov, par_prov,
+        "--provenance-out diverges between --jobs 1 and --jobs 8"
+    );
 }
 
 /// The determinism contract holds per machine list too: the whole
@@ -154,7 +159,7 @@ fn w4_stats_and_provenance_are_jobs_invariant() {
             let _m = metrics::scoped(reg.clone());
             let _s = provenance::scoped(sink.clone());
             let _i = provenance::scoped_ids(ids);
-            run_suite_jobs_on(Scale::tiny(), ImportConfig::default(), jobs, &machines)
+            tiny_suite_on(jobs, &machines)
         };
         for r in reports {
             assert!(r.expect("benchmark must compile").validated, "w4 run must stay correct");
@@ -182,11 +187,10 @@ fn w4_stats_and_provenance_are_jobs_invariant() {
     );
 }
 
-/// Counters of the layers whose answers must not depend on the import
-/// format. Import-layer metering (`hli.serialize.*`, `hli.deserialize.*`,
-/// `hli.reader.*`, `hli.image.*`, `hli.cache.*`) is excluded: the three
-/// formats meter different open/decode work *by design*, and that
-/// difference is exactly what importbench's byte checks pin.
+/// Counters of the layers whose answers must not depend on how a unit is
+/// served. Import-layer metering (`hli.serialize.*`, `hli.deserialize.*`,
+/// `hli.image.*`, `hli.cache.*`) is excluded: only the image lookup opens
+/// and validates an image.
 fn semantic_counters(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
     const PREFIXES: [&str; 5] = ["hli.query.", "backend.", "attr.", "machine.", "frontend."];
     snap.counters
@@ -196,36 +200,77 @@ fn semantic_counters(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// The zero-copy acceptance gate: serving queries from borrowed image
-/// views instead of owned decoded tables changes *cost only, never
-/// answers*. Every query/backend/attribution/machine/front-end counter
-/// and the full provenance JSONL are byte-identical between the
-/// eager-owned and zero-copy suite runs, at 1 and at 8 workers.
+/// Schedule every tiny-suite benchmark through the two-pass driver at
+/// `jobs` with shared per-function caches, resolving each function's unit
+/// either from the in-memory `HliFile` (the `EntryRef::Owned` lookup the
+/// serve daemon and hlibench use) or, with `image`, from the file's
+/// `HLI\x03` image. Runs under fresh scoped observability state and
+/// returns the scheduled programs with their stats, the metrics snapshot
+/// and the provenance JSONL.
+fn driver_obs_at(
+    jobs: usize,
+    image: bool,
+) -> (Vec<(RtlProgram, QueryStats)>, MetricsSnapshot, String) {
+    let reg = Arc::new(MetricsRegistry::new());
+    let sink = Arc::new(ProvenanceSink::new());
+    sink.set_enabled(true);
+    let ids = Arc::new(AtomicU64::new(1));
+    let mut out = Vec::new();
+    {
+        let _m = metrics::scoped(reg.clone());
+        let _s = provenance::scoped(sink.clone());
+        let _i = provenance::scoped_ids(ids);
+        let mach = default_machines()[0];
+        for b in hli_suite::all(Scale::tiny()) {
+            let (p, s) = hli_lang::compile_to_ast(&b.source).unwrap();
+            let hli = hli_frontend::generate_hli(&p, &s);
+            let rtl = lower_program(&p, &s);
+            let caches: HashMap<String, QueryCache> =
+                rtl.funcs.iter().map(|f| (f.name.clone(), QueryCache::new())).collect();
+            let passes = [
+                PassSpec { mode: DepMode::GccOnly, caches: Some(&caches) },
+                PassSpec { mode: DepMode::Combined, caches: Some(&caches) },
+            ];
+            out.extend(if image {
+                let opts = SerializeOpts::default();
+                let img = HliImage::open(encode_file_v3(&hli, opts), opts).unwrap();
+                schedule_program_passes(&rtl, &|n| image_entry(&img, n), &passes, mach, jobs)
+            } else {
+                let owned = |n: &str| hli.entry(n).map(EntryRef::Owned);
+                schedule_program_passes(&rtl, &owned, &passes, mach, jobs)
+            });
+        }
+    }
+    (out, reg.snapshot(), provenance::to_jsonl(&sink.drain()))
+}
+
+/// The owned-vs-image parity gate: serving queries from borrowed image
+/// views instead of an owned in-memory file changes *cost only, never
+/// answers*. The scheduled programs, every query/backend counter and the
+/// full provenance JSONL are byte-identical between the two lookups, at 1
+/// and at 8 workers.
 #[test]
 fn zero_copy_answers_are_byte_identical_to_owned() {
-    let owned_cfg = ImportConfig::default();
-    let zcopy_cfg = ImportConfig { lazy: false, zero_copy: true, shared_cache: true };
     for jobs in [1usize, 8] {
-        let (owned_snap, owned_prov) = suite_obs_at(jobs, owned_cfg);
-        let (zcopy_snap, zcopy_prov) = suite_obs_at(jobs, zcopy_cfg);
+        let (owned, owned_snap, owned_prov) = driver_obs_at(jobs, false);
+        let (viewed, image_snap, image_prov) = driver_obs_at(jobs, true);
         assert!(
-            zcopy_snap.counter("hli.image.units_validated") > 0,
-            "zero-copy run must actually validate views"
+            image_snap.counter("hli.image.units_validated") > 0,
+            "the image run must actually validate views"
         );
-        assert_eq!(
-            zcopy_snap.counter("hli.reader.units_decoded"),
-            0,
-            "zero-copy run must not decode owned units"
+        assert!(
+            owned == viewed,
+            "schedules diverge between owned and image at --jobs {jobs}"
         );
         assert_eq!(
             semantic_counters(&owned_snap),
-            semantic_counters(&zcopy_snap),
-            "query/backend counters diverge between owned and zero-copy at --jobs {jobs}"
+            semantic_counters(&image_snap),
+            "query/backend counters diverge between owned and image at --jobs {jobs}"
         );
         assert!(!owned_prov.is_empty(), "provenance must record scheduling decisions");
         assert_eq!(
-            owned_prov, zcopy_prov,
-            "provenance JSONL diverges between owned and zero-copy at --jobs {jobs}"
+            owned_prov, image_prov,
+            "provenance JSONL diverges between owned and image at --jobs {jobs}"
         );
     }
 }
@@ -238,7 +283,7 @@ fn trace_obs_at(jobs: usize) -> String {
     {
         let _m = metrics::scoped(reg.clone());
         let _t = trace::scoped(tracer.clone());
-        for r in run_suite_jobs(Scale::tiny(), ImportConfig::default(), jobs) {
+        for r in tiny_suite_on(jobs, &default_machines()) {
             assert!(r.expect("benchmark must compile").validated);
         }
     }
@@ -272,7 +317,7 @@ fn attr_obs_at(jobs: usize) -> (MetricsSnapshot, Vec<DecisionRecord>, Vec<BenchR
         let _m = metrics::scoped(reg.clone());
         let _s = provenance::scoped(sink.clone());
         let _i = provenance::scoped_ids(ids);
-        run_suite_jobs(Scale::tiny(), ImportConfig::default(), jobs)
+        tiny_suite_on(jobs, &default_machines())
     };
     let reports: Vec<BenchReport> =
         reports.into_iter().map(|r| r.expect("benchmark must compile")).collect();

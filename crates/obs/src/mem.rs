@@ -127,10 +127,18 @@ mod tests {
             peak > 0 && peak >= cur,
             "peak {peak} kB < current {cur} kB in one snapshot"
         );
+        // The stamp is one snapshot too. Its figures are not compared
+        // with the read above: the kernel guarantees VmHWM >= VmRSS only
+        // within one read, and its approximate per-CPU RSS counters can
+        // make VmHWM read lower on a later read.
         let mut snap = crate::MetricsSnapshot::default();
         stamp_rss(&mut snap);
-        assert!(snap.gauges["obs.mem.peak_rss_kb"] as u64 >= peak, "VmHWM is monotone");
-        assert!(snap.gauges.contains_key("obs.mem.current_rss_kb"));
+        let stamped_peak = snap.gauges["obs.mem.peak_rss_kb"];
+        let stamped_cur = snap.gauges["obs.mem.current_rss_kb"];
+        assert!(
+            stamped_peak > 0 && stamped_peak >= stamped_cur,
+            "stamped peak {stamped_peak} kB < current {stamped_cur} kB"
+        );
         // Resetting the high-water mark is best-effort (read-only procfs
         // mounts refuse the write); either way the pair must stay readable.
         let _ = reset_peak_rss();

@@ -59,7 +59,7 @@ pub fn total_ns(snap: &MetricsSnapshot, stage: &str) -> u64 {
 }
 
 /// [`total_ns`] summed over every stage whose name starts with `prefix`
-/// (e.g. `"hli."` covers `hli.encode`, `hli.decode`, `hli.reader.open`).
+/// (e.g. `"hli."` covers `hli.encode`, `hli.decode`, `hli.image.open`).
 pub fn total_ns_prefix(snap: &MetricsSnapshot, prefix: &str) -> u64 {
     let full = format!("obs.phase.{prefix}");
     snap.histograms

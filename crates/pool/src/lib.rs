@@ -237,20 +237,48 @@ mod tests {
         assert_eq!(run(8, &[7u32], |_, &x| x), vec![7]);
     }
 
+    /// Poll `cond` until it holds, failing the test with `what` if it has
+    /// not held after a minute — far beyond any scheduling delay.
+    fn wait_until(cond: impl Fn() -> bool, what: &str) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out after 60 s: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn idle_workers_steal_from_a_blocked_one() {
         // Two workers, chunked seeding: worker 0 gets indices 0..4, worker
         // 1 gets 4..8. Workers pop their own deque from the back, so item 3
-        // is the first thing worker 0 runs; it parks worker 0 for a long
-        // time, and worker 1 — done with its fast chunk — must steal the
-        // still-queued items 0..3.
+        // is the first thing worker 0 runs and item 7 the first thing
+        // worker 1 runs. Item 7 waits until item 3 has started, so worker 1
+        // cannot steal item 3 away; item 3 then blocks worker 0 until items
+        // 0..3 have run, which only worker 1 — done with its own chunk —
+        // can do, by stealing them.
         let ran_by: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let started_3 = AtomicU64::new(0);
+        let done_0_to_2 = AtomicU64::new(0);
         let items: Vec<usize> = (0..8).collect();
         let (_, stats) = run_with_stats(2, &items, |w, &i| {
-            if i == 3 {
-                std::thread::sleep(Duration::from_millis(150));
+            match i {
+                3 => {
+                    started_3.store(1, Ordering::SeqCst);
+                    wait_until(
+                        || done_0_to_2.load(Ordering::SeqCst) == 3,
+                        "items 0..3 were never stolen from the worker blocked in item 3",
+                    );
+                }
+                7 => wait_until(
+                    || started_3.load(Ordering::SeqCst) == 1,
+                    "worker 0 never started item 3",
+                ),
+                _ => {}
             }
             ran_by[i].store(w as u64, Ordering::Relaxed);
+            if i < 3 {
+                done_0_to_2.fetch_add(1, Ordering::SeqCst);
+            }
         });
         assert!(stats.steals > 0, "worker 1 must have stolen from worker 0");
         for (i, by) in ran_by.iter().enumerate().take(3) {
