@@ -6,7 +6,6 @@
 use hli_backend::ddg::DepMode;
 use hli_backend::sched::schedule_program;
 use hli_bench::bench;
-use hli_machine::{r10000_cycles, r4600_cycles, R10000Config, R4600Config};
 use hli_suite::Scale;
 
 fn bench_schedule_modes() {
@@ -40,16 +39,15 @@ fn bench_machines() {
         DepMode::Combined,
         hli_machine::backend_by_name("r4600").unwrap(),
     );
-    let (_, trace) = hli_machine::execute_with_trace(&sched).unwrap();
+    let (_, trace, _) = hli_machine::execute_with_func_trace(&sched).unwrap();
     println!("table2/machines: replaying {} dynamic insns", trace.len());
-    bench("table2/machines/r4600-replay", || {
-        r4600_cycles(&trace, &R4600Config::default())
-    });
-    bench("table2/machines/r10000-replay", || {
-        r10000_cycles(&trace, &R10000Config::default())
-    });
-    bench("table2/machines/w4-replay", || {
-        hli_machine::w4_cycles(&trace, &hli_machine::W4Config::default())
+    for mach in hli_machine::all_backends() {
+        bench(&format!("table2/machines/{}-replay", mach.name()), || {
+            mach.cycles(&trace)
+        });
+    }
+    bench("table2/machines/time-on-r4600-r10000", || {
+        hli_machine::time_on(&sched, &hli_harness::default_machines()).unwrap()
     });
     bench("table2/machines/functional-execute", || {
         hli_machine::execute(&sched).unwrap()

@@ -287,8 +287,11 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
         total_queries.combined_yes
     );
 
+    // With --time, time on exactly the models the scheduler assumed (the
+    // first one supplied its latency table) — no hardcoded config pair.
+    let machs: &[&dyn MachineBackend] = if flags.time { &flags.machines } else { &[] };
     let _exec_span = hli_obs::span("machine.execute");
-    let (res, trace) = hli_machine::execute_with_trace(&out)
+    let (res, times) = hli_machine::time_on(&out, machs)
         .unwrap_or_else(|e| fail(&format!("execution fault: {e}")));
     drop(_exec_span);
     println!(
@@ -296,10 +299,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
         res.ret, res.dyn_insns, res.loads, res.stores
     );
     if flags.time {
-        // Time on exactly the models the scheduler assumed (the first one
-        // supplied its latency table) — no hardcoded config pair.
-        for m in &flags.machines {
-            let s = m.cycles(&trace);
+        for (m, (s, _)) in flags.machines.iter().zip(&times) {
             let detail: Vec<String> =
                 s.detail.iter().map(|(k, v)| format!("{v} {}", k.replace('_', " "))).collect();
             println!("{:<7}: {} cycles ({})", m.name(), s.cycles, detail.join(", "));

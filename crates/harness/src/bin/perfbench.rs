@@ -11,7 +11,9 @@
 //!   --shape S          chain|balanced|wide          (default balanced)
 //!   --alias PCT        aliasing density at call sites (default 30)
 //!   --depth D          max loop-nest depth 1..3     (default 2)
-//!   --jobs N           pool workers (0 = all CPUs)  (default 0)
+//!   --jobs N           pool workers (0 = all CPUs)  (default 0; the
+//!                      checkpoint records the count and --compare refuses
+//!                      another, since peak RSS grows with workers)
 //!   --machine M[,M..]  machine models to simulate    (default r4600,r10000;
 //!                      first named model drives the scheduler; --compare
 //!                      needs baseline and run to use the same list)
@@ -25,14 +27,14 @@
 //! The checked-in repo checkpoint is regenerated with:
 //!
 //! ```text
-//! cargo run --release -p hli-harness --bin perfbench -- --out BENCH_6.json
+//! cargo run --release -p hli-harness --bin perfbench -- --jobs 2 --out BENCH_6.json
 //! ```
 //!
 //! Every generated program is validated against the AST interpreter (the
 //! faultbench differential oracle): one miscompile fails the run with
 //! exit 1 before any perf number is reported. `--compare` exits 1 on a
-//! regression and 2 on a meaningless comparison (schema or corpus
-//! mismatch). Counter sections are derived from scoped per-report
+//! regression and 2 on a meaningless comparison (schema, corpus or
+//! worker-count mismatch). Counter sections are derived from scoped per-report
 //! metrics, so they are byte-identical across `--jobs` settings; only the
 //! soft time/rate/memory sections move run to run.
 
@@ -184,7 +186,7 @@ fn main() {
 
     let echo = CorpusEcho::new(&args.spec, &args.seeds);
     let snap = hli_obs::metrics::global().snapshot();
-    let report = build_report(echo, &reports, wall, &snap);
+    let report = build_report(echo, hli_pool::resolve_jobs(args.jobs), &reports, wall, &snap);
 
     let json = report.to_json();
     match &args.out {

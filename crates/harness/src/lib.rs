@@ -248,15 +248,15 @@ fn run_pipeline(
     let (hli_build, stats) = builds.next().expect("Combined pass result");
     drop(_sched_span);
 
-    // Machines: trace each build once (with the owning-function index of
-    // every event), time on both models, and attribute simulated cycles to
-    // functions. The attribution counters join `DecisionRecord.function`
-    // to measured cycle deltas in `obsreport`; being simulated quantities
-    // they are deterministic and identical across `--jobs` values.
-    let _mach_span = hli_obs::span("machine.execute");
-    let (gcc_res, gcc_trace, gcc_funcs) = hli_machine::execute_with_func_trace(&gcc_build)
+    // Machines: run each build once, streaming its events through every
+    // selected model, and attribute simulated cycles to functions. The
+    // attribution counters join `DecisionRecord.function` to measured
+    // cycle deltas in `obsreport`; being simulated quantities they are
+    // deterministic and identical across `--jobs` values.
+    let _mach_span = hli_obs::span("machine.time");
+    let (gcc_res, gcc_times) = hli_machine::time_on(&gcc_build, machines)
         .map_err(|e| format!("{}: gcc build: {e}", b.name))?;
-    let (hli_res, hli_trace, hli_funcs) = hli_machine::execute_with_func_trace(&hli_build)
+    let (hli_res, hli_times) = hli_machine::time_on(&hli_build, machines)
         .map_err(|e| format!("{}: hli build: {e}", b.name))?;
     drop(_mach_span);
 
@@ -265,13 +265,9 @@ fn run_pipeline(
         && gcc_res.global_checksum == oracle.global_checksum
         && hli_res.global_checksum == oracle.global_checksum;
 
-    let _time_span = hli_obs::span("machine.models");
-    let nfuncs = rtl.funcs.len();
     let reg = hli_obs::metrics::cur();
     let mut cycles = Vec::with_capacity(machines.len());
-    for mach in machines {
-        let (gs, g_per) = mach.cycles_per_func(&gcc_trace, &gcc_funcs, nfuncs);
-        let (hs, h_per) = mach.cycles_per_func(&hli_trace, &hli_funcs, nfuncs);
+    for ((mach, (gs, g_per)), (hs, h_per)) in machines.iter().zip(gcc_times).zip(hli_times) {
         let name = mach.name();
         for (fi, f) in rtl.funcs.iter().enumerate() {
             reg.counter(&format!("attr.func.{}.{name}.gcc_cycles", f.name)).add(g_per[fi]);
@@ -281,7 +277,6 @@ fn run_pipeline(
         reg.counter(&format!("attr.total.{name}.hli_cycles")).add(hs.cycles);
         cycles.push(MachineCycles { machine: name, gcc: gs.cycles, hli: hs.cycles });
     }
-    drop(_time_span);
 
     Ok(BenchReport {
         name: b.name.to_string(),

@@ -20,8 +20,10 @@
 //! The report also echoes the generating [`CorpusSpec`]s: comparing runs
 //! of different workloads is a usage error ([`compare`] refuses), not a
 //! regression, and the echo is what makes a checked-in `BENCH_6.json`
-//! reproducible from the file alone. `schema_version` mismatches are
-//! likewise refused — a stale baseline fails loudly.
+//! reproducible from the file alone. It records the pool worker count
+//! too, because peak RSS grows with it: a run at another count is
+//! refused the same way. `schema_version` mismatches are likewise
+//! refused — a stale baseline fails loudly.
 
 use hli_obs::json::{escape_into, parse, push_f64, Json};
 use hli_obs::MetricsSnapshot;
@@ -109,6 +111,9 @@ pub fn parse_shape(s: &str) -> Result<CallShape, String> {
 pub struct PerfReport {
     pub schema_version: u64,
     pub corpus: CorpusEcho,
+    /// Pool workers the corpus ran on (resolved: never 0; 0 in a
+    /// checkpoint that predates the field).
+    pub jobs: usize,
     pub counters: BTreeMap<String, u64>,
     pub times_ms: BTreeMap<String, f64>,
     pub rates: BTreeMap<String, f64>,
@@ -146,9 +151,11 @@ impl Default for Tolerances {
 
 /// Build a report from the measured pipeline outputs: `reports` carry the
 /// deterministic counters, `phase_snap` (the global registry) carries the
-/// stage wall-clock, `total_wall` the end-to-end run time.
+/// stage wall-clock, `total_wall` the end-to-end run time, and `jobs` is
+/// the worker count they ran on.
 pub fn build_report(
     corpus: CorpusEcho,
+    jobs: usize,
     reports: &[BenchReport],
     total_wall: Duration,
     phase_snap: &MetricsSnapshot,
@@ -204,6 +211,7 @@ pub fn build_report(
     PerfReport {
         schema_version: hli_obs::SCHEMA_VERSION,
         corpus,
+        jobs,
         counters,
         times_ms,
         rates,
@@ -218,6 +226,7 @@ impl PerfReport {
         let mut o = String::from("{\n");
         let _ = writeln!(o, "  \"schema_version\": {},", self.schema_version);
         let _ = writeln!(o, "  \"kind\": \"perfbench\",");
+        let _ = writeln!(o, "  \"jobs\": {},", self.jobs);
         o.push_str("  \"corpus\": {\n");
         let seeds = self.corpus.seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", ");
         let _ = writeln!(o, "    \"seeds\": [{seeds}],");
@@ -283,6 +292,7 @@ impl PerfReport {
                 .map(|n| n as u64)
                 .unwrap_or(1),
             corpus,
+            jobs: doc.get("jobs").and_then(Json::as_num).map(|n| n as usize).unwrap_or(0),
             counters: num_map(&doc, "counters")?.into_iter().map(|(k, v)| (k, v as u64)).collect(),
             times_ms: num_map(&doc, "times_ms")?,
             rates: num_map(&doc, "rates")?,
@@ -393,6 +403,13 @@ pub fn compare(
             prev.corpus, cur.corpus
         ));
     }
+    if prev.jobs != cur.jobs {
+        return Err(format!(
+            "worker-count mismatch: baseline ran on {} worker(s), current on {} — peak \
+             RSS grows with workers; rerun with `--jobs {}` or regenerate the baseline",
+            prev.jobs, cur.jobs, prev.jobs
+        ));
+    }
     let mut regressions = Vec::new();
 
     // Counters: exact. Both directions fail — a counter that *dropped*
@@ -476,6 +493,7 @@ mod tests {
         PerfReport {
             schema_version: hli_obs::SCHEMA_VERSION,
             corpus,
+            jobs: 2,
             counters,
             times_ms,
             rates,
@@ -549,6 +567,20 @@ mod tests {
         let mut wrong_corpus = sample();
         wrong_corpus.corpus.funcs += 1;
         assert!(compare(&prev, &wrong_corpus, &Tolerances::default()).is_err());
+    }
+
+    #[test]
+    fn a_different_worker_count_is_refused() {
+        let prev = sample();
+        let mut wider = sample();
+        wider.jobs = 8;
+        let err = compare(&prev, &wider, &Tolerances::default()).unwrap_err();
+        assert!(err.contains("--jobs 2"), "must say how to rerun: {err}");
+        // A checkpoint from before the field parses as 0 workers and is
+        // refused too, not compared.
+        let old = PerfReport::parse_str(&prev.to_json().replace("  \"jobs\": 2,\n", "")).unwrap();
+        assert_eq!(old.jobs, 0);
+        assert!(compare(&old, &prev, &Tolerances::default()).is_err());
     }
 
     #[test]

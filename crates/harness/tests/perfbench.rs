@@ -45,7 +45,10 @@ fn corpus_report_at(jobs: usize) -> (PerfReport, String) {
     }
     let echo = CorpusEcho::new(&spec, &[spec.seed]);
     let snap = reg.snapshot();
-    (build_report(echo, &reports, Duration::ZERO, &snap), snap.to_json())
+    (
+        build_report(echo, jobs, &reports, Duration::ZERO, &snap),
+        snap.to_json(),
+    )
 }
 
 #[test]

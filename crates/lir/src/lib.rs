@@ -23,14 +23,17 @@
 //!   benefit estimators and the cycle simulators all consume latencies
 //!   through the trait, so scheduler/simulator drift is impossible by
 //!   construction (pinned by the latency-agreement test in
-//!   `hli-machine`).
+//!   `hli-machine`). Its simulator is a streaming [`CycleSim`]: the
+//!   trace is fed in chunks and never has to exist whole.
+//! * **[`RegTable`]**, the one register-to-value table the timing models
+//!   share, bounded by sweeping entries that can no longer matter.
 //!
 //! The crate is dependency-free on purpose: it sits *below* both the
 //! back-end (which schedules against a backend) and the machine crate
 //! (which implements backends), the same way a shared ASDL pickle sits
 //! between lcc's front and back ends.
 
-use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// The closed set of opcode classes a machine model prices. Every RTL
 /// `Op` and every dynamic [`DynKind`] maps into exactly one class.
@@ -128,6 +131,7 @@ pub enum DynKind {
 
 impl DynKind {
     /// The opcode class a machine model prices this event at.
+    #[inline]
     pub fn class(self) -> OpClass {
         match self {
             DynKind::IAlu | DynKind::Simple => OpClass::IAlu,
@@ -162,6 +166,7 @@ pub struct DynInsn {
 }
 
 impl DynInsn {
+    #[inline]
     pub fn sources(&self) -> &[RegKey] {
         &self.srcs[..self.n_srcs as usize]
     }
@@ -276,8 +281,16 @@ pub trait MachineBackend: Sync {
 
     fn schedule_constraints(&self) -> ScheduleConstraints;
 
-    /// Run the dynamic trace through this target's timing model.
-    fn cycles(&self, trace: &[DynInsn]) -> MachStats;
+    /// Start one run of this target's timing model, attributing cycles
+    /// to `nfuncs` function bins (0 = no attribution).
+    fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_>;
+
+    /// Run a whole dynamic trace through this target's timing model.
+    fn cycles(&self, trace: &[DynInsn]) -> MachStats {
+        let mut sim = self.sim(0);
+        sim.feed(trace, &[]);
+        sim.finish().0
+    }
 
     /// Like [`MachineBackend::cycles`], but also attributes cycles to
     /// functions: `funcs[i]` is the index of the function owning
@@ -288,7 +301,196 @@ pub trait MachineBackend: Sync {
         trace: &[DynInsn],
         funcs: &[u32],
         nfuncs: usize,
-    ) -> (MachStats, Vec<u64>);
+    ) -> (MachStats, Vec<u64>) {
+        let funcs = if nfuncs == 0 { &[][..] } else { funcs };
+        debug_assert!(funcs.is_empty() || funcs.len() == trace.len());
+        let mut sim = self.sim(nfuncs);
+        sim.feed(trace, funcs);
+        sim.finish()
+    }
+}
+
+/// One run of a timing model, fed the dynamic trace in order.
+///
+/// The contract: feeding a trace in any split into chunks, then calling
+/// [`CycleSim::finish`], gives exactly what one feed of the whole trace
+/// gives — so an executor can stream events to several models at once and
+/// never hold the trace. A model keeps only what its hardware keeps (a
+/// window, a register table, a partly filled issue group): its state does
+/// not grow with the trace.
+pub trait CycleSim {
+    /// The next events of the trace. `funcs[i]` is the index of the
+    /// function owning `events[i]`; it is empty when the run was started
+    /// with no function bins.
+    fn feed(&mut self, events: &[DynInsn], funcs: &[u32]);
+
+    /// The trace has ended: drain the machine, record the model's
+    /// `machine.<name>.*` metrics and return its stats and function bins.
+    fn finish(self: Box<Self>) -> (MachStats, Vec<u64>);
+}
+
+/// The hasher behind [`RegTable`]: one multiply-fold per key. A
+/// [`RegKey`] is a frame serial and a register number, not attacker
+/// input, so SipHash's flooding defence buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldHasher(u64);
+
+impl FoldHasher {
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        let m = u128::from(self.0 ^ v) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The register table every timing model keeps: a value per live
+/// [`RegKey`] (the cycle its result is ready, or the trace sequence number
+/// of its in-flight producer).
+///
+/// Every register of every frame gets a key, so an unswept table would
+/// grow with the number of calls executed. A model therefore calls
+/// [`RegTable::sweep`] with a floor below which an entry means the same
+/// as no entry (a ready time already in the past, a producer already
+/// retired). Because a model's time only grows, a swept entry could never
+/// have mattered again, and the sweep is exact.
+///
+/// The table is open-addressed with linear probing over [`FoldHasher`]
+/// homes, at most half full; a sweep rebuilds it from the survivors.
+#[derive(Debug, Clone)]
+pub struct RegTable {
+    /// `(key, value)` slots, a power of two of them; [`RegTable::FREE`]
+    /// keys mark empty slots.
+    slots: Vec<(RegKey, u64)>,
+    len: usize,
+    sweep_at: usize,
+    /// Survivors of a sweep, kept to reuse its allocation.
+    keep: Vec<(RegKey, u64)>,
+}
+
+impl Default for RegTable {
+    fn default() -> Self {
+        RegTable {
+            slots: vec![(RegTable::FREE, 0); 2 * RegTable::MIN_SWEEP],
+            len: 0,
+            sweep_at: RegTable::MIN_SWEEP,
+            keep: Vec::new(),
+        }
+    }
+}
+
+impl RegTable {
+    /// The key of an empty slot (no frame serial reaches it).
+    const FREE: RegKey = RegKey::MAX;
+    /// Size below which [`RegTable::sweep`] does nothing.
+    const MIN_SWEEP: usize = 256;
+
+    /// The slot holding `key`, or the free slot where it would go.
+    #[inline]
+    fn slot(&self, key: RegKey) -> usize {
+        let mut h = FoldHasher::default();
+        h.write_u64(key);
+        let mask = self.slots.len() - 1;
+        let mut i = h.finish() as usize & mask;
+        while self.slots[i].0 != key && self.slots[i].0 != RegTable::FREE {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    #[inline]
+    pub fn get(&self, key: RegKey) -> Option<u64> {
+        let (k, v) = self.slots[self.slot(key)];
+        (k == key).then_some(v)
+    }
+
+    #[inline]
+    pub fn insert(&mut self, key: RegKey, value: u64) {
+        debug_assert_ne!(key, RegTable::FREE, "reserved register key");
+        let i = self.slot(key);
+        if self.slots[i].0 == key {
+            self.slots[i].1 = value;
+            return;
+        }
+        self.slots[i] = (key, value);
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        self.keep.extend(self.slots.iter().filter(|s| s.0 != RegTable::FREE));
+        self.rebuild(2 * self.slots.len());
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Drop every entry whose value is below `floor`, once the table has
+    /// doubled since the last sweep (so the cost is amortized O(1) per
+    /// insert and the table stays within twice its live entries).
+    #[inline]
+    pub fn sweep(&mut self, floor: u64) {
+        if self.len >= self.sweep_at {
+            self.sweep_now(floor);
+        }
+    }
+
+    #[cold]
+    fn sweep_now(&mut self, floor: u64) {
+        self.keep
+            .extend(self.slots.iter().filter(|s| s.0 != RegTable::FREE && s.1 >= floor));
+        self.sweep_at = (2 * self.keep.len()).max(RegTable::MIN_SWEEP);
+        self.rebuild((2 * self.sweep_at).next_power_of_two());
+    }
+
+    /// Refill `cap` slots with the entries in `keep`.
+    fn rebuild(&mut self, cap: usize) {
+        self.slots.clear();
+        self.slots.resize(cap, (RegTable::FREE, 0));
+        self.len = self.keep.len();
+        let keep = std::mem::take(&mut self.keep);
+        for &(key, value) in &keep {
+            let i = self.slot(key);
+            self.slots[i] = (key, value);
+        }
+        self.keep = keep;
+        self.keep.clear();
+    }
 }
 
 /// A minimal concrete backend: a named per-class latency table over a
@@ -331,46 +533,56 @@ impl MachineBackend for TableBackend {
         ScheduleConstraints { in_order: true, issue_width: self.issue_width, window: 1 }
     }
 
-    fn cycles(&self, trace: &[DynInsn]) -> MachStats {
-        self.cycles_per_func(trace, &[], 0).0
+    fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
+        Box::new(TableSim {
+            backend: self,
+            ready: RegTable::default(),
+            bins: vec![0; nfuncs],
+            time: 0,
+            stalls: 0,
+            insns: 0,
+        })
+    }
+}
+
+/// [`TableBackend`]'s run: scalar in-order stall-on-use, one issue per
+/// cycle, an instruction waits for its operands' producing latencies.
+struct TableSim<'b> {
+    backend: &'b TableBackend,
+    ready: RegTable,
+    bins: Vec<u64>,
+    time: u64,
+    stalls: u64,
+    insns: u64,
+}
+
+impl CycleSim for TableSim<'_> {
+    fn feed(&mut self, events: &[DynInsn], funcs: &[u32]) {
+        for (i, ev) in events.iter().enumerate() {
+            let operands_ready =
+                ev.sources().iter().filter_map(|&r| self.ready.get(r)).max().unwrap_or(0);
+            let issue = self.time.max(operands_ready);
+            self.stalls += issue - self.time;
+            let before = self.time;
+            self.time = issue + 1;
+            if let Some(d) = ev.dst {
+                self.ready.insert(d, issue + self.backend.class_latency(ev.kind.class()));
+            }
+            if let Some(&f) = funcs.get(i) {
+                self.bins[f as usize] += self.time - before;
+            }
+            self.ready.sweep(self.time);
+        }
+        self.insns += events.len() as u64;
     }
 
-    fn cycles_per_func(
-        &self,
-        trace: &[DynInsn],
-        funcs: &[u32],
-        nfuncs: usize,
-    ) -> (MachStats, Vec<u64>) {
-        // Scalar in-order stall-on-use: one issue per cycle, an
-        // instruction waits for its operands' producing latencies.
-        let mut ready: HashMap<RegKey, u64> = HashMap::new();
-        let mut bins = vec![0u64; nfuncs];
-        let mut time: u64 = 0;
-        let mut stalls: u64 = 0;
-        for (i, ev) in trace.iter().enumerate() {
-            let operands_ready = ev
-                .sources()
-                .iter()
-                .map(|r| ready.get(r).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            let issue = time.max(operands_ready);
-            stalls += issue - time;
-            let before = time;
-            time = issue + 1;
-            if let Some(d) = ev.dst {
-                ready.insert(d, issue + self.class_latency(ev.kind.class()));
-            }
-            if let (Some(&f), true) = (funcs.get(i), nfuncs > 0) {
-                bins[f as usize] += time - before;
-            }
-        }
+    fn finish(self: Box<Self>) -> (MachStats, Vec<u64>) {
         let stats = MachStats {
-            cycles: time,
-            insns: trace.len() as u64,
-            detail: vec![("stall_cycles", stalls)],
+            cycles: self.time,
+            insns: self.insns,
+            detail: vec![("stall_cycles", self.stalls)],
         };
-        (stats, bins)
+        (stats, self.bins)
     }
 }
 
@@ -413,6 +625,38 @@ mod tests {
             n_srcs: 2,
         };
         assert_eq!(b.latency(&op), b.class_latency(OpClass::IDiv));
+    }
+
+    #[test]
+    fn reg_table_matches_a_map_and_sweeps_exactly() {
+        let mut table = RegTable::default();
+        let mut model = std::collections::HashMap::new();
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Keys as the executor makes them: frame serial and register.
+            let key = ((x % 300) << 24) | ((x >> 40) % 16);
+            table.insert(key, step);
+            model.insert(key, step);
+            if step % 97 == 0 {
+                let floor = step.saturating_sub(500);
+                table.sweep(floor);
+                // What the sweep dropped is below the floor; what it kept
+                // reads back unchanged.
+                for (&k, &v) in &model {
+                    match table.get(k) {
+                        Some(t) => assert_eq!(t, v),
+                        None => assert!(v < floor, "live entry {k:#x} swept"),
+                    }
+                }
+                model.retain(|&k, _| table.get(k).is_some());
+                assert_eq!(table.len(), model.len());
+            }
+        }
+        assert!(table.len() < 4 * RegTable::MIN_SWEEP, "sweeps bound the table");
+        assert!(table.get(RegTable::FREE - 1).is_none());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The RTL executor: functional semantics plus dynamic-trace capture.
+//! The RTL executor: functional semantics plus a dynamic-trace stream.
 //!
 //! Semantics mirror `hli-lang`'s AST interpreter exactly (same global
 //! layout, same 8-byte words, zeroed frames, truncating float→int): a
@@ -8,8 +8,10 @@
 
 use hli_backend::rtl::*;
 use hli_lang::interp::{GLOBAL_BASE, MEM_LIMIT, STACK_BASE};
+use hli_lir::FoldHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// Execution failure (faults map to the same conditions the AST
 /// interpreter reports).
@@ -50,35 +52,42 @@ pub struct RunResult {
 // paths working.
 pub use hli_lir::{DynInsn, DynKind, RegKey};
 
+/// Dynamic instructions a run may execute before it is stopped as
+/// runaway.
+const MAX_STEPS: u64 = 200_000_000;
+
 /// Run functionally, discarding the trace.
 pub fn execute(prog: &RtlProgram) -> Result<RunResult, ExecError> {
     let _t = hli_obs::phase::timed("machine.execute");
-    let mut sink = ();
-    Machine::new(prog, 200_000_000).run(&mut sink)
+    run_traced(prog, &mut ())
 }
 
-/// Run and capture the dynamic instruction trace.
-pub fn execute_with_trace(prog: &RtlProgram) -> Result<(RunResult, Vec<DynInsn>), ExecError> {
-    let _t = hli_obs::phase::timed("machine.execute");
-    let mut trace = Vec::new();
-    let res = Machine::new(prog, 200_000_000).run(&mut trace)?;
-    Ok((res, trace))
-}
-
-/// Run and capture the dynamic trace plus, parallel to it, the index into
-/// `prog.funcs` of the function each event executed in. This is the join
-/// key for decision-to-cycles attribution: the cycle models charge every
-/// event (or stall) to its function, and `obsreport` matches those totals
-/// against the `DecisionRecord.function` of the decisions made there.
-/// A `Call` event belongs to the caller (it issues in the caller's frame);
-/// a `Ret` belongs to the returning callee.
+/// Run and capture the whole dynamic trace plus, parallel to it, the
+/// index into `prog.funcs` of the function each event executed in. This
+/// is the join key for decision-to-cycles attribution: the cycle models
+/// charge every event (or stall) to its function, and `obsreport` matches
+/// those totals against the `DecisionRecord.function` of the decisions
+/// made there. A `Call` event belongs to the caller (it issues in the
+/// caller's frame); a `Ret` belongs to the returning callee.
+///
+/// The trace grows with the run; timing a build goes through
+/// [`crate::time_on`], which streams it instead.
 pub fn execute_with_func_trace(
     prog: &RtlProgram,
 ) -> Result<(RunResult, Vec<DynInsn>, Vec<u32>), ExecError> {
     let _t = hli_obs::phase::timed("machine.execute");
     let mut sink = FuncTrace::default();
-    let res = Machine::new(prog, 200_000_000).run(&mut sink)?;
+    let res = run_traced(prog, &mut sink)?;
     Ok((res, sink.events, sink.funcs))
+}
+
+/// Run, handing every dynamic instruction to `sink` as it executes. No
+/// phase timer: the caller decides what the run's time is charged to.
+pub(crate) fn run_traced(
+    prog: &RtlProgram,
+    sink: &mut impl TraceSink,
+) -> Result<RunResult, ExecError> {
+    Machine::new(prog, MAX_STEPS).run(sink)
 }
 
 /// Trace consumers.
@@ -92,12 +101,6 @@ pub trait TraceSink {
 
 impl TraceSink for () {
     fn event(&mut self, _ev: DynInsn) {}
-}
-
-impl TraceSink for Vec<DynInsn> {
-    fn event(&mut self, ev: DynInsn) {
-        self.push(ev);
-    }
 }
 
 /// Sink recording each event together with its executing function index.
@@ -121,6 +124,8 @@ impl TraceSink for FuncTrace {
 
 struct Frame<'p> {
     func: &'p RtlFunc,
+    /// Index of `func` in `prog.funcs`.
+    func_idx: usize,
     serial: u64,
     regs: Vec<u64>,
     base: i64,
@@ -143,7 +148,7 @@ struct Machine<'p> {
     loads: u64,
     stores: u64,
     calls: u64,
-    label_cache: HashMap<(usize, Label), usize>,
+    label_cache: HashMap<(usize, Label), usize, BuildHasherDefault<FoldHasher>>,
     func_index: HashMap<&'p str, usize>,
 }
 
@@ -161,7 +166,7 @@ impl<'p> Machine<'p> {
             loads: 0,
             stores: 0,
             calls: 0,
-            label_cache: HashMap::new(),
+            label_cache: HashMap::default(),
             func_index,
         }
     }
@@ -214,7 +219,8 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn push_frame(&mut self, func: &'p RtlFunc, ret_to: Option<Reg>) -> Result<(), ExecError> {
+    fn push_frame(&mut self, func_idx: usize, ret_to: Option<Reg>) -> Result<(), ExecError> {
+        let func: &'p RtlFunc = &self.prog.funcs[func_idx];
         if self.frames.len() > 128 {
             return Err(self.err("call stack overflow"));
         }
@@ -238,6 +244,7 @@ impl<'p> Machine<'p> {
         self.next_serial += 1;
         self.frames.push(Frame {
             func,
+            func_idx,
             serial,
             regs: vec![0; func.num_regs as usize],
             base,
@@ -317,8 +324,7 @@ impl<'p> Machine<'p> {
             func: String::new(),
             line: 0,
         })?;
-        let main = &self.prog.funcs[main_idx];
-        self.push_frame(main, None)?;
+        self.push_frame(main_idx, None)?;
         sink.enter(main_idx as u32);
         self.calls -= 1; // main's activation is setup, not program behaviour
                          // Initialize globals.
@@ -332,15 +338,14 @@ impl<'p> Machine<'p> {
             if self.steps > self.max_steps {
                 return Err(self.err("instruction budget exceeded"));
             }
-            let frame_len = self.frame().func.insns.len();
-            if self.frame().pc >= frame_len {
+            // Borrow the instruction through the function (`'p`), not the
+            // frame, so the frame can change while `insn` is live.
+            let (func, pc): (&'p RtlFunc, usize) = (self.frame().func, self.frame().pc);
+            let Some(insn) = func.insns.get(pc) else {
                 return Err(self.err("fell off the end of the instruction chain"));
-            }
-            let pc = self.frame().pc;
-            let insn = &self.frame().func.insns[pc];
-            let op = insn.op.clone();
+            };
             let mut next_pc = pc + 1;
-            match op {
+            match insn.op {
                 Op::LiI(d, v) => {
                     self.set_reg(d, v as u64);
                     self.emit1(sink, DynKind::Simple, Some(d), &[], 0);
@@ -450,17 +455,18 @@ impl<'p> Machine<'p> {
                         .func_index
                         .get(func.as_str())
                         .ok_or_else(|| self.err(format!("call to unknown `{func}`")))?;
-                    let callee: &'p RtlFunc = &self.prog.funcs[fi];
-                    let arg_vals: Vec<u64> = args.iter().map(|&r| self.reg(r)).collect();
                     self.emit1(sink, DynKind::Call, None, args, 0);
                     self.frame_mut().pc = next_pc;
-                    self.push_frame(callee, dst)?;
+                    self.push_frame(fi, dst)?;
                     sink.enter(fi as u32);
-                    for (i, v) in arg_vals.iter().enumerate() {
-                        if i < callee.param_regs.len() {
-                            let pr = callee.param_regs[i];
-                            self.frame_mut().regs[pr as usize] = *v;
-                        }
+                    // Arguments move from the caller's registers (now the
+                    // frame below the top) into the callee's parameters.
+                    let (caller, callee) = match self.frames.as_mut_slice() {
+                        [.., caller, callee] => (caller, callee),
+                        _ => unreachable!("a call has a caller frame"),
+                    };
+                    for (&a, &pr) in args.iter().zip(&callee.func.param_regs) {
+                        callee.regs[pr as usize] = caller.regs[a as usize];
                     }
                     continue 'outer;
                 }
@@ -491,8 +497,7 @@ impl<'p> Machine<'p> {
                             if let Some(d) = frame.ret_to {
                                 caller.regs[d as usize] = bits;
                             }
-                            let ci = self.func_index[caller.func.name.as_str()] as u32;
-                            sink.enter(ci);
+                            sink.enter(caller.func_idx as u32);
                         }
                     }
                     continue 'outer;
@@ -516,11 +521,7 @@ impl<'p> Machine<'p> {
     }
 
     fn label_target(&mut self, l: Label) -> Result<usize, ExecError> {
-        let fi = self
-            .func_index
-            .get(self.frame().func.name.as_str())
-            .copied()
-            .expect("current function indexed");
+        let fi = self.frame().func_idx;
         if let Some(&t) = self.label_cache.get(&(fi, l)) {
             return Ok(t);
         }
@@ -755,7 +756,7 @@ mod tests {
     fn trace_counts_memory_ops() {
         let (p, s) = compile_to_ast("int g;\nint main() { g = 1; g = g + 1; return g; }").unwrap();
         let rtl = lower_program(&p, &s);
-        let (res, trace) = execute_with_trace(&rtl).unwrap();
+        let (res, trace, _) = execute_with_func_trace(&rtl).unwrap();
         let loads = trace.iter().filter(|e| e.kind == DynKind::Load).count() as u64;
         let stores = trace.iter().filter(|e| e.kind == DynKind::Store).count() as u64;
         assert_eq!(loads, res.loads);
@@ -768,7 +769,7 @@ mod tests {
     fn trace_addresses_are_real() {
         let (p, s) = compile_to_ast("int a[4];\nint main() { a[2] = 7; return a[2]; }").unwrap();
         let rtl = lower_program(&p, &s);
-        let (_, trace) = execute_with_trace(&rtl).unwrap();
+        let (_, trace, _) = execute_with_func_trace(&rtl).unwrap();
         let st = trace.iter().find(|e| e.kind == DynKind::Store).unwrap();
         let ld = trace.iter().find(|e| e.kind == DynKind::Load).unwrap();
         assert_eq!(st.addr, ld.addr);

@@ -9,7 +9,7 @@
 //!
 //! * [`exec`] — the RTL executor: functional semantics (the differential
 //!   oracle against `hli-lang`'s AST interpreter) plus a dynamic
-//!   instruction trace;
+//!   instruction stream;
 //! * [`r4600`] — a single-issue in-order pipeline timing model: issue one
 //!   instruction per cycle, stall on operand latency (the compile-time
 //!   schedule directly determines stalls);
@@ -28,19 +28,24 @@
 //! latency-agreement regression test pins this). Simulated cycle counts
 //! replace the paper's wall-clock seconds; speedup ratios (GCC-scheduled
 //! vs HLI-scheduled code on the same model) are the reproduced quantity.
+//!
+//! [`time_on`] runs a build once and streams its events, a fixed-size
+//! chunk at a time, into every selected model's [`hli_lir::CycleSim`], so
+//! no trace is ever held whole.
 
 pub mod exec;
 pub mod r10000;
 pub mod r4600;
 pub mod w4;
 
-pub use exec::{
-    execute, execute_with_func_trace, execute_with_trace, DynInsn, DynKind, ExecError, RunResult,
-};
-pub use hli_lir::{MachStats, MachineBackend, OpClass, ScheduleConstraints};
-pub use r10000::{r10000_cycles, r10000_cycles_per_func, R10000Config, R10000Stats};
-pub use r4600::{r4600_cycles, r4600_cycles_per_func, R4600Config, R4600Stats};
-pub use w4::{w4_cycles, w4_cycles_per_func, W4Config, W4Stats};
+pub use exec::{execute, execute_with_func_trace, DynInsn, DynKind, ExecError, RunResult};
+pub use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass, ScheduleConstraints};
+pub use r10000::R10000Config;
+pub use r4600::R4600Config;
+pub use w4::W4Config;
+
+use exec::TraceSink;
+use std::time::Instant;
 
 /// The default-configured targets, as registry statics (`'static` so a
 /// `&'static dyn MachineBackend` can be passed around freely).
@@ -64,17 +69,106 @@ pub fn backend_names() -> Vec<&'static str> {
     all_backends().iter().map(|b| b.name()).collect()
 }
 
-/// Run a program once and time the shared trace on each given backend.
+/// One model's timing of a run: its stats and the cycles charged to each
+/// function of the program.
+pub type ModelTiming = (MachStats, Vec<u64>);
+
+/// Events [`time_on`] buffers before handing them to the models: small
+/// enough to stay in cache while every model walks it.
+const CHUNK: usize = 1024;
+
+/// Run a program once and time it on each given backend.
 ///
 /// The caller names the backends (typically the same ones the scheduler
 /// assumed), so a harness bin cannot silently time on a config that
-/// differs from the one the schedule was built for. Returns one
-/// [`MachStats`] per backend, in input order.
+/// differs from the one the schedule was built for. The run's events go
+/// to every backend's [`CycleSim`] in chunks of `CHUNK` (1024) as they are
+/// executed. Returns, per backend and in input order, the stats and the
+/// cycles attributed to each function of `prog.funcs`.
+///
+/// Each model's time is recorded as phase `machine.model.<name>`, and
+/// phase `machine.execute` gets the executor's own time (the run minus
+/// the models).
 pub fn time_on(
     prog: &hli_backend::RtlProgram,
     machs: &[&dyn MachineBackend],
-) -> Result<(RunResult, Vec<MachStats>), ExecError> {
-    let (res, trace) = execute_with_trace(prog)?;
-    let stats = machs.iter().map(|m| m.cycles(&trace)).collect();
-    Ok((res, stats))
+) -> Result<(RunResult, Vec<ModelTiming>), ExecError> {
+    if machs.is_empty() {
+        return execute(prog).map(|res| (res, Vec::new()));
+    }
+    let start = Instant::now();
+    let mut fan = FanOut {
+        events: Vec::with_capacity(CHUNK),
+        funcs: Vec::with_capacity(CHUNK),
+        cur: 0,
+        sims: machs.iter().map(|m| m.sim(prog.funcs.len())).collect(),
+        ns: vec![0; machs.len()],
+    };
+    // A run that faults is not timed: its models are dropped unfinished,
+    // so they record no `machine.<name>.*` metrics.
+    let res = exec::run_traced(prog, &mut fan);
+    let (stats, ns) = match res {
+        Ok(_) => fan.finish(),
+        Err(_) => (Vec::new(), fan.ns),
+    };
+    let total = start.elapsed().as_nanos() as u64;
+    for (m, &ns) in machs.iter().zip(&ns) {
+        hli_obs::phase::record(&format!("machine.model.{}", m.name()), ns);
+    }
+    hli_obs::phase::record("machine.execute", total.saturating_sub(ns.iter().sum()));
+    res.map(|res| (res, stats))
+}
+
+/// The sink [`time_on`] runs a program into: buffers one chunk of events
+/// (with their owning functions) and feeds it to every model, timing each.
+struct FanOut<'m> {
+    events: Vec<DynInsn>,
+    funcs: Vec<u32>,
+    cur: u32,
+    sims: Vec<Box<dyn CycleSim + 'm>>,
+    /// Host nanoseconds spent in each model.
+    ns: Vec<u64>,
+}
+
+impl FanOut<'_> {
+    fn flush(&mut self) {
+        for (sim, ns) in self.sims.iter_mut().zip(&mut self.ns) {
+            let t = Instant::now();
+            sim.feed(&self.events, &self.funcs);
+            *ns += t.elapsed().as_nanos() as u64;
+        }
+        self.events.clear();
+        self.funcs.clear();
+    }
+
+    fn finish(mut self) -> (Vec<ModelTiming>, Vec<u64>) {
+        self.flush();
+        let mut ns = self.ns;
+        let stats = self
+            .sims
+            .into_iter()
+            .zip(&mut ns)
+            .map(|(sim, ns)| {
+                let t = Instant::now();
+                let out = sim.finish();
+                *ns += t.elapsed().as_nanos() as u64;
+                out
+            })
+            .collect();
+        (stats, ns)
+    }
+}
+
+impl TraceSink for FanOut<'_> {
+    fn event(&mut self, ev: DynInsn) {
+        self.events.push(ev);
+        self.funcs.push(self.cur);
+        if self.events.len() == CHUNK {
+            self.flush();
+        }
+    }
+
+    fn enter(&mut self, func_idx: u32) {
+        self.cur = func_idx;
+    }
 }

@@ -16,10 +16,28 @@
 //! in-order, `width` per cycle. Branches resolve at execution (perfect
 //! prediction — mispredictions would only add noise common to both
 //! compiler configurations being compared).
+//!
+//! The simulator keeps only what the hardware keeps, named by dense
+//! index (no map grows with the trace):
+//!
+//! * window entries live in a power-of-two ring addressed by trace
+//!   sequence number;
+//! * each source is resolved once, at fetch, to the sequence number of
+//!   its in-flight producer (a producer that already retired is ready),
+//!   and an entry waits on its producers' wake-up lists until they
+//!   issue, then on a timing wheel until its operands are ready;
+//! * issue looks only at entries whose operands are ready, oldest first,
+//!   and skips those whose function unit is used up;
+//! * the LSQ rule is "the oldest unissued store is older than this load"
+//!   plus the short list of issued stores whose data is still ahead;
+//! * a cycle in which nothing retires, fetches or issues repeats exactly
+//!   until the next completion, so such stretches are counted in one
+//!   step, and a machine with no completion ahead can never move again:
+//!   the simulator panics, naming the cycle and the oldest stuck
+//!   instruction, instead of returning a cycle count.
 
-use crate::exec::{DynInsn, DynKind, RegKey};
-use hli_lir::{MachStats, MachineBackend, OpClass, ScheduleConstraints};
-use std::collections::HashMap;
+use crate::exec::{DynInsn, DynKind};
+use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass, RegTable, ScheduleConstraints};
 use std::collections::VecDeque;
 
 /// Machine configuration.
@@ -68,15 +86,13 @@ impl R10000Config {
         fdiv: 19,
     };
 
-    fn latency(&self, k: DynKind) -> u64 {
-        self.class_latency(k.class())
-    }
-
-    fn unit_of(&self, k: DynKind) -> Unit {
+    /// Function-unit class of an instruction: 0 integer, 1 FP, 2
+    /// load/store (the order of `[int_units, fp_units, ls_units]`).
+    fn unit_of(k: DynKind) -> usize {
         match k {
-            DynKind::Load | DynKind::Store => Unit::Ls,
-            DynKind::FAdd | DynKind::FMul | DynKind::FDiv => Unit::Fp,
-            _ => Unit::Int,
+            DynKind::Load | DynKind::Store => 2,
+            DynKind::FAdd | DynKind::FMul | DynKind::FDiv => 1,
+            _ => 0,
         }
     }
 }
@@ -111,18 +127,8 @@ impl MachineBackend for R10000Config {
         }
     }
 
-    fn cycles(&self, trace: &[DynInsn]) -> MachStats {
-        r10000_cycles(trace, self).into()
-    }
-
-    fn cycles_per_func(
-        &self,
-        trace: &[DynInsn],
-        funcs: &[u32],
-        nfuncs: usize,
-    ) -> (MachStats, Vec<u64>) {
-        let (stats, bins) = r10000_cycles_per_func(trace, funcs, nfuncs, self);
-        (stats.into(), bins)
+    fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
+        Box::new(R10000Sim::new(self, nfuncs))
     }
 }
 
@@ -136,229 +142,424 @@ impl From<R10000Stats> for MachStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Unit {
-    Int,
-    Fp,
-    Ls,
-}
-
 /// Timing outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct R10000Stats {
-    pub cycles: u64,
-    pub insns: u64,
+struct R10000Stats {
+    cycles: u64,
+    insns: u64,
     /// Load issues delayed by unresolved earlier stores in the LSQ.
-    pub lsq_stalls: u64,
+    lsq_stalls: u64,
     /// Loads that had to wait for an overlapping store's data (forwarding).
-    pub forwards: u64,
+    forwards: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Slot {
+/// `complete` of an entry that has not issued.
+const UNISSUED: u64 = u64::MAX;
+
+/// One window entry.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
     kind: DynKind,
-    /// Destination register and its rename version.
-    dst: Option<(RegKey, u64)>,
-    /// Versioned sources (register renaming: a source names the exact
-    /// in-flight producer it must wait for).
-    srcs: [(RegKey, u64); 3],
-    n_srcs: u8,
     addr: i64,
-    /// Cycle the instruction entered the window.
-    fetched: u64,
-    /// Cycle execution starts (u64::MAX = not yet issued).
-    start: u64,
-    /// Cycle the result is available.
+    /// Cycle the result is available ([`UNISSUED`] until it issues).
     complete: u64,
-    issued: bool,
+    /// Sources whose in-flight producer has not issued yet.
+    pending: u8,
+    /// Cycle the sources whose producers have issued are ready.
+    ready: u64,
+    /// Function owning the instruction, for cycle attribution.
+    func: u32,
 }
 
-fn simulate(
-    trace: &[DynInsn],
-    cfg: &R10000Config,
-    mut per_func: Option<(&[u32], &mut [u64])>,
-) -> R10000Stats {
-    let mut stats = R10000Stats { insns: trace.len() as u64, ..Default::default() };
-    if trace.is_empty() {
-        return stats;
-    }
-    // Register renaming: the current version of each architectural key and
-    // the completion cycle of every produced version. Version 0 = the
-    // initial value, ready at cycle 0.
-    let mut reg_version: HashMap<RegKey, u64> = HashMap::new();
-    let mut version_ready: HashMap<(RegKey, u64), u64> = HashMap::new();
-    let mut window: VecDeque<Slot> = VecDeque::with_capacity(cfg.window);
-    let mut next_fetch = 0usize;
-    let mut cycle: u64 = 0;
-    // Generous upper bound to guarantee termination on model bugs.
-    let max_cycles = (trace.len() as u64 + 64) * 64;
-    let reg = hli_obs::metrics::cur();
-    let occupancy = reg.histogram("machine.r10000.window_occupancy");
+const EMPTY: Entry = Entry {
+    kind: DynKind::Simple,
+    addr: 0,
+    complete: UNISSUED,
+    pending: 0,
+    ready: 0,
+    func: 0,
+};
 
-    while (next_fetch < trace.len() || !window.is_empty()) && cycle < max_cycles {
-        // Retire in order.
-        let mut retired = 0;
-        while retired < cfg.width {
-            match window.front() {
-                Some(s) if s.issued && s.complete <= cycle => {
-                    window.pop_front();
-                    retired += 1;
+/// One run of the out-of-order core. Every field is bounded by the
+/// window (the register table by its sweeps), never by the trace.
+///
+/// An unissued entry is in exactly one of three places: waiting on a
+/// producer (on that producer's `consumers` list), waiting for a known
+/// ready cycle (a bit in `wheel`), or operands ready (a bit in `cands`).
+/// Issue looks only at `cands`, oldest first; an entry anywhere else
+/// could not issue, and looking at it had no effect in the full-window
+/// scan either.
+struct R10000Sim<'c> {
+    cfg: &'c R10000Config,
+    /// Window entries; the entry of sequence number `s` is `ring[s & mask]`.
+    /// At least 64 of them, so `cands` is whole words.
+    ring: Vec<Entry>,
+    /// Per ring slot: the entries waiting for its instruction to issue.
+    consumers: Vec<Vec<u64>>,
+    mask: u64,
+    /// Oldest in-flight sequence number; everything below has retired.
+    head: u64,
+    /// Next sequence number to fetch; the window is `head..tail`.
+    tail: u64,
+    /// `tail` when the current cycle began fetching: entries from here
+    /// on cannot issue before the next cycle.
+    fetch_start: u64,
+    /// One bit per ring slot: an unissued entry whose operands are ready.
+    cands: Vec<u64>,
+    /// Per function unit (`unit_of` order), one bit per ring slot: the
+    /// entry there needs that unit. A unit with none free this cycle
+    /// hides its candidates, which could neither issue nor stall.
+    units: Vec<u64>,
+    /// Unissued entries whose producers have all issued but whose
+    /// operands are still ahead: bucket `t % buckets` holds, one bit per
+    /// ring slot, those ready at cycle `t`. No operand is further ahead
+    /// than the longest latency, so a bucket never mixes two cycles.
+    wheel: Vec<u64>,
+    /// Buckets in `wheel`, less one.
+    wheel_mask: u64,
+    /// Unissued stores (addresses unknown), oldest first.
+    stores_unissued: VecDeque<u64>,
+    /// Issued stores whose data completes after the current cycle:
+    /// `(sequence number, address, complete)`.
+    stores_ahead: Vec<(u64, i64, u64)>,
+    /// Architectural register → sequence number of its latest producer.
+    producers: RegTable,
+    cycle: u64,
+    /// The current cycle has retired and is part-way through its fetch,
+    /// waiting for the next events.
+    in_cycle: bool,
+    retired: usize,
+    fetched: usize,
+    /// Cycles observed at each window occupancy, flushed to the
+    /// histogram once per run.
+    occupancy: Vec<u64>,
+    bins: Vec<u64>,
+    last_func: u32,
+    stats: R10000Stats,
+}
+
+impl<'c> R10000Sim<'c> {
+    fn new(cfg: &'c R10000Config, nfuncs: usize) -> Self {
+        let cap = cfg.window.next_power_of_two().max(64);
+        let longest = OpClass::ALL.iter().map(|&c| cfg.class_latency(c)).max().unwrap_or(0);
+        let buckets = (longest as usize + 1).next_power_of_two();
+        R10000Sim {
+            cfg,
+            ring: vec![EMPTY; cap],
+            consumers: vec![Vec::new(); cap],
+            mask: cap as u64 - 1,
+            head: 0,
+            tail: 0,
+            fetch_start: 0,
+            cands: vec![0; cap / 64],
+            units: vec![0; 3 * cap / 64],
+            wheel: vec![0; buckets * cap / 64],
+            wheel_mask: buckets as u64 - 1,
+            stores_unissued: VecDeque::new(),
+            stores_ahead: Vec::new(),
+            producers: RegTable::default(),
+            cycle: 0,
+            in_cycle: false,
+            retired: 0,
+            fetched: 0,
+            occupancy: vec![0; cfg.window + 1],
+            bins: vec![0; nfuncs],
+            last_func: 0,
+            stats: R10000Stats::default(),
+        }
+    }
+
+    fn entry(&self, seq: u64) -> &Entry {
+        &self.ring[(seq & self.mask) as usize]
+    }
+
+    /// Simulate cycles over the next `events`. Without `ended`, a cycle
+    /// whose fetch runs out of events stays open for the next call;
+    /// with it, the trace is over and the machine drains.
+    fn run(&mut self, events: &[DynInsn], funcs: &[u32], ended: bool) {
+        let (width, window) = (self.cfg.width, self.cfg.window as u64);
+        let mut pos = 0;
+        loop {
+            if !self.in_cycle {
+                if self.head == self.tail && pos == events.len() {
+                    return;
                 }
-                _ => break,
+                self.retired = self.retire();
+                self.fetched = 0;
+                self.fetch_start = self.tail;
+                self.in_cycle = true;
             }
-        }
-        // Fetch into the window (renaming sources to producer versions).
-        let mut fetched = 0;
-        while fetched < cfg.width && window.len() < cfg.window && next_fetch < trace.len() {
-            let ev = &trace[next_fetch];
-            let mut srcs = [(0u64, 0u64); 3];
-            for (slot, &key) in srcs.iter_mut().zip(ev.srcs.iter()).take(ev.n_srcs as usize) {
-                *slot = (key, reg_version.get(&key).copied().unwrap_or(0));
-            }
-            let dst = ev.dst.map(|d| {
-                let v = reg_version.entry(d).or_insert(0);
-                *v += 1;
-                (d, *v)
-            });
-            window.push_back(Slot {
-                kind: ev.kind,
-                dst,
-                srcs,
-                n_srcs: ev.n_srcs,
-                addr: ev.addr,
-                fetched: cycle,
-                start: u64::MAX,
-                complete: u64::MAX,
-                issued: false,
-            });
-            next_fetch += 1;
-            fetched += 1;
-        }
-        // Issue: scan the window oldest-first, respecting unit limits.
-        let mut free = [cfg.int_units, cfg.fp_units, cfg.ls_units];
-        let mut issued_this_cycle = 0;
-        for i in 0..window.len() {
-            if issued_this_cycle >= cfg.width {
-                break;
-            }
-            if window[i].issued || window[i].fetched >= cycle {
-                continue;
-            }
-            let unit = cfg.unit_of(window[i].kind);
-            let unit_idx = match unit {
-                Unit::Int => 0,
-                Unit::Fp => 1,
-                Unit::Ls => 2,
-            };
-            if free[unit_idx] == 0 {
-                continue;
-            }
-            // Operand readiness: version 0 is ready at time 0; an in-flight
-            // version is ready at its producer's completion (unknown until
-            // it issues).
-            let ops_ready = (0..window[i].n_srcs as usize)
-                .map(|k| {
-                    let (key, ver) = window[i].srcs[k];
-                    if ver == 0 {
-                        0
-                    } else {
-                        version_ready.get(&(key, ver)).copied().unwrap_or(u64::MAX)
-                    }
-                })
-                .max()
-                .unwrap_or(0);
-            if ops_ready > cycle {
-                continue;
-            }
-            // The LSQ rule: a load may not issue while any earlier store in
-            // the window has an unknown address (not yet issued), and must
-            // wait for the data of an overlapping completed-address store.
-            if window[i].kind == DynKind::Load {
-                let mut blocked = false;
-                let mut forward_wait: u64 = 0;
-                for j in 0..i {
-                    if window[j].kind != DynKind::Store {
-                        continue;
-                    }
-                    if !window[j].issued {
-                        blocked = true;
+            while self.fetched < width && self.tail - self.head < window {
+                let Some(ev) = events.get(pos) else {
+                    if ended {
                         break;
                     }
-                    if window[j].addr == window[i].addr && window[j].complete > cycle {
-                        forward_wait = forward_wait.max(window[j].complete);
-                    }
-                }
-                if blocked {
-                    stats.lsq_stalls += 1;
-                    continue;
-                }
-                if forward_wait > cycle {
-                    stats.forwards += 1;
-                    continue;
-                }
+                    return;
+                };
+                self.fetch(ev, funcs.get(pos).copied().unwrap_or(0));
+                pos += 1;
+                self.fetched += 1;
             }
-            // Issue it.
-            let lat = cfg.latency(window[i].kind);
-            window[i].issued = true;
-            window[i].start = cycle;
-            window[i].complete = cycle + lat;
-            if let Some((d, v)) = window[i].dst {
-                version_ready.insert((d, v), cycle + lat);
-            }
-            free[unit_idx] -= 1;
-            issued_this_cycle += 1;
-        }
-        occupancy.observe(window.len() as u64);
-        // Attribute the cycle to the function of the oldest in-flight
-        // instruction (the retirement bottleneck). The window holds trace
-        // indices [next_fetch - len, next_fetch); if everything already
-        // retired this cycle, charge the last-fetched function.
-        if let Some((funcs, bins)) = per_func.as_mut() {
-            let idx = if window.is_empty() {
-                next_fetch.saturating_sub(1)
+            self.in_cycle = false;
+            let (issued, lsq_stalls, forwards) = self.issue();
+            self.stats.lsq_stalls += lsq_stalls;
+            self.stats.forwards += forwards;
+            let occupancy = (self.tail - self.head) as usize;
+            self.occupancy[occupancy] += 1;
+            // Attribute the cycle to the function of the oldest in-flight
+            // instruction (the retirement bottleneck); if everything
+            // already retired, charge the last-fetched function.
+            let func = if self.head == self.tail {
+                self.last_func
             } else {
-                next_fetch - window.len()
+                self.entry(self.head).func
             };
-            bins[funcs[idx] as usize] += 1;
+            self.charge(func, 1);
+            self.cycle += 1;
+            if self.retired == 0 && self.fetched == 0 && issued == 0 {
+                // Nothing moved, so nothing will until the next completion:
+                // the cycles before it repeat this one exactly.
+                let Some(next) = self.next_completion() else { self.stuck() };
+                let repeats = next - self.cycle;
+                self.stats.lsq_stalls += lsq_stalls * repeats;
+                self.stats.forwards += forwards * repeats;
+                self.occupancy[occupancy] += repeats;
+                self.charge(func, repeats);
+                self.cycle = next;
+            }
         }
-        cycle += 1;
     }
-    stats.cycles = cycle;
-    reg.counter("machine.r10000.cycles").add(stats.cycles);
-    reg.counter("machine.r10000.insns").add(stats.insns);
-    reg.counter("machine.r10000.lsq_stalls").add(stats.lsq_stalls);
-    reg.counter("machine.r10000.forwards").add(stats.forwards);
-    if let Some(ipc) = (stats.insns * 1000).checked_div(stats.cycles) {
-        reg.gauge("machine.r10000.ipc_milli").set(ipc as i64);
+
+    /// Charge `cycles` to function `func`, when attributing.
+    fn charge(&mut self, func: u32, cycles: u64) {
+        if !self.bins.is_empty() {
+            self.bins[func as usize] += cycles;
+        }
     }
-    stats
+
+    /// Retire completed instructions in order, up to `width`.
+    fn retire(&mut self) -> usize {
+        let mut n = 0;
+        while n < self.cfg.width
+            && self.head < self.tail
+            && self.entry(self.head).complete <= self.cycle
+        {
+            self.head += 1;
+            n += 1;
+        }
+        n
+    }
+
+    /// Enter one event into the window, resolving each source to its
+    /// in-flight producer (a retired producer is ready).
+    fn fetch(&mut self, ev: &DynInsn, func: u32) {
+        let (seq, mask) = (self.tail, self.mask);
+        let (mut pending, mut ready) = (0u8, 0u64);
+        for &key in ev.sources() {
+            let Some(p) = self.producers.get(key).filter(|&p| p >= self.head) else {
+                continue;
+            };
+            match self.ring[(p & mask) as usize].complete {
+                UNISSUED => {
+                    pending += 1;
+                    self.consumers[(p & mask) as usize].push(seq);
+                }
+                complete => ready = ready.max(complete),
+            }
+        }
+        if let Some(d) = ev.dst {
+            self.producers.insert(d, seq);
+        }
+        let slot = (seq & mask) as usize;
+        self.ring[slot] = Entry {
+            kind: ev.kind,
+            addr: ev.addr,
+            complete: UNISSUED,
+            pending,
+            ready,
+            func,
+        };
+        let (words, bit) = (self.cands.len(), 1 << (slot % 64));
+        let unit = R10000Config::unit_of(ev.kind);
+        for (u, slots) in self.units.chunks_mut(words).enumerate() {
+            if u == unit {
+                slots[slot / 64] |= bit;
+            } else {
+                slots[slot / 64] &= !bit;
+            }
+        }
+        if ev.kind == DynKind::Store {
+            self.stores_unissued.push_back(seq);
+        }
+        if pending == 0 {
+            self.operands_known(seq, ready);
+        }
+        self.tail += 1;
+        self.last_func = func;
+        // A retired producer is ready: its name can go.
+        self.producers.sweep(self.head);
+    }
+
+    /// Every producer of `seq` has issued, so its operands are ready at
+    /// `ready`: file it as a candidate now or at that cycle.
+    fn operands_known(&mut self, seq: u64, ready: u64) {
+        let slot = (seq & self.mask) as usize;
+        let word = if ready <= self.cycle {
+            &mut self.cands[slot / 64]
+        } else {
+            &mut self.wheel[(ready & self.wheel_mask) as usize * self.cands.len() + slot / 64]
+        };
+        *word |= 1 << (slot % 64);
+    }
+
+    /// Issue from the candidates, oldest first, respecting unit limits
+    /// and the LSQ rule. Returns `(issued, lsq_stalls, forwards)` for
+    /// this cycle.
+    fn issue(&mut self) -> (usize, u64, u64) {
+        let (cfg, c, mask) = (self.cfg, self.cycle, self.mask);
+        if !self.stores_ahead.is_empty() {
+            self.stores_ahead.retain(|&(_, _, complete)| complete > c);
+        }
+        let words = self.cands.len();
+        let bucket = (c & self.wheel_mask) as usize * words;
+        for (cand, due) in self.cands.iter_mut().zip(&mut self.wheel[bucket..bucket + words]) {
+            *cand |= std::mem::take(due);
+        }
+        let mut free = [cfg.int_units, cfg.fp_units, cfg.ls_units];
+        let (mut issued, mut lsq_stalls, mut forwards) = (0, 0, 0);
+        // Entries fetched this cycle cannot issue before the next one.
+        let mut next = self.head;
+        while issued < cfg.width {
+            let Some(seq) = self.next_cand(next, self.fetch_start, &free) else { break };
+            next = seq + 1;
+            let slot = (seq & mask) as usize;
+            let e = self.ring[slot];
+            if e.kind == DynKind::Load {
+                // The LSQ rule: no issue while an earlier store's address
+                // is unknown, nor before an overlapping store's data.
+                if self.stores_unissued.front().is_some_and(|&s| s < seq) {
+                    lsq_stalls += 1;
+                    continue;
+                }
+                if self
+                    .stores_ahead
+                    .iter()
+                    .any(|&(s, addr, complete)| s < seq && addr == e.addr && complete > c)
+                {
+                    forwards += 1;
+                    continue;
+                }
+            }
+            let complete = c + cfg.class_latency(e.kind.class());
+            self.ring[slot].complete = complete;
+            self.cands[slot / 64] &= !(1 << (slot % 64));
+            if e.kind == DynKind::Store {
+                let at = self.stores_unissued.iter().position(|&s| s == seq);
+                self.stores_unissued.remove(at.expect("an unissued store is listed"));
+                self.stores_ahead.push((seq, e.addr, complete));
+            }
+            free[R10000Config::unit_of(e.kind)] -= 1;
+            issued += 1;
+            // Wake the consumers: each waits for one producer fewer. One
+            // whose operands are ready now (a zero-latency producer) is
+            // younger than `seq`, so this scan still reaches it.
+            for k in 0..self.consumers[slot].len() {
+                let d = self.consumers[slot][k];
+                let de = &mut self.ring[(d & mask) as usize];
+                de.pending -= 1;
+                de.ready = de.ready.max(complete);
+                if de.pending == 0 {
+                    let ready = de.ready;
+                    self.operands_known(d, ready);
+                }
+            }
+            self.consumers[slot].clear();
+        }
+        (issued, lsq_stalls, forwards)
+    }
+
+    /// The oldest candidate in `from..limit` whose unit has one `free`.
+    fn next_cand(&self, mut from: u64, limit: u64, free: &[usize; 3]) -> Option<u64> {
+        let words = self.cands.len();
+        // Slots within one word hold consecutive sequence numbers.
+        while from < limit {
+            let slot = (from & self.mask) as usize;
+            let w = slot / 64;
+            let mut usable = 0;
+            for (u, &n) in free.iter().enumerate() {
+                if n > 0 {
+                    usable |= self.units[u * words + w];
+                }
+            }
+            let bits = (self.cands[w] & usable) >> (slot % 64);
+            if bits != 0 {
+                let seq = from + u64::from(bits.trailing_zeros());
+                return (seq < limit).then_some(seq);
+            }
+            from += 64 - (slot % 64) as u64;
+        }
+        None
+    }
+
+    /// The earliest completion still ahead of the current cycle.
+    fn next_completion(&self) -> Option<u64> {
+        (self.head..self.tail)
+            .map(|s| self.entry(s).complete)
+            .filter(|&t| t != UNISSUED && t >= self.cycle)
+            .min()
+    }
+
+    /// No completion is ahead and nothing moved: the machine can never
+    /// progress under this configuration.
+    fn stuck(&self) -> ! {
+        let at = self.cycle - 1;
+        if self.head == self.tail {
+            panic!(
+                "r10000 model cannot progress at cycle {at}: instruction #{} can never be \
+                 fetched (width {}, window {})",
+                self.tail, self.cfg.width, self.cfg.window
+            );
+        }
+        let e = self.entry(self.head);
+        panic!(
+            "r10000 model cannot progress at cycle {at}: the oldest instruction in flight, \
+             #{} ({:?}), can never issue and nothing will complete ({:?})",
+            self.head, e.kind, self.cfg
+        );
+    }
 }
 
-/// Simulate the trace.
-pub fn r10000_cycles(trace: &[DynInsn], cfg: &R10000Config) -> R10000Stats {
-    simulate(trace, cfg, None)
-}
+impl CycleSim for R10000Sim<'_> {
+    fn feed(&mut self, events: &[DynInsn], funcs: &[u32]) {
+        self.stats.insns += events.len() as u64;
+        self.run(events, funcs, false);
+    }
 
-/// Like [`r10000_cycles`], but also attributes cycles to functions.
-///
-/// `funcs[i]` names the function index owning `trace[i]`; each simulated
-/// cycle is charged to the function of the oldest in-flight instruction, so
-/// the returned bins sum to `stats.cycles`.
-pub fn r10000_cycles_per_func(
-    trace: &[DynInsn],
-    funcs: &[u32],
-    nfuncs: usize,
-    cfg: &R10000Config,
-) -> (R10000Stats, Vec<u64>) {
-    debug_assert_eq!(trace.len(), funcs.len());
-    let mut bins = vec![0u64; nfuncs];
-    let stats = simulate(trace, cfg, Some((funcs, &mut bins)));
-    (stats, bins)
+    fn finish(mut self: Box<Self>) -> (MachStats, Vec<u64>) {
+        self.run(&[], &[], true);
+        let stats = R10000Stats { cycles: self.cycle, ..self.stats };
+        if stats.insns > 0 {
+            let reg = hli_obs::metrics::cur();
+            let occupancy = reg.histogram("machine.r10000.window_occupancy");
+            for (v, &n) in self.occupancy.iter().enumerate() {
+                occupancy.observe_n(v as u64, n);
+            }
+            reg.counter("machine.r10000.cycles").add(stats.cycles);
+            reg.counter("machine.r10000.insns").add(stats.insns);
+            reg.counter("machine.r10000.lsq_stalls").add(stats.lsq_stalls);
+            reg.counter("machine.r10000.forwards").add(stats.forwards);
+            if let Some(ipc) = (stats.insns * 1000).checked_div(stats.cycles) {
+                reg.gauge("machine.r10000.ipc_milli").set(ipc as i64);
+            }
+        }
+        (stats.into(), self.bins)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hli_lir::RegKey;
 
     fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> DynInsn {
         let mut s = [0u64; 3];
@@ -378,9 +579,9 @@ mod tests {
     fn wide_issue_beats_scalar() {
         // 16 independent ALU ops: ~4 cycles of issue on a 4-wide core.
         let t: Vec<DynInsn> = (0..16).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect();
-        let s = r10000_cycles(&t, &R10000Config::default());
+        let s = R10000Config::default().cycles(&t);
         assert!(s.cycles <= 10, "got {} cycles", s.cycles);
-        let scalar = crate::r4600::r4600_cycles(&t, &crate::r4600::R4600Config::default());
+        let scalar = crate::r4600::R4600Config::default().cycles(&t);
         assert!(s.cycles < scalar.cycles);
     }
 
@@ -390,7 +591,7 @@ mod tests {
         for i in 1..12u64 {
             t.push(ins(DynKind::IAlu, Some(i), &[i - 1]));
         }
-        let s = r10000_cycles(&t, &R10000Config::default());
+        let s = R10000Config::default().cycles(&t);
         assert!(s.cycles >= 12, "chain cannot go wide: {}", s.cycles);
     }
 
@@ -403,15 +604,15 @@ mod tests {
             mem(DynKind::Store, None, &[1], 0x1000),
             mem(DynKind::Load, Some(2), &[], 0x2000),
         ];
-        let s = r10000_cycles(&t, &R10000Config::default());
-        assert!(s.lsq_stalls > 0, "LSQ must hold the load back");
+        let s = R10000Config::default().cycles(&t);
+        assert!(s.detail("lsq_stalls").unwrap() > 0, "LSQ must hold the load back");
         // Same code with the store independent of the divide: loads fly.
         let t2 = vec![
             ins(DynKind::IDiv, Some(1), &[]),
             mem(DynKind::Store, None, &[], 0x1000),
             mem(DynKind::Load, Some(2), &[], 0x2000),
         ];
-        let s2 = r10000_cycles(&t2, &R10000Config::default());
+        let s2 = R10000Config::default().cycles(&t2);
         assert!(s2.cycles < s.cycles);
     }
 
@@ -431,8 +632,8 @@ mod tests {
         slow_store(&mut hli_order);
         hli_order.push(ins(DynKind::IAlu, Some(3), &[2]));
 
-        let a = r10000_cycles(&gcc_order, &R10000Config::default());
-        let b = r10000_cycles(&hli_order, &R10000Config::default());
+        let a = R10000Config::default().cycles(&gcc_order);
+        let b = R10000Config::default().cycles(&hli_order);
         assert!(
             b.cycles < a.cycles,
             "hoisted load must win: {} vs {}",
@@ -448,7 +649,7 @@ mod tests {
             mem(DynKind::Store, None, &[1], 0x1000),
             mem(DynKind::Load, Some(2), &[], 0x1000),
         ];
-        let s = r10000_cycles(&t, &R10000Config::default());
+        let s = R10000Config::default().cycles(&t);
         // The load needs the store's data: it cannot complete before the
         // divide feeding the store.
         let cfg = R10000Config::default();
@@ -468,8 +669,8 @@ mod tests {
         }
         let small = R10000Config { window: 8, ..Default::default() };
         let big = R10000Config { window: 256, ..Default::default() };
-        let s_small = r10000_cycles(&t, &small);
-        let s_big = r10000_cycles(&t, &big);
+        let s_small = small.cycles(&t);
+        let s_big = big.cycles(&t);
         assert!(s_big.cycles < s_small.cycles);
     }
 
@@ -484,15 +685,44 @@ mod tests {
         }
         let funcs: Vec<u32> = (0..t.len()).map(|i| if i < 6 { 0 } else { 1 }).collect();
         let cfg = R10000Config::default();
-        let (stats, bins) = r10000_cycles_per_func(&t, &funcs, 2, &cfg);
+        let (stats, bins) = cfg.cycles_per_func(&t, &funcs, 2);
         assert_eq!(bins.iter().sum::<u64>(), stats.cycles);
-        assert_eq!(stats, r10000_cycles(&t, &cfg), "attribution must not perturb timing");
+        assert_eq!(stats, cfg.cycles(&t), "attribution must not perturb timing");
         assert!(bins[0] > bins[1], "the fdiv chain holds retirement");
     }
 
     #[test]
     fn empty_trace() {
-        let s = r10000_cycles(&[], &R10000Config::default());
+        let s = R10000Config::default().cycles(&[]);
         assert_eq!(s.cycles, 0);
+    }
+
+    #[test]
+    fn chunked_feed_matches_one_feed() {
+        let mut t = Vec::new();
+        for i in 0..40u64 {
+            t.push(ins(DynKind::IDiv, Some(i % 5), &[(i + 4) % 5]));
+            t.push(mem(DynKind::Store, None, &[i % 5], 0x1000 + 8 * (i % 3) as i64));
+            t.push(mem(DynKind::Load, Some(10 + i % 4), &[], 0x1000 + 8 * (i % 2) as i64));
+        }
+        let funcs: Vec<u32> = (0..t.len() as u32).map(|i| i % 3).collect();
+        let cfg = R10000Config { ls_units: 2, ..Default::default() };
+        let whole = cfg.cycles_per_func(&t, &funcs, 3);
+        for chunk in [1, 3, 4, 7, 64] {
+            let mut sim = cfg.sim(3);
+            for (e, f) in t.chunks(chunk).zip(funcs.chunks(chunk)) {
+                sim.feed(e, f);
+            }
+            assert_eq!(sim.finish(), whole, "chunks of {chunk}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot progress at cycle")]
+    fn a_machine_that_cannot_issue_is_an_error() {
+        // No integer unit: the first ALU op can never issue. The model
+        // must say so rather than return a cycle count.
+        let t: Vec<DynInsn> = (0..8).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect();
+        R10000Config { int_units: 0, ..Default::default() }.cycles(&t);
     }
 }

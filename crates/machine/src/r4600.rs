@@ -6,9 +6,8 @@
 //! per cycle, but not before every source register's producing instruction
 //! has completed; a taken branch costs one bubble.
 
-use crate::exec::{DynInsn, DynKind, RegKey};
-use hli_lir::{MachStats, MachineBackend, OpClass, ScheduleConstraints};
-use std::collections::HashMap;
+use crate::exec::{DynInsn, DynKind};
+use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass, RegTable, ScheduleConstraints};
 
 /// Latency configuration (cycles until the result is usable).
 #[derive(Debug, Clone, Copy)]
@@ -76,18 +75,14 @@ impl MachineBackend for R4600Config {
         ScheduleConstraints { in_order: true, issue_width: 1, window: 1 }
     }
 
-    fn cycles(&self, trace: &[DynInsn]) -> MachStats {
-        r4600_cycles(trace, self).into()
-    }
-
-    fn cycles_per_func(
-        &self,
-        trace: &[DynInsn],
-        funcs: &[u32],
-        nfuncs: usize,
-    ) -> (MachStats, Vec<u64>) {
-        let (stats, bins) = r4600_cycles_per_func(trace, funcs, nfuncs, self);
-        (stats.into(), bins)
+    fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
+        Box::new(R4600Sim {
+            cfg: self,
+            ready: RegTable::default(),
+            bins: vec![0; nfuncs],
+            time: 0,
+            stats: R4600Stats::default(),
+        })
     }
 }
 
@@ -106,90 +101,76 @@ impl From<R4600Stats> for MachStats {
 
 /// Timing outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct R4600Stats {
-    pub cycles: u64,
-    pub insns: u64,
+struct R4600Stats {
+    cycles: u64,
+    insns: u64,
     /// Cycles lost waiting for operands.
-    pub stall_cycles: u64,
+    stall_cycles: u64,
     /// Cycles lost to taken-branch bubbles.
-    pub branch_bubbles: u64,
+    branch_bubbles: u64,
 }
 
-fn simulate(
-    trace: &[DynInsn],
-    cfg: &R4600Config,
-    mut per_func: Option<(&[u32], &mut [u64])>,
-) -> R4600Stats {
-    let mut ready: HashMap<RegKey, u64> = HashMap::new();
-    let mut time: u64 = 0;
-    let mut stats = R4600Stats::default();
-    for (i, ev) in trace.iter().enumerate() {
-        stats.insns += 1;
-        let operands_ready = ev
-            .sources()
-            .iter()
-            .map(|r| ready.get(r).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        let issue = time.max(operands_ready);
-        stats.stall_cycles += issue - time;
-        let before = time;
-        time = issue + 1;
-        match ev.kind {
-            DynKind::Branch { taken: true } => {
-                time += cfg.taken_branch_bubble;
-                stats.branch_bubbles += cfg.taken_branch_bubble;
+/// One run of the in-order pipeline. Its state is the issue clock and the
+/// ready cycle of each register still being produced.
+struct R4600Sim<'c> {
+    cfg: &'c R4600Config,
+    ready: RegTable,
+    bins: Vec<u64>,
+    time: u64,
+    stats: R4600Stats,
+}
+
+impl CycleSim for R4600Sim<'_> {
+    fn feed(&mut self, events: &[DynInsn], funcs: &[u32]) {
+        let cfg = self.cfg;
+        for (i, ev) in events.iter().enumerate() {
+            let operands_ready =
+                ev.sources().iter().filter_map(|&r| self.ready.get(r)).max().unwrap_or(0);
+            let issue = self.time.max(operands_ready);
+            self.stats.stall_cycles += issue - self.time;
+            let before = self.time;
+            self.time = issue + 1;
+            match ev.kind {
+                DynKind::Branch { taken: true } => {
+                    self.time += cfg.taken_branch_bubble;
+                    self.stats.branch_bubbles += cfg.taken_branch_bubble;
+                }
+                DynKind::Call | DynKind::Ret => {
+                    self.time += cfg.call_overhead;
+                }
+                _ => {}
             }
-            DynKind::Call | DynKind::Ret => {
-                time += cfg.call_overhead;
+            if let Some(d) = ev.dst {
+                self.ready.insert(d, issue + cfg.latency(ev.kind));
             }
-            _ => {}
+            // Charge the full advance (issue stall + execute + bubbles) to
+            // the function that owns this event; the per-function sums
+            // then equal the total cycle count exactly.
+            if let Some(&f) = funcs.get(i) {
+                self.bins[f as usize] += self.time - before;
+            }
+            // A ready cycle already behind the clock can never stall
+            // anything again.
+            self.ready.sweep(self.time);
         }
-        if let Some(d) = ev.dst {
-            ready.insert(d, issue + cfg.latency(ev.kind));
-        }
-        // Charge the full advance (issue stall + execute + bubbles) to the
-        // function that owns this event; the per-function sums then equal
-        // the total cycle count exactly.
-        if let Some((funcs, bins)) = per_func.as_mut() {
-            let f = funcs[i] as usize;
-            bins[f] += time - before;
-        }
+        self.stats.insns += events.len() as u64;
     }
-    stats.cycles = time;
-    let reg = hli_obs::metrics::cur();
-    reg.counter("machine.r4600.cycles").add(stats.cycles);
-    reg.counter("machine.r4600.insns").add(stats.insns);
-    reg.counter("machine.r4600.stall_cycles").add(stats.stall_cycles);
-    reg.counter("machine.r4600.branch_bubbles").add(stats.branch_bubbles);
-    stats
-}
 
-/// Simulate the trace on the in-order pipeline.
-pub fn r4600_cycles(trace: &[DynInsn], cfg: &R4600Config) -> R4600Stats {
-    simulate(trace, cfg, None)
-}
-
-/// Like [`r4600_cycles`], but also attributes cycles to functions.
-///
-/// `funcs[i]` names the function index owning `trace[i]` (as produced by
-/// `execute_with_func_trace`); the returned vector has `nfuncs` entries whose
-/// sum equals `stats.cycles`.
-pub fn r4600_cycles_per_func(
-    trace: &[DynInsn],
-    funcs: &[u32],
-    nfuncs: usize,
-    cfg: &R4600Config,
-) -> (R4600Stats, Vec<u64>) {
-    debug_assert_eq!(trace.len(), funcs.len());
-    let mut bins = vec![0u64; nfuncs];
-    let stats = simulate(trace, cfg, Some((funcs, &mut bins)));
-    (stats, bins)
+    fn finish(self: Box<Self>) -> (MachStats, Vec<u64>) {
+        let stats = R4600Stats { cycles: self.time, ..self.stats };
+        let reg = hli_obs::metrics::cur();
+        reg.counter("machine.r4600.cycles").add(stats.cycles);
+        reg.counter("machine.r4600.insns").add(stats.insns);
+        reg.counter("machine.r4600.stall_cycles").add(stats.stall_cycles);
+        reg.counter("machine.r4600.branch_bubbles").add(stats.branch_bubbles);
+        (stats.into(), self.bins)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hli_lir::RegKey;
 
     fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> DynInsn {
         let mut s = [0u64; 3];
@@ -202,9 +183,9 @@ mod tests {
     #[test]
     fn independent_insns_issue_every_cycle() {
         let t: Vec<DynInsn> = (0..10).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect();
-        let s = r4600_cycles(&t, &R4600Config::default());
+        let s = R4600Config::default().cycles(&t);
         assert_eq!(s.cycles, 10);
-        assert_eq!(s.stall_cycles, 0);
+        assert_eq!(s.detail("stall_cycles"), Some(0));
     }
 
     #[test]
@@ -213,9 +194,9 @@ mod tests {
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
         ];
-        let s = r4600_cycles(&t, &R4600Config::default());
+        let s = R4600Config::default().cycles(&t);
         // Load issues at 0, ready at 2; consumer stalls one cycle.
-        assert_eq!(s.stall_cycles, 1);
+        assert_eq!(s.detail("stall_cycles"), Some(1));
         assert_eq!(s.cycles, 3);
     }
 
@@ -226,8 +207,8 @@ mod tests {
             ins(DynKind::IAlu, Some(3), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
         ];
-        let s = r4600_cycles(&hidden, &R4600Config::default());
-        assert_eq!(s.stall_cycles, 0, "filler covers the load delay");
+        let s = R4600Config::default().cycles(&hidden);
+        assert_eq!(s.detail("stall_cycles"), Some(0), "filler covers the load delay");
         assert_eq!(s.cycles, 3);
     }
 
@@ -237,7 +218,7 @@ mod tests {
             ins(DynKind::FDiv, Some(1), &[]),
             ins(DynKind::FAdd, Some(2), &[1]),
         ];
-        let s = r4600_cycles(&t, &R4600Config::default());
+        let s = R4600Config::default().cycles(&t);
         assert!(s.cycles > 30);
     }
 
@@ -247,8 +228,8 @@ mod tests {
             ins(DynKind::Branch { taken: true }, None, &[]),
             ins(DynKind::Branch { taken: false }, None, &[]),
         ];
-        let s = r4600_cycles(&t, &R4600Config::default());
-        assert_eq!(s.branch_bubbles, 1);
+        let s = R4600Config::default().cycles(&t);
+        assert_eq!(s.detail("branch_bubbles"), Some(1));
         assert_eq!(s.cycles, 3);
     }
 
@@ -264,15 +245,15 @@ mod tests {
         ];
         let funcs = vec![0, 0, 0, 1, 1, 1];
         let cfg = R4600Config::default();
-        let (stats, bins) = r4600_cycles_per_func(&t, &funcs, 2, &cfg);
+        let (stats, bins) = cfg.cycles_per_func(&t, &funcs, 2);
         assert_eq!(bins.iter().sum::<u64>(), stats.cycles);
-        assert_eq!(stats, r4600_cycles(&t, &cfg), "attribution must not perturb timing");
+        assert_eq!(stats, cfg.cycles(&t), "attribution must not perturb timing");
         assert!(bins[1] > bins[0], "fdiv chain dominates");
     }
 
     #[test]
     fn empty_trace_is_zero() {
-        let s = r4600_cycles(&[], &R4600Config::default());
+        let s = R4600Config::default().cycles(&[]);
         assert_eq!(s.cycles, 0);
         assert_eq!(s.insns, 0);
     }

@@ -18,9 +18,8 @@
 //! cost `call_overhead` (the same pipeline effects the R4600 model
 //! charges).
 
-use crate::exec::{DynInsn, DynKind, RegKey};
-use hli_lir::{MachStats, MachineBackend, OpClass, ScheduleConstraints};
-use std::collections::HashMap;
+use crate::exec::{DynInsn, DynKind};
+use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass, RegTable, ScheduleConstraints};
 
 /// Latency/shape configuration for the wide in-order core.
 #[derive(Debug, Clone, Copy)]
@@ -63,107 +62,99 @@ impl Default for W4Config {
 
 /// Timing outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct W4Stats {
-    pub cycles: u64,
-    pub insns: u64,
+struct W4Stats {
+    cycles: u64,
+    insns: u64,
     /// Cycles the issue head spent waiting for operands.
-    pub stall_cycles: u64,
+    stall_cycles: u64,
     /// Issue slots left empty (hazards, group-ending branches/calls).
-    pub idle_slots: u64,
+    idle_slots: u64,
 }
 
-fn simulate(
-    trace: &[DynInsn],
-    cfg: &W4Config,
-    mut per_func: Option<(&[u32], &mut [u64])>,
-) -> W4Stats {
-    let mut ready: HashMap<RegKey, u64> = HashMap::new();
-    let mut stats = W4Stats::default();
-    // `time` is the cycle the current issue group occupies; `slots` how
-    // many of its issue slots are filled.
-    let mut time: u64 = 0;
-    let mut slots: usize = 0;
-    let width = cfg.width.max(1);
-    for (i, ev) in trace.iter().enumerate() {
-        stats.insns += 1;
-        let before = time;
-        if slots == width {
-            time += 1;
-            slots = 0;
-        }
-        let operands_ready = ev
-            .sources()
-            .iter()
-            .map(|r| ready.get(r).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        if operands_ready > time {
-            // Head-of-line hazard: the whole machine waits (no reordering),
-            // wasting the rest of this group and every intervening cycle.
-            stats.stall_cycles += operands_ready - time;
-            stats.idle_slots += (width - slots) as u64 + (operands_ready - time - 1) * width as u64;
-            time = operands_ready;
-            slots = 0;
-        }
-        slots += 1;
-        if let Some(d) = ev.dst {
-            ready.insert(d, time + cfg.class_latency(ev.kind.class()));
-        }
-        match ev.kind {
-            DynKind::Branch { taken: true } => {
-                stats.idle_slots += (width - slots) as u64;
-                time += 1 + cfg.taken_branch_bubble;
-                slots = 0;
+/// One run of the wide in-order core: the current issue group and the
+/// ready cycle of each register still being produced.
+struct W4Sim<'c> {
+    cfg: &'c W4Config,
+    ready: RegTable,
+    bins: Vec<u64>,
+    /// The cycle the current issue group occupies.
+    time: u64,
+    /// How many of its issue slots are filled.
+    slots: usize,
+    /// Function of the latest event, charged the trailing partial group.
+    last_func: Option<u32>,
+    stats: W4Stats,
+}
+
+impl CycleSim for W4Sim<'_> {
+    fn feed(&mut self, events: &[DynInsn], funcs: &[u32]) {
+        let cfg = self.cfg;
+        let width = cfg.width.max(1);
+        for (i, ev) in events.iter().enumerate() {
+            let before = self.time;
+            if self.slots == width {
+                self.time += 1;
+                self.slots = 0;
             }
-            DynKind::Call | DynKind::Ret => {
-                stats.idle_slots += (width - slots) as u64;
-                time += 1 + cfg.call_overhead;
-                slots = 0;
+            let operands_ready =
+                ev.sources().iter().filter_map(|&r| self.ready.get(r)).max().unwrap_or(0);
+            if operands_ready > self.time {
+                // Head-of-line hazard: the whole machine waits (no
+                // reordering), wasting the rest of this group and every
+                // intervening cycle.
+                let wait = operands_ready - self.time;
+                self.stats.stall_cycles += wait;
+                self.stats.idle_slots += (width - self.slots) as u64 + (wait - 1) * width as u64;
+                self.time = operands_ready;
+                self.slots = 0;
             }
-            _ => {}
+            self.slots += 1;
+            if let Some(d) = ev.dst {
+                self.ready.insert(d, self.time + cfg.class_latency(ev.kind.class()));
+            }
+            match ev.kind {
+                DynKind::Branch { taken: true } => {
+                    self.stats.idle_slots += (width - self.slots) as u64;
+                    self.time += 1 + cfg.taken_branch_bubble;
+                    self.slots = 0;
+                }
+                DynKind::Call | DynKind::Ret => {
+                    self.stats.idle_slots += (width - self.slots) as u64;
+                    self.time += 1 + cfg.call_overhead;
+                    self.slots = 0;
+                }
+                _ => {}
+            }
+            // Charge the full advance to the owning function; per-function
+            // sums then equal the total exactly (the trailing partial
+            // group is charged to the last event in `finish`).
+            if let Some(&f) = funcs.get(i) {
+                self.bins[f as usize] += self.time - before;
+                self.last_func = Some(f);
+            }
+            // A ready cycle already behind the clock can never stall
+            // anything again.
+            self.ready.sweep(self.time);
         }
-        // Charge the full advance to the owning function; per-function
-        // sums then equal the total exactly (the trailing partial group
-        // is charged to the last event below).
-        if let Some((funcs, bins)) = per_func.as_mut() {
-            bins[funcs[i] as usize] += time - before;
-        }
+        self.stats.insns += events.len() as u64;
     }
-    if slots > 0 {
-        // The last partially-filled group still takes its cycle.
-        time += 1;
-        if let Some((funcs, bins)) = per_func.as_mut() {
-            if let Some(&f) = funcs.last() {
-                bins[f as usize] += 1;
+
+    fn finish(mut self: Box<Self>) -> (MachStats, Vec<u64>) {
+        if self.slots > 0 {
+            // The last partially-filled group still takes its cycle.
+            self.time += 1;
+            if let Some(f) = self.last_func {
+                self.bins[f as usize] += 1;
             }
         }
+        let stats = W4Stats { cycles: self.time, ..self.stats };
+        let reg = hli_obs::metrics::cur();
+        reg.counter("machine.w4.cycles").add(stats.cycles);
+        reg.counter("machine.w4.insns").add(stats.insns);
+        reg.counter("machine.w4.stall_cycles").add(stats.stall_cycles);
+        reg.counter("machine.w4.idle_slots").add(stats.idle_slots);
+        (stats.into(), self.bins)
     }
-    stats.cycles = time;
-    let reg = hli_obs::metrics::cur();
-    reg.counter("machine.w4.cycles").add(stats.cycles);
-    reg.counter("machine.w4.insns").add(stats.insns);
-    reg.counter("machine.w4.stall_cycles").add(stats.stall_cycles);
-    reg.counter("machine.w4.idle_slots").add(stats.idle_slots);
-    stats
-}
-
-/// Simulate the trace on the wide in-order pipeline.
-pub fn w4_cycles(trace: &[DynInsn], cfg: &W4Config) -> W4Stats {
-    simulate(trace, cfg, None)
-}
-
-/// Like [`w4_cycles`], but also attributes cycles to functions; the
-/// returned bins sum to `stats.cycles` exactly.
-pub fn w4_cycles_per_func(
-    trace: &[DynInsn],
-    funcs: &[u32],
-    nfuncs: usize,
-    cfg: &W4Config,
-) -> (W4Stats, Vec<u64>) {
-    debug_assert_eq!(trace.len(), funcs.len());
-    let mut bins = vec![0u64; nfuncs];
-    let stats = simulate(trace, cfg, Some((funcs, &mut bins)));
-    (stats, bins)
 }
 
 impl MachineBackend for W4Config {
@@ -187,18 +178,16 @@ impl MachineBackend for W4Config {
         ScheduleConstraints { in_order: true, issue_width: self.width as u32, window: 1 }
     }
 
-    fn cycles(&self, trace: &[DynInsn]) -> MachStats {
-        w4_cycles(trace, self).into()
-    }
-
-    fn cycles_per_func(
-        &self,
-        trace: &[DynInsn],
-        funcs: &[u32],
-        nfuncs: usize,
-    ) -> (MachStats, Vec<u64>) {
-        let (stats, bins) = w4_cycles_per_func(trace, funcs, nfuncs, self);
-        (stats.into(), bins)
+    fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
+        Box::new(W4Sim {
+            cfg: self,
+            ready: RegTable::default(),
+            bins: vec![0; nfuncs],
+            time: 0,
+            slots: 0,
+            last_func: None,
+            stats: W4Stats::default(),
+        })
     }
 }
 
@@ -218,6 +207,7 @@ impl From<W4Stats> for MachStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hli_lir::RegKey;
 
     fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> DynInsn {
         let mut s = [0u64; 3];
@@ -230,10 +220,10 @@ mod tests {
     #[test]
     fn independent_insns_pack_four_wide() {
         let t: Vec<DynInsn> = (0..16).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect();
-        let s = w4_cycles(&t, &W4Config::default());
+        let s = W4Config::default().cycles(&t);
         assert_eq!(s.cycles, 4, "16 independent ops in 4 groups");
-        assert_eq!(s.stall_cycles, 0);
-        assert_eq!(s.idle_slots, 0);
+        assert_eq!(s.detail("stall_cycles"), Some(0));
+        assert_eq!(s.detail("idle_slots"), Some(0));
     }
 
     #[test]
@@ -242,9 +232,12 @@ mod tests {
         for i in 1..8u64 {
             t.push(ins(DynKind::IAlu, Some(i), &[i - 1]));
         }
-        let s = w4_cycles(&t, &W4Config::default());
+        let s = W4Config::default().cycles(&t);
         assert_eq!(s.cycles, 8, "one issue per cycle down a chain");
-        assert!(s.idle_slots >= 7 * 3, "three empty slots per chained cycle");
+        assert!(
+            s.detail("idle_slots").unwrap() >= 7 * 3,
+            "three empty slots per chained cycle"
+        );
     }
 
     #[test]
@@ -256,15 +249,15 @@ mod tests {
             ins(DynKind::IAlu, Some(2), &[1]),
             ins(DynKind::IAlu, Some(3), &[]),
         ];
-        let s = w4_cycles(&t, &W4Config::default());
-        assert!(s.stall_cycles >= W4Config::DEFAULT.load - 1);
+        let s = W4Config::default().cycles(&t);
+        assert!(s.detail("stall_cycles").unwrap() >= W4Config::DEFAULT.load - 1);
         // Scheduling the independent op between load and use hides it.
         let sched = vec![
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(3), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
         ];
-        let s2 = w4_cycles(&sched, &W4Config::default());
+        let s2 = W4Config::default().cycles(&sched);
         assert!(s2.cycles <= s.cycles);
     }
 
@@ -275,10 +268,13 @@ mod tests {
             ins(DynKind::Branch { taken: true }, None, &[]),
             ins(DynKind::IAlu, Some(2), &[]),
         ];
-        let s = w4_cycles(&t, &W4Config::default());
+        let s = W4Config::default().cycles(&t);
         // Group 1 (alu + branch) at cycle 0, bubble, then the next group.
         assert_eq!(s.cycles, 1 + 1 + W4Config::DEFAULT.taken_branch_bubble + 1 - 1);
-        assert!(s.idle_slots >= 2, "branch leaves its group's tail empty");
+        assert!(
+            s.detail("idle_slots").unwrap() >= 2,
+            "branch leaves its group's tail empty"
+        );
     }
 
     #[test]
@@ -293,14 +289,14 @@ mod tests {
         ];
         let funcs = vec![0, 0, 0, 1, 1, 1];
         let cfg = W4Config::default();
-        let (stats, bins) = w4_cycles_per_func(&t, &funcs, 2, &cfg);
+        let (stats, bins) = cfg.cycles_per_func(&t, &funcs, 2);
         assert_eq!(bins.iter().sum::<u64>(), stats.cycles);
-        assert_eq!(stats, w4_cycles(&t, &cfg), "attribution must not perturb timing");
+        assert_eq!(stats, cfg.cycles(&t), "attribution must not perturb timing");
     }
 
     #[test]
     fn empty_trace_is_zero() {
-        let s = w4_cycles(&[], &W4Config::default());
+        let s = W4Config::default().cycles(&[]);
         assert_eq!(s.cycles, 0);
         assert_eq!(s.insns, 0);
     }

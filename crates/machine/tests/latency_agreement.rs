@@ -23,8 +23,7 @@ use hli_backend::rtl::{CmpOp, FBinOp, IBinOp, MemRef, Op};
 use hli_lang::compile_to_ast;
 use hli_lir::{LirOp, OpClass, OperandKind};
 use hli_machine::{
-    all_backends, backend_by_name, r4600_cycles, w4_cycles, DynInsn, DynKind, MachineBackend,
-    R4600Config, W4Config,
+    all_backends, backend_by_name, DynInsn, DynKind, MachineBackend, R4600Config, W4Config,
 };
 
 /// Representative static/dynamic pairs, mirroring the executor's Op →
@@ -155,17 +154,17 @@ fn in_order_simulators_behave_at_the_advertised_latencies() {
             },
         ];
         let r4600 = R4600Config::default();
-        let s = r4600_cycles(&t, &r4600);
+        let s = r4600.cycles(&t);
         assert_eq!(
-            s.stall_cycles,
-            r4600.class_latency(kind.class()) - 1,
+            s.detail("stall_cycles"),
+            Some(r4600.class_latency(kind.class()) - 1),
             "r4600 load-use distance for {kind:?}"
         );
         let w4 = W4Config::default();
-        let s = w4_cycles(&t, &w4);
+        let s = w4.cycles(&t);
         assert_eq!(
-            s.stall_cycles,
-            w4.class_latency(kind.class()),
+            s.detail("stall_cycles"),
+            Some(w4.class_latency(kind.class())),
             "w4 head-of-line wait for {kind:?} (consumer shares the producer's group)"
         );
     }

@@ -90,11 +90,20 @@ fn bucket_of(v: u64) -> usize {
 
 impl Histogram {
     pub fn observe(&self, v: u64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Record `n` observations of the value `v` at once: the same state
+    /// as `n` calls of [`Histogram::observe`], and nothing when `n` is 0.
+    pub fn observe_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let h = &self.0;
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(v, Ordering::Relaxed);
+        h.count.fetch_add(n, Ordering::Relaxed);
+        h.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         h.max.fetch_max(v, Ordering::Relaxed);
-        h.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        h.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn count(&self) -> u64 {
@@ -470,6 +479,22 @@ mod tests {
         assert!((s.mean() - 1015.0 / 6.0).abs() < 1e-9);
         // 0 → bucket 0; 1 → bucket lo=1; 2,3 → lo=2; 9 → lo=8; 1000 → lo=512.
         assert_eq!(s.buckets, vec![(0, 1), (1, 1), (2, 2), (8, 1), (512, 1)]);
+    }
+
+    #[test]
+    fn observe_n_equals_n_single_observes() {
+        let (batched, single) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for (v, n) in [(0u64, 3u64), (7, 1), (31, 5), (1 << 40, 2), (9, 0)] {
+            batched.histogram("h").observe_n(v, n);
+            for _ in 0..n {
+                single.histogram("h").observe(v);
+            }
+        }
+        assert_eq!(batched.snapshot(), single.snapshot());
+        // n = 0 leaves a fresh histogram untouched: no count, sum or max.
+        let r = MetricsRegistry::new();
+        r.histogram("z").observe_n(u64::MAX, 0);
+        assert_eq!(r.snapshot().histograms["z"], HistSnapshot::default());
     }
 
     #[test]

@@ -37,6 +37,13 @@ pub fn timed(stage: &str) -> PhaseGuard {
     }
 }
 
+/// Record `ns` nanoseconds for `stage` directly, for a stage whose time
+/// was summed from pieces (a timing model fed in chunks) rather than
+/// measured in one scope.
+pub fn record(stage: &str, ns: u64) {
+    global().histogram(&format!("obs.phase.{stage}.ns")).observe(ns);
+}
+
 /// RAII guard returned by [`timed`]. Records on drop.
 pub struct PhaseGuard {
     hist: Histogram,

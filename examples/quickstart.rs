@@ -16,7 +16,7 @@ use hli_core::query::HliQuery;
 use hli_core::serialize::{encode_file, SerializeOpts};
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
-use hli_machine::{r10000_cycles, r4600_cycles, R10000Config, R4600Config};
+use hli_machine::{MachineBackend, R10000Config, R4600Config};
 
 const SRC: &str = "double xs[256]; double ys[256];
 void saxpy(double *x, double *y, double a, int n) {
@@ -81,13 +81,13 @@ fn main() {
     );
 
     // 4. Machines: identical results, different cycles.
-    let (gr, gt) = hli_machine::execute_with_trace(&gcc_build).unwrap();
-    let (hr, ht) = hli_machine::execute_with_trace(&hli_build).unwrap();
+    let machs: [&dyn MachineBackend; 2] = [&R4600Config::DEFAULT, &R10000Config::DEFAULT];
+    let (gr, gt) = hli_machine::time_on(&gcc_build, &machs).unwrap();
+    let (hr, ht) = hli_machine::time_on(&hli_build, &machs).unwrap();
     assert_eq!(gr.ret, hr.ret, "schedules must agree");
     println!("program result: {} (both builds agree)", gr.ret);
-    let (c4, c10) = (R4600Config::default(), R10000Config::default());
-    let (g4, h4) = (r4600_cycles(&gt, &c4).cycles, r4600_cycles(&ht, &c4).cycles);
-    let (g10, h10) = (r10000_cycles(&gt, &c10).cycles, r10000_cycles(&ht, &c10).cycles);
+    let (g4, h4) = (gt[0].0.cycles, ht[0].0.cycles);
+    let (g10, h10) = (gt[1].0.cycles, ht[1].0.cycles);
     println!(
         "R4600 : GCC {g4} cycles, HLI {h4} cycles (speedup {:.3})",
         g4 as f64 / h4 as f64

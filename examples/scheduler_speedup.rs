@@ -12,7 +12,7 @@ use hli_backend::lower::lower_program;
 use hli_backend::sched::schedule_program;
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
-use hli_machine::{r10000_cycles, r4600_cycles, R10000Config, R4600Config};
+use hli_machine::{MachineBackend, R10000Config, R4600Config};
 use hli_suite::Scale;
 
 fn main() {
@@ -40,33 +40,31 @@ fn main() {
         stats.reduction() * 100.0
     );
 
-    let (gr, gt) = hli_machine::execute_with_trace(&gcc_build).unwrap();
-    let (hr, ht) = hli_machine::execute_with_trace(&hli_build).unwrap();
+    let machs: [&dyn MachineBackend; 2] = [&R4600Config::DEFAULT, &R10000Config::DEFAULT];
+    let (gr, gt) = hli_machine::time_on(&gcc_build, &machs).unwrap();
+    let (hr, ht) = hli_machine::time_on(&hli_build, &machs).unwrap();
     assert_eq!(gr.ret, oracle.ret);
     assert_eq!(hr.ret, oracle.ret);
     println!("both builds validated against the interpreter (result {})", oracle.ret);
     println!("dynamic instructions: {}", gr.dyn_insns);
 
-    let c4 = R4600Config::default();
-    let g4 = r4600_cycles(&gt, &c4);
-    let h4 = r4600_cycles(&ht, &c4);
+    let (g4, h4) = (&gt[0].0, &ht[0].0);
+    let stalls = |s: &hli_machine::MachStats, k| s.detail(k).unwrap_or(0);
     println!(
         "R4600 : GCC {:>9} cycles ({} stall) | HLI {:>9} cycles ({} stall) | speedup {:.3}",
         g4.cycles,
-        g4.stall_cycles,
+        stalls(g4, "stall_cycles"),
         h4.cycles,
-        h4.stall_cycles,
+        stalls(h4, "stall_cycles"),
         g4.cycles as f64 / h4.cycles as f64
     );
-    let c10 = R10000Config::default();
-    let g10 = r10000_cycles(&gt, &c10);
-    let h10 = r10000_cycles(&ht, &c10);
+    let (g10, h10) = (&gt[1].0, &ht[1].0);
     println!(
         "R10000: GCC {:>9} cycles ({} LSQ stalls) | HLI {:>9} cycles ({} LSQ stalls) | speedup {:.3}",
         g10.cycles,
-        g10.lsq_stalls,
+        stalls(g10, "lsq_stalls"),
         h10.cycles,
-        h10.lsq_stalls,
+        stalls(h10, "lsq_stalls"),
         g10.cycles as f64 / h10.cycles as f64
     );
     println!(

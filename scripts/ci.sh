@@ -35,6 +35,10 @@ cargo test -q --release -p hli-core --test fuzz_decode
 echo "== latency agreement (scheduler table == simulator table on every target)"
 cargo test -q --release -p hli-machine --test latency_agreement
 
+echo "== timing models == their reference loops (stats, function bins, metrics)"
+echo "   on corpus traces, fed whole and in chunks"
+cargo test -q --release -p hli-machine --test model_reference -- --include-ignored
+
 echo "== three-target smoke (tiny Table 2 on every registered machine model)"
 for m in r4600 r10000 w4; do
   target/release/table2 12 2 --machine "$m" > /dev/null
@@ -66,8 +70,9 @@ target/release/faultbench --quarantine-check --jobs 8
 echo "== perfbench smoke (generated corpus, differential oracle, parallel driver)"
 target/release/perfbench --seeds 7 --programs 3 --funcs 10 --jobs 4 > /dev/null
 
-echo "== perfbench regression gate (counters exact, times/rates/RSS soft)"
-target/release/perfbench --compare BENCH_6.json > /dev/null
+echo "== perfbench regression gate (counters exact, times/rates/RSS soft; the"
+echo "   checkpoint's worker count, since peak RSS grows with it)"
+target/release/perfbench --jobs 2 --compare BENCH_6.json > /dev/null
 
 echo "== servebench check (docs/SERVE.md determinism contract: jobs-1-vs-8 and"
 echo "   cold-vs-warm byte identity, steady-state hit rate >= 80%)"
