@@ -13,12 +13,11 @@
 //! [`hli_core::maintain::delete_item`] — the first of the paper's
 //! Section 3.2.3 maintenance cases.
 
-use crate::ddg::DepMode;
-use crate::gccdep;
+use crate::disamb::{Access, DepMode, HliSide, MemDisambiguator};
 use crate::mapping::HliMap;
 use crate::rtl::{InsnId, MemRef, Op, RtlFunc};
 use hli_core::maintain;
-use hli_core::{CachedQuery, HliEntry, ItemId, QueryCache};
+use hli_core::{HliEntry, ItemId, QueryCache};
 use hli_lir::{MachineBackend, OpClass};
 
 /// Outcome of running CSE on one function.
@@ -47,7 +46,7 @@ struct Avail {
 /// eliminated loads are maintained out of the entry and the mapping.
 pub fn cse_function(
     f: &RtlFunc,
-    mut hli: Option<(&mut HliEntry, &mut HliMap)>,
+    hli: Option<(&mut HliEntry, &mut HliMap)>,
     mode: DepMode,
     mach: &dyn MachineBackend,
 ) -> CseResult {
@@ -55,13 +54,7 @@ pub fn cse_function(
     // call: the reload it avoids, at the active machine's load latency
     // (DESIGN.md, "Estimated-benefit models").
     let est_load_cycles = mach.class_latency(OpClass::Load);
-    let use_hli = matches!(mode, DepMode::HliOnly | DepMode::Combined) && hli.is_some();
-    // Queries need an immutable view; clone the entry for querying and
-    // apply maintenance afterwards.
-    let query_entry = hli.as_ref().map(|(e, _)| (**e).clone());
     let cache = QueryCache::new();
-    let query = query_entry.as_ref().map(|e| cache.attach(e));
-    let item_of = |map: &HliMap, insn: InsnId| map.item_of(insn);
     let prov = hli_obs::provenance::active();
 
     let mut out: Vec<crate::rtl::Insn> = Vec::with_capacity(f.insns.len());
@@ -71,6 +64,13 @@ pub fn cse_function(
     let mut kept_across_call = 0;
     let mut deleted_items = Vec::new();
 
+    // The scan only reads the entry; maintenance follows it.
+    let query = hli.as_ref().map(|(e, _)| cache.attach(e));
+    let side = query.as_ref().zip(hli.as_ref()).map(|(query, (_, map))| HliSide { query, map });
+    // Items are tracked in every mode (eliminated loads are maintained
+    // out of the entry), but GCC's CSE consults no HLI.
+    let item_of = |insn: InsnId| side.and_then(|s| s.map.item_of(insn));
+    let mut disamb = MemDisambiguator::new(side.filter(|_| mode != DepMode::GccOnly), mode);
     for insn in &f.insns {
         // Control flow boundaries flush availability (local CSE).
         if insn.op.is_control() {
@@ -84,11 +84,8 @@ pub fn cse_function(
                 match hit {
                     Some(src) => {
                         loads_eliminated += 1;
-                        if let Some((_, map)) = hli.as_mut() {
-                            if let Some(item) = item_of(map, insn.id) {
-                                deleted_items.push(item);
-                                map.unbind_item(item);
-                            }
+                        if let Some(item) = item_of(insn.id) {
+                            deleted_items.push(item);
                         }
                         let mut new = insn.clone();
                         new.op = Op::Move(*dst, src);
@@ -100,96 +97,65 @@ pub fn cse_function(
                     }
                     None => {
                         invalidate_reg(&mut avail, *dst);
-                        avail.push(Avail {
-                            mem: *m,
-                            value_reg: *dst,
-                            item: hli.as_ref().and_then(|(_, map)| item_of(map, insn.id)),
-                        });
+                        avail.push(Avail { mem: *m, value_reg: *dst, item: item_of(insn.id) });
                     }
                 }
             }
             Op::Store(m, src) => {
                 // Invalidate conflicting entries, then record the stored
                 // value as available (store-to-load forwarding).
-                let store_item = hli.as_ref().and_then(|(_, map)| item_of(map, insn.id));
-                avail.retain(|a| !may_conflict_for_cse(a, m, store_item, query.as_ref(), use_hli));
-                avail.push(Avail { mem: *m, value_reg: *src, item: store_item });
+                let store = Access { mem: *m, item: item_of(insn.id) };
+                avail.retain(|a| !disamb.pair(Access { mem: a.mem, item: a.item }, store).conflict);
+                avail.push(Avail { mem: *m, value_reg: *src, item: store.item });
             }
             Op::Call { dst, .. } => {
-                let call_item = hli.as_ref().and_then(|(_, map)| item_of(map, insn.id));
+                let call_item = item_of(insn.id);
                 // One causal span per call site: every keep/purge decision
                 // made at this call shares it.
-                let span = if use_hli && prov.is_some() {
+                let span = if disamb.has_hli() && prov.is_some() {
                     hli_obs::provenance::next_span_id()
                 } else {
                     0
                 };
-                if use_hli {
-                    if let (Some(q), Some(call)) = (query.as_ref(), call_item) {
-                        // Figure 4: purge only what the call may modify.
-                        avail.retain(|a| {
-                            let mark = q.query_mark();
-                            let purge = match a.item {
-                                Some(it) => q.get_call_acc(it, call).may_modify(),
-                                None => true,
-                            };
-                            if purge {
-                                purged_by_call += 1;
-                            } else {
-                                kept_across_call += 1;
-                            }
-                            if let Some(sink) = prov.as_deref() {
-                                let verdict = if purge {
-                                    hli_obs::Verdict::Blocked {
-                                        reason: if a.item.is_some() {
-                                            "call may modify location".into()
-                                        } else {
-                                            "entry has no HLI item".into()
-                                        },
-                                    }
-                                } else {
-                                    hli_obs::Verdict::Applied
-                                };
-                                sink.record(hli_obs::DecisionRecord {
-                                    pass: "cse.call".into(),
-                                    function: f.name.clone(),
-                                    region_id: a.item.and_then(|it| q.owner_of(it)).map(|r| r.0),
-                                    order: insn.line,
-                                    span,
-                                    // A kept entry saves the reload the purge
-                                    // would have forced: one load latency.
-                                    est_cycles: if purge { 0 } else { est_load_cycles },
-                                    hli_queries: q.queries_since(mark),
-                                    verdict,
-                                });
-                            }
-                            !purge
-                        });
+                // Figure 4: with HLI, purge only what the call may modify;
+                // without it, the call may change any memory.
+                avail.retain(|a| {
+                    let mark = disamb.mark();
+                    let purge = disamb.call(a.item, call_item, false);
+                    if purge {
+                        purged_by_call += 1;
                     } else {
-                        if let Some(sink) = prov.as_deref() {
-                            for _ in &avail {
-                                sink.record(hli_obs::DecisionRecord {
-                                    pass: "cse.call".into(),
-                                    function: f.name.clone(),
-                                    region_id: None,
-                                    order: insn.line,
-                                    span,
-                                    est_cycles: 0,
-                                    hli_queries: Vec::new(),
-                                    verdict: hli_obs::Verdict::Blocked {
-                                        reason: "call has no HLI item".into(),
-                                    },
-                                });
-                            }
-                        }
-                        purged_by_call += avail.len();
-                        avail.clear();
+                        kept_across_call += 1;
                     }
-                } else {
-                    // GCC without HLI: the call may change any memory.
-                    purged_by_call += avail.len();
-                    avail.clear();
-                }
+                    if let (Some(sink), true) = (prov.as_deref(), disamb.has_hli()) {
+                        let verdict = if purge {
+                            hli_obs::Verdict::Blocked {
+                                reason: match (call_item, a.item) {
+                                    (None, _) => "call has no HLI item",
+                                    (_, None) => "entry has no HLI item",
+                                    _ => "call may modify location",
+                                }
+                                .into(),
+                            }
+                        } else {
+                            hli_obs::Verdict::Applied
+                        };
+                        sink.record(hli_obs::DecisionRecord {
+                            pass: "cse.call".into(),
+                            function: f.name.clone(),
+                            // A call without an item cites no region.
+                            region_id: call_item.and(disamb.region(a.item)),
+                            order: insn.line,
+                            span,
+                            // A kept entry saves the reload the purge
+                            // would have forced: one load latency.
+                            est_cycles: if purge { 0 } else { est_load_cycles },
+                            hli_queries: disamb.queries_since(mark),
+                            verdict,
+                        });
+                    }
+                    !purge
+                });
                 if let Some(d) = dst {
                     invalidate_reg(&mut avail, *d);
                 }
@@ -205,10 +171,14 @@ pub fn cse_function(
 
     // Apply maintenance for the eliminated items, then drop the memos that
     // mention them so a reattached cache stays consistent with the
-    // maintained entry.
-    if let Some((entry, _)) = hli.as_mut() {
+    // maintained entry. A failed deletion leaves the entry out of step
+    // with the code: it is counted and recorded, never dropped.
+    if let Some((entry, map)) = hli {
         for &item in &deleted_items {
-            let _ = maintain::delete_item(entry, item);
+            map.unbind_item(item);
+            if let Err(e) = maintain::delete_item(entry, item) {
+                crate::driver::record_item_quarantine(&f.name, &e);
+            }
         }
         cache.invalidate_items(entry, &deleted_items);
     }
@@ -227,25 +197,6 @@ pub fn cse_function(
         kept_across_call,
         deleted_items,
     }
-}
-
-/// Conservative conflict for CSE invalidation at a store.
-fn may_conflict_for_cse(
-    a: &Avail,
-    store: &MemRef,
-    store_item: Option<ItemId>,
-    query: Option<&CachedQuery<'_>>,
-    use_hli: bool,
-) -> bool {
-    let gcc = gccdep::may_conflict(&a.mem, store);
-    if !use_hli {
-        return gcc;
-    }
-    let hli = match (query, a.item, store_item) {
-        (Some(q), Some(x), Some(y)) => q.get_equiv_acc(x, y).may_overlap(),
-        _ => true,
-    };
-    gcc && hli
 }
 
 /// A redefined register invalidates entries addressing through it or
@@ -397,5 +348,43 @@ mod tests {
         for it in &r.deleted_items {
             assert!(map.insn_of(*it).is_none());
         }
+    }
+
+    #[test]
+    fn failed_item_deletion_is_counted_and_recorded() {
+        let (p, s) =
+            compile_to_ast("int g;\nint main() { int a; int b; a = g; b = g; return a + b; }")
+                .unwrap();
+        let prog = lower_program(&p, &s);
+        let f = prog.func("main").unwrap();
+        let hli = generate_hli(&p, &s);
+        let mut entry = hli.entry("main").unwrap().clone();
+        let mut map = map_function(f, &entry);
+        // Tamper: the reloaded item stays mapped but leaves the line table,
+        // so deleting it after elimination must fail.
+        let reload = f.insns.iter().filter(|i| matches!(i.op, Op::Load(..))).nth(1).unwrap();
+        let item = map.item_of(reload.id).unwrap();
+        assert!(entry.line_table.remove_item(item));
+        let reg = std::sync::Arc::new(hli_obs::MetricsRegistry::new());
+        let sink = std::sync::Arc::new(hli_obs::ProvenanceSink::new());
+        let r = {
+            let _m = hli_obs::metrics::scoped(reg.clone());
+            let _s = hli_obs::provenance::scoped(sink.clone());
+            cse_function(
+                f,
+                Some((&mut entry, &mut map)),
+                DepMode::Combined,
+                &hli_lir::TableBackend::scalar(),
+            )
+        };
+        assert_eq!(r.deleted_items, vec![item]);
+        assert_eq!(reg.snapshot().counter("backend.quarantine.items"), 1);
+        let records = sink.drain();
+        let q = records.iter().find(|r| r.pass == "quarantine.item").expect("a record");
+        assert!(
+            matches!(&q.verdict, hli_obs::Verdict::Blocked { reason } if reason.contains("not in line table")),
+            "{q:?}"
+        );
+        assert!(map.insn_of(item).is_none());
     }
 }

@@ -3,87 +3,15 @@
 //! This pass is the instrumented decision point of the paper's Table 2:
 //! for every pair of memory references in a basic block with at least one
 //! write, a *dependence query* is made ("do A and B refer to the same
-//! memory location?"). The GCC-local answer ([`crate::gccdep`]) and the
-//! HLI answer (`HLI_GetEquivAcc`, through the mapping) are counted
-//! separately, and the Figure-5 combiner (`gcc_value * hli_value`) decides
-//! the edge in [`DepMode::Combined`]. Call ↔ memory queries go through
-//! `HLI_GetCallAcc` (REF/MOD).
+//! memory location?"), and every call ↔ memory pair asks the call's
+//! REF/MOD entry. Both go to the function's [`MemDisambiguator`], which
+//! counts Table 2's columns and applies the Figure-5 combiner; this module
+//! turns its verdicts into edges and `sched.pair`/`sched.call` records.
 
 use crate::cfg::Block;
-use crate::gccdep;
-use crate::mapping::HliMap;
+use crate::disamb::{Access, MemDisambiguator};
+pub use crate::disamb::{DepMode, QueryStats};
 use crate::rtl::RtlFunc;
-use hli_core::CachedQuery;
-
-/// Which analyzer gates dependence edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DepMode {
-    /// GCC's own test only (the baseline build).
-    GccOnly,
-    /// HLI only (the paper's "HLI result" column — measured, not shipped).
-    HliOnly,
-    /// `gcc_value * hli_value` (Figure 5; the paper's "Combined" column).
-    Combined,
-}
-
-/// Query counters matching Table 2's columns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Memory-pair dependence tests (≥ 1 write in the pair).
-    pub total_tests: u64,
-    /// Times GCC had to answer "may conflict".
-    pub gcc_yes: u64,
-    /// Times the HLI answered "may overlap" (unknown counts as yes).
-    pub hli_yes: u64,
-    /// Times both said yes (the Figure-5 product).
-    pub combined_yes: u64,
-    /// Call ↔ memory REF/MOD queries (tracked separately; the paper's
-    /// table counts location-pair tests).
-    pub call_queries: u64,
-}
-
-impl QueryStats {
-    pub fn add(&mut self, other: &QueryStats) {
-        self.total_tests += other.total_tests;
-        self.gcc_yes += other.gcc_yes;
-        self.hli_yes += other.hli_yes;
-        self.combined_yes += other.combined_yes;
-        self.call_queries += other.call_queries;
-    }
-
-    /// Table 2's "Reduction" column: 1 − combined/gcc.
-    pub fn reduction(&self) -> f64 {
-        if self.gcc_yes == 0 {
-            0.0
-        } else {
-            1.0 - self.combined_yes as f64 / self.gcc_yes as f64
-        }
-    }
-
-    /// Mirror these totals into the `backend.ddg.*` counters of `reg`.
-    /// The struct itself stays the unit of accumulation inside DDG
-    /// construction (so Table-2 arithmetic is untouched); the registry gets
-    /// the same totals for `--stats` output and cross-layer reports.
-    pub fn record(&self, reg: &hli_obs::MetricsRegistry) {
-        reg.counter("backend.ddg.total_tests").add(self.total_tests);
-        reg.counter("backend.ddg.gcc_yes").add(self.gcc_yes);
-        reg.counter("backend.ddg.hli_yes").add(self.hli_yes);
-        reg.counter("backend.ddg.combined_yes").add(self.combined_yes);
-        reg.counter("backend.ddg.call_queries").add(self.call_queries);
-    }
-
-    /// View constructor: rebuild Table-2 totals from a metrics snapshot
-    /// (the inverse of [`QueryStats::record`]).
-    pub fn from_registry(snap: &hli_obs::MetricsSnapshot) -> QueryStats {
-        QueryStats {
-            total_tests: snap.counter("backend.ddg.total_tests"),
-            gcc_yes: snap.counter("backend.ddg.gcc_yes"),
-            hli_yes: snap.counter("backend.ddg.hli_yes"),
-            combined_yes: snap.counter("backend.ddg.combined_yes"),
-            call_queries: snap.counter("backend.ddg.call_queries"),
-        }
-    }
-}
 
 /// The dependence graph of one basic block, over the block's schedulable
 /// instruction positions.
@@ -113,23 +41,9 @@ impl Ddg {
     }
 }
 
-/// Access to HLI facts during DDG construction. Queries go through the
-/// memoizing [`CachedQuery`] layer, so repeated probes of the same item
-/// pair (a second scheduling pass, a later pass over the same function)
-/// are answered from the cache.
-pub struct HliSide<'a> {
-    pub query: &'a CachedQuery<'a>,
-    pub map: &'a HliMap,
-}
-
-/// Build the dependence graph of one block.
-pub fn build_block_ddg(
-    f: &RtlFunc,
-    block: &Block,
-    hli: Option<&HliSide<'_>>,
-    mode: DepMode,
-    stats: &mut QueryStats,
-) -> Ddg {
+/// Build the dependence graph of one block, asking `disamb` every memory and
+/// call question (it accumulates Table 2's counters).
+pub fn build_block_ddg(f: &RtlFunc, block: &Block, disamb: &mut MemDisambiguator<'_>) -> Ddg {
     let nodes: Vec<usize> = crate::cfg::schedulable(f, block);
     let n = nodes.len();
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -173,7 +87,6 @@ pub fn build_block_ddg(
     }
 
     // Memory and call dependences.
-    let ring = hli_obs::ring::global();
     let prov = hli_obs::provenance::active();
     // One causal span per block DDG. Allocated whenever provenance is on
     // (not only when records end up written) so the id stream — shared
@@ -183,89 +96,77 @@ pub fn build_block_ddg(
     } else {
         0
     };
+    // Records are written only when HLI answered: a decision without HLI
+    // cites nothing. `Applied` means no edge was needed (the scheduler may
+    // reorder; the Figure-5 hoist when one side is a call), `blocked`
+    // says why the edge stays. `mem_idx` gives the record's region and
+    // line, `mark` the queries this one decision consumed.
+    let sink = prov.as_deref().filter(|_| disamb.has_hli());
+    let record = |sink: &hli_obs::ProvenanceSink,
+                  disamb: &MemDisambiguator<'_>,
+                  pass: &str,
+                  mem_idx: usize,
+                  mark: usize,
+                  blocked: Option<String>| {
+        sink.record(hli_obs::DecisionRecord {
+            pass: pass.to_string(),
+            function: f.name.clone(),
+            region_id: disamb.region(disamb.item(f.insns[mem_idx].id)),
+            order: f.insns[mem_idx].line,
+            span,
+            // Pair/call answers have no per-decision cycle estimate of
+            // their own: their benefit materializes in the block's
+            // `sched.block` record, which shares this span.
+            est_cycles: 0,
+            hli_queries: disamb.queries_since(mark),
+            verdict: match blocked {
+                Some(reason) => hli_obs::Verdict::Blocked { reason },
+                None => hli_obs::Verdict::Applied,
+            },
+        });
+    };
     for k in 0..n {
-        let opk = &f.insns[nodes[k]].op;
-        let k_mem = opk.mem_ref().copied();
-        let k_call = opk.is_call();
+        let ik = &f.insns[nodes[k]];
+        let k_mem = ik.op.mem_ref();
+        let k_call = ik.op.is_call();
         if k_mem.is_none() && !k_call {
             continue;
         }
         for j in 0..k {
-            let opj = &f.insns[nodes[j]].op;
-            let j_mem = opj.mem_ref().copied();
-            let j_call = opj.is_call();
-            let dep = match (&j_mem, j_call, &k_mem, k_call) {
+            let ij = &f.insns[nodes[j]];
+            let j_call = ij.op.is_call();
+            let dep = match (ij.op.mem_ref(), j_call, k_mem, k_call) {
                 (Some(a), _, Some(b), _) => {
-                    if !(opj.is_store() || opk.is_store()) {
+                    if !(ij.op.is_store() || ik.op.is_store()) {
                         continue; // read-read: no query, no edge
                     }
-                    stats.total_tests += 1;
-                    let mark = hli.map(|s| s.query.query_mark()).unwrap_or(0);
-                    let gcc = gccdep::may_conflict(a, b);
-                    let hli_ans = hli_pair_answer(f, nodes[j], nodes[k], hli);
-                    if gcc {
-                        stats.gcc_yes += 1;
+                    let mark = disamb.mark();
+                    let ans = disamb.pair(
+                        Access { mem: *a, item: disamb.item(ij.id) },
+                        Access { mem: *b, item: disamb.item(ik.id) },
+                    );
+                    if let Some(sink) = sink {
+                        let why = ans
+                            .conflict
+                            .then(|| format!("reorder blocked: gcc={} hli={}", ans.gcc, ans.hli));
+                        record(sink, disamb, "sched.pair", nodes[k], mark, why);
                     }
-                    if hli_ans {
-                        stats.hli_yes += 1;
-                    }
-                    if gcc && hli_ans {
-                        stats.combined_yes += 1;
-                    }
-                    ring.push_with("ddg.test", || {
-                        format!(
-                            "{}: mem pair insn#{} vs insn#{}: gcc={gcc} hli={hli_ans}",
-                            f.name, nodes[j], nodes[k]
-                        )
-                    });
-                    let dep = match mode {
-                        DepMode::GccOnly => gcc,
-                        DepMode::HliOnly => hli_ans,
-                        DepMode::Combined => gcc && hli_ans,
-                    };
-                    if let (Some(sink), Some(side)) = (prov.as_deref(), hli) {
-                        record_decision(
-                            sink,
-                            side,
-                            f,
-                            "sched.pair",
-                            nodes[k],
-                            mark,
-                            span,
-                            dep,
-                            || format!("reorder blocked: gcc={gcc} hli={hli_ans}"),
-                        );
-                    }
-                    dep
+                    ans.conflict
                 }
                 (_, true, _, true) => true, // calls stay ordered
-                (Some(m), _, _, true) | (_, true, Some(m), _) => {
-                    stats.call_queries += 1;
-                    let mem_is_store = (j_call && opk.is_store()) || (k_call && opj.is_store());
+                (Some(_), _, _, true) | (_, true, Some(_), _) => {
                     let (mem_idx, call_idx) = if j_call {
                         (nodes[k], nodes[j])
                     } else {
                         (nodes[j], nodes[k])
                     };
-                    let mark = hli.map(|s| s.query.query_mark()).unwrap_or(0);
-                    let hli_ans = hli_call_answer(f, mem_idx, call_idx, mem_is_store, hli);
-                    let _ = m;
-                    let dep = match mode {
-                        DepMode::GccOnly => true, // GCC: calls clobber memory
-                        DepMode::HliOnly | DepMode::Combined => hli_ans,
-                    };
-                    if let (Some(sink), Some(side)) = (prov.as_deref(), hli) {
-                        record_decision(
-                            sink,
-                            side,
-                            f,
-                            "sched.call",
-                            mem_idx,
-                            mark,
-                            span,
-                            dep,
-                            || "call may touch location (REF/MOD)".to_string(),
-                        );
+                    let (mem, call) = (&f.insns[mem_idx], &f.insns[call_idx]);
+                    let mark = disamb.mark();
+                    let dep =
+                        disamb.call(disamb.item(mem.id), disamb.item(call.id), mem.op.is_store());
+                    if let Some(sink) = sink {
+                        let why = dep.then(|| "call may touch location (REF/MOD)".to_string());
+                        record(sink, disamb, "sched.call", mem_idx, mark, why);
                     }
                     dep
                 }
@@ -285,89 +186,11 @@ pub fn build_block_ddg(
     Ddg { nodes, preds, succs, mem_edges, span }
 }
 
-/// Append one scheduling decision to the provenance sink: `Applied` when
-/// no dependence edge was needed (the scheduler may reorder across this
-/// pair — the Figure-5 hoist when one side is a call), `Blocked` when the
-/// edge was kept. `mem_idx` is the instruction whose region/line the
-/// record is attributed to; `mark` captures the query chain consumed by
-/// this one decision.
-#[allow(clippy::too_many_arguments)]
-fn record_decision(
-    sink: &hli_obs::ProvenanceSink,
-    side: &HliSide<'_>,
-    f: &RtlFunc,
-    pass: &str,
-    mem_idx: usize,
-    mark: usize,
-    span: u64,
-    dep: bool,
-    reason: impl FnOnce() -> String,
-) {
-    let region = side
-        .map
-        .item_of(f.insns[mem_idx].id)
-        .and_then(|it| side.query.owner_of(it))
-        .map(|r| r.0);
-    let verdict = if dep {
-        hli_obs::Verdict::Blocked { reason: reason() }
-    } else {
-        hli_obs::Verdict::Applied
-    };
-    sink.record(hli_obs::DecisionRecord {
-        pass: pass.to_string(),
-        function: f.name.clone(),
-        region_id: region,
-        order: f.insns[mem_idx].line,
-        span,
-        // Pair/call answers have no per-decision cycle estimate of their
-        // own: their benefit materializes in the block's `sched.block`
-        // record, which shares this span.
-        est_cycles: 0,
-        hli_queries: side.query.queries_since(mark),
-        verdict,
-    });
-}
-
-/// HLI answer for a memory pair: may they overlap (same iteration)?
-/// Unmapped references answer *yes* (the paper's unknown).
-fn hli_pair_answer(f: &RtlFunc, i: usize, j: usize, hli: Option<&HliSide<'_>>) -> bool {
-    let Some(side) = hli else { return true };
-    let (Some(a), Some(b)) = (side.map.item_of(f.insns[i].id), side.map.item_of(f.insns[j].id))
-    else {
-        return true;
-    };
-    side.query.get_equiv_acc(a, b).may_overlap()
-}
-
-/// HLI answer for a call ↔ memory pair via REF/MOD: a load conflicts when
-/// the call may modify the location; a store also conflicts when the call
-/// may reference it.
-fn hli_call_answer(
-    f: &RtlFunc,
-    mem_idx: usize,
-    call_idx: usize,
-    mem_is_store: bool,
-    hli: Option<&HliSide<'_>>,
-) -> bool {
-    let Some(side) = hli else { return true };
-    let (Some(mem), Some(call)) = (
-        side.map.item_of(f.insns[mem_idx].id),
-        side.map.item_of(f.insns[call_idx].id),
-    ) else {
-        return true;
-    };
-    let acc = side.query.get_call_acc(mem, call);
-    if mem_is_store {
-        acc.may_modify() || acc.may_reference()
-    } else {
-        acc.may_modify()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cfg::blocks;
+    use crate::disamb::HliSide;
     use crate::lower::lower_program;
     use crate::mapping::map_function;
     use hli_frontend::generate_hli;
@@ -382,14 +205,12 @@ mod tests {
         let cache = hli_core::QueryCache::new();
         let q = cache.attach(entry);
         let map = map_function(f, entry);
-        let side = HliSide { query: &q, map: &map };
-        let mut stats = QueryStats::default();
+        let mut disamb = MemDisambiguator::new(Some(HliSide { query: &q, map: &map }), mode);
         let mut edges = 0;
         for b in blocks(f) {
-            let g = build_block_ddg(f, &b, Some(&side), mode, &mut stats);
-            edges += g.mem_edges;
+            edges += build_block_ddg(f, &b, &mut disamb).mem_edges;
         }
-        (stats, edges)
+        (disamb.stats, edges)
     }
 
     #[test]
@@ -458,21 +279,19 @@ mod tests {
         let q = cache.attach(entry);
         let map = map_function(f, entry);
         let side = HliSide { query: &q, map: &map };
-        let mut st_gcc = QueryStats::default();
-        let mut st_hli = QueryStats::default();
+        let mut d_gcc = MemDisambiguator::new(Some(side), DepMode::GccOnly);
+        let mut d_hli = MemDisambiguator::new(Some(side), DepMode::Combined);
         let mut gcc_edges = 0;
         let mut hli_edges = 0;
         for b in blocks(f) {
-            gcc_edges +=
-                build_block_ddg(f, &b, Some(&side), DepMode::GccOnly, &mut st_gcc).mem_edges;
-            hli_edges +=
-                build_block_ddg(f, &b, Some(&side), DepMode::Combined, &mut st_hli).mem_edges;
+            gcc_edges += build_block_ddg(f, &b, &mut d_gcc).mem_edges;
+            hli_edges += build_block_ddg(f, &b, &mut d_hli).mem_edges;
         }
         assert!(
             hli_edges < gcc_edges,
             "REF/MOD must relax call ordering: gcc {gcc_edges} vs hli {hli_edges}"
         );
-        assert!(st_hli.call_queries > 0);
+        assert!(d_hli.stats.call_queries > 0);
     }
 
     #[test]
@@ -499,10 +318,10 @@ mod tests {
         let cache = hli_core::QueryCache::new();
         let q = cache.attach(entry);
         let map = map_function(f, entry);
-        let side = HliSide { query: &q, map: &map };
-        let mut stats = QueryStats::default();
+        let mut disamb =
+            MemDisambiguator::new(Some(HliSide { query: &q, map: &map }), DepMode::HliOnly);
         for b in blocks(f) {
-            let g = build_block_ddg(f, &b, Some(&side), DepMode::HliOnly, &mut stats);
+            let g = build_block_ddg(f, &b, &mut disamb);
             let call_pos = g.nodes.iter().position(
                 |&i| matches!(&f.insns[i].op, crate::rtl::Op::Call { func, .. } if func == "f2"),
             );
@@ -527,9 +346,9 @@ mod tests {
         let (p, s) = compile_to_ast(src).unwrap();
         let prog = lower_program(&p, &s);
         let f = prog.func("main").unwrap();
-        let mut stats = QueryStats::default();
+        let mut disamb = MemDisambiguator::new(None, DepMode::GccOnly);
         for b in blocks(f) {
-            let g = build_block_ddg(f, &b, None, DepMode::GccOnly, &mut stats);
+            let g = build_block_ddg(f, &b, &mut disamb);
             for (k, ps) in g.preds.iter().enumerate() {
                 for &pp in ps {
                     assert!(pp < k, "edges point forward only");

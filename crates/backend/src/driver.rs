@@ -41,7 +41,7 @@
 //! quarantine output obeys the same determinism contract as everything
 //! else.
 
-use crate::ddg::{DepMode, HliSide, QueryStats};
+use crate::disamb::{DepMode, HliSide, QueryStats};
 use crate::rtl::RtlProgram;
 use crate::sched::{schedule_function, SchedResult};
 use hli_core::image::EntryRef;
@@ -59,14 +59,28 @@ pub fn record_quarantine(function: &str, region: Option<u32>, error_count: u64, 
     let r = hli_obs::metrics::cur();
     r.counter("backend.quarantine.units").inc();
     r.counter("backend.quarantine.errors").add(error_count);
+    record_blocked("quarantine.unit", function, region, reason);
+}
+
+/// Record one item whose maintenance failed after a pass rewrote its code
+/// (CSE deleted the reference, LICM hoisted it), so the entry no longer
+/// matches the code at that item: `backend.quarantine.items`, created
+/// only here like [`record_quarantine`]'s counters, plus a `Blocked`
+/// `quarantine.item` decision naming the error.
+pub(crate) fn record_item_quarantine(function: &str, err: &hli_core::maintain::MaintainError) {
+    hli_obs::metrics::cur().counter("backend.quarantine.items").inc();
+    record_blocked("quarantine.item", function, None, &err.to_string());
+}
+
+fn record_blocked(pass: &str, function: &str, region: Option<u32>, reason: &str) {
     if let Some(sink) = hli_obs::provenance::active() {
         sink.record(hli_obs::DecisionRecord {
-            pass: "quarantine.unit".to_string(),
+            pass: pass.to_string(),
             function: function.to_string(),
             region_id: region,
             order: 0,
-            // Quarantine happens before any decision context exists: no
-            // span, no benefit estimate (span 0 is the documented "none").
+            // Quarantine happens outside any decision context: no span,
+            // no benefit estimate (span 0 is the documented "none").
             span: 0,
             est_cycles: 0,
             hli_queries: Vec::new(),

@@ -18,9 +18,11 @@
 //!   class (distinct named objects don't conflict, constant offsets
 //!   disambiguate, anything through a pointer conflicts, calls clobber
 //!   everything);
-//! * [`ddg`] — data dependence graph construction for the scheduler with
-//!   the Figure-5 combiner (`gcc_value * hli_value`) and the Table-2 query
-//!   counters;
+//! * [`disamb`] — the one memory disambiguator: GCC's rule, the HLI
+//!   query, the Figure-5 combiner (`gcc_value * hli_value`) per
+//!   [`DepMode`] and the Table-2 query counters, asked by the DDG, CSE and
+//!   LICM alike;
+//! * [`ddg`] — data dependence graph construction for the scheduler;
 //! * [`lir`] — RTL → canonical-LIR lowering: the pre-resolved op-class /
 //!   operand-kind view ([`hli_lir`]) the scheduler and benefit estimators
 //!   price instructions through, against the active
@@ -38,6 +40,7 @@
 pub mod cfg;
 pub mod cse;
 pub mod ddg;
+pub mod disamb;
 pub mod driver;
 pub mod gccdep;
 pub mod licm;
@@ -48,7 +51,7 @@ pub mod rtl;
 pub mod sched;
 pub mod unroll;
 
-pub use ddg::{DepMode, QueryStats};
+pub use disamb::{DepMode, QueryStats};
 pub use driver::{schedule_program_passes, PassSpec};
 pub use lir::{lir_function, op_class};
 pub use lower::lower_program;

@@ -9,12 +9,11 @@
 //! [`hli_core::maintain::move_item_to_region`] — the second maintenance
 //! case of Section 3.2.3.
 
-use crate::ddg::DepMode;
-use crate::gccdep;
+use crate::disamb::{Access, DepMode, HliSide, MemDisambiguator};
 use crate::mapping::HliMap;
 use crate::rtl::{Label, Op, RtlFunc};
 use hli_core::maintain;
-use hli_core::{CachedQuery, HliEntry, QueryCache};
+use hli_core::{HliEntry, QueryCache};
 use hli_lir::{MachineBackend, OpClass};
 use std::collections::HashSet;
 
@@ -78,23 +77,25 @@ fn innermost(loops: &[RtlLoop]) -> Vec<RtlLoop> {
 /// conflicting store/call in the loop; item maintenance is applied.
 pub fn licm_function(
     f: &RtlFunc,
-    mut hli: Option<(&mut HliEntry, &mut HliMap)>,
+    hli: Option<(&mut HliEntry, &mut HliMap)>,
     mode: DepMode,
     mach: &dyn MachineBackend,
 ) -> LicmResult {
     // Cycles one avoided in-loop load costs, at the active machine's load
     // latency — the same table the scheduler and simulator read.
     let est_load_cycles = mach.class_latency(OpClass::Load);
-    let use_hli = matches!(mode, DepMode::HliOnly | DepMode::Combined) && hli.is_some();
-    let query_entry = hli.as_ref().map(|(e, _)| (**e).clone());
     let cache = QueryCache::new();
-    let query = query_entry.as_ref().map(|e| cache.attach(e));
     let prov = hli_obs::provenance::active();
 
     let loops = innermost(&find_loops(f));
     let mut hoist: Vec<(usize, usize)> = Vec::new(); // (insn index, insert-before index)
     let mut taken: HashSet<usize> = HashSet::new();
 
+    // The legality scan only reads the entry; maintenance follows it.
+    let query = hli.as_ref().map(|(e, _)| cache.attach(e));
+    let side = query.as_ref().zip(hli.as_ref()).map(|(query, (_, map))| HliSide { query, map });
+    // GCC's LICM consults no HLI.
+    let mut disamb = MemDisambiguator::new(side.filter(|_| mode != DepMode::GccOnly), mode);
     for lp in &loops {
         let range = lp.head..=lp.tail;
         // Registers defined inside the loop.
@@ -134,84 +135,51 @@ pub fn licm_function(
                 continue;
             }
             // No conflicting store or call in the loop.
-            let mark = query.as_ref().map(|q| q.query_mark()).unwrap_or(0);
+            let load = Access { mem: *m, item: disamb.item(f.insns[i].id) };
+            let mark = disamb.mark();
             // One causal span per hoist candidate's legality scan.
-            let span = if use_hli && prov.is_some() {
+            let span = if disamb.has_hli() && prov.is_some() {
                 hli_obs::provenance::next_span_id()
             } else {
                 0
             };
-            let mut safe = true;
-            let mut block_reason = "";
-            for j in lp.head..=lp.tail {
-                match &f.insns[j].op {
-                    Op::Store(sm, _) => {
-                        let gcc = gccdep::may_conflict(m, sm);
-                        let conflict = if use_hli {
-                            let h =
-                                hli_pair(f, i, j, hli.as_ref().map(|(_, m)| &**m), query.as_ref());
-                            gcc && h
-                        } else {
-                            gcc
-                        };
-                        if conflict {
-                            safe = false;
-                            block_reason = "conflicting store in loop";
-                            break;
-                        }
-                    }
-                    Op::Call { .. } => {
-                        let conflict = if use_hli {
-                            hli_call(f, i, j, hli.as_ref().map(|(_, m)| &**m), query.as_ref())
-                        } else {
-                            true
-                        };
-                        if conflict {
-                            safe = false;
-                            block_reason = "call in loop may modify location";
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if safe {
+            let blocked = (lp.head..=lp.tail).find_map(|j| match &f.insns[j].op {
+                Op::Store(sm, _) => disamb
+                    .hoist(load, Access { mem: *sm, item: disamb.item(f.insns[j].id) })
+                    .then_some("conflicting store in loop"),
+                Op::Call { .. } => disamb
+                    .call(load.item, disamb.item(f.insns[j].id), false)
+                    .then_some("call in loop may modify location"),
+                _ => None,
+            });
+            if blocked.is_none() {
                 hoist.push((i, lp.head));
                 taken.insert(i);
             }
             // One decision record per hoist candidate that reached the
             // legality scan (HLI-gated modes only — a GCC-only hoist cites
             // no queries and is not part of the audit trail).
-            if use_hli {
-                if let (Some(sink), Some(q)) = (prov.as_deref(), query.as_ref()) {
-                    let region = hli
-                        .as_ref()
-                        .and_then(|(_, map)| map.item_of(f.insns[i].id))
-                        .and_then(|it| q.owner_of(it))
-                        .map(|r| r.0);
-                    let verdict = if safe {
-                        hli_obs::Verdict::Applied
+            if let (Some(sink), true) = (prov.as_deref(), disamb.has_hli()) {
+                sink.record(hli_obs::DecisionRecord {
+                    pass: "licm.hoist".into(),
+                    function: f.name.clone(),
+                    region_id: disamb.region(load.item),
+                    order: f.insns[i].line,
+                    span,
+                    // A hoisted load runs once instead of once per
+                    // iteration; trip counts are unknown here, so the
+                    // estimate assumes NOMINAL_TRIP iterations.
+                    est_cycles: if blocked.is_none() {
+                        (NOMINAL_TRIP - 1) * est_load_cycles
                     } else {
-                        hli_obs::Verdict::Blocked { reason: block_reason.to_string() }
-                    };
-                    sink.record(hli_obs::DecisionRecord {
-                        pass: "licm.hoist".into(),
-                        function: f.name.clone(),
-                        region_id: region,
-                        order: f.insns[i].line,
-                        span,
-                        // A hoisted load runs once instead of once per
-                        // iteration; trip counts are unknown here, so the
-                        // estimate assumes NOMINAL_TRIP iterations.
-                        est_cycles: if safe {
-                            (NOMINAL_TRIP - 1) * est_load_cycles
-                        } else {
-                            0
-                        },
-                        hli_queries: q.queries_since(mark),
-                        verdict,
-                    });
-                }
+                        0
+                    },
+                    hli_queries: disamb.queries_since(mark),
+                    verdict: match blocked {
+                        None => hli_obs::Verdict::Applied,
+                        Some(reason) => hli_obs::Verdict::Blocked { reason: reason.to_string() },
+                    },
+                });
             }
         }
     }
@@ -237,20 +205,23 @@ pub fn licm_function(
     func.insns = insns;
 
     // HLI maintenance: re-home each hoisted item to the parent region,
-    // then invalidate the memos mentioning the moved items.
-    if let Some((entry, map)) = hli.as_mut() {
+    // then invalidate the memos mentioning the moved items. An item that
+    // cannot move no longer describes its instruction: it is counted,
+    // recorded and unbound, so later passes answer "unknown" for it.
+    if let Some((entry, map)) = hli {
         let mut moved = Vec::new();
         for &(i, _) in &hoist {
-            let insn_id = f.insns[i].id;
-            if let Some(item) = map.item_of(insn_id) {
-                if let Some(owner) = entry.owning_region(item) {
-                    if let Some(parent) = entry.region(owner).parent {
-                        let line =
-                            entry.line_table.find(item).map(|(l, _)| l).unwrap_or(f.insns[i].line);
-                        if maintain::move_item_to_region(entry, item, parent, line).is_ok() {
-                            moved.push(item);
-                        }
-                    }
+            let Some(item) = map.item_of(f.insns[i].id) else { continue };
+            let Some(parent) = entry.owning_region(item).and_then(|r| entry.region(r).parent)
+            else {
+                continue;
+            };
+            let line = entry.line_table.find(item).map(|(l, _)| l).unwrap_or(f.insns[i].line);
+            match maintain::move_item_to_region(entry, item, parent, line) {
+                Ok(()) => moved.push(item),
+                Err(e) => {
+                    map.unbind_item(item);
+                    crate::driver::record_item_quarantine(&f.name, &e);
                 }
             }
         }
@@ -259,36 +230,6 @@ pub fn licm_function(
 
     hli_obs::metrics::cur().counter("backend.licm.hoisted").add(hoist.len() as u64);
     LicmResult { func, hoisted: hoist.len() }
-}
-
-fn hli_pair(
-    f: &RtlFunc,
-    i: usize,
-    j: usize,
-    map: Option<&HliMap>,
-    query: Option<&CachedQuery<'_>>,
-) -> bool {
-    let (Some(map), Some(q)) = (map, query) else { return true };
-    let (Some(a), Some(b)) = (map.item_of(f.insns[i].id), map.item_of(f.insns[j].id)) else {
-        return true;
-    };
-    // Hoisting needs cross-iteration safety too: same-iteration overlap OR
-    // any loop-carried arc blocks the move.
-    q.get_equiv_acc(a, b).may_overlap() || q.get_lcdd(a, b).is_some()
-}
-
-fn hli_call(
-    f: &RtlFunc,
-    mem: usize,
-    call: usize,
-    map: Option<&HliMap>,
-    query: Option<&CachedQuery<'_>>,
-) -> bool {
-    let (Some(map), Some(q)) = (map, query) else { return true };
-    let (Some(m), Some(c)) = (map.item_of(f.insns[mem].id), map.item_of(f.insns[call].id)) else {
-        return true;
-    };
-    q.get_call_acc(m, c).may_modify()
 }
 
 #[cfg(test)]
@@ -432,5 +373,49 @@ mod tests {
         let inner = innermost(&all);
         assert_eq!(inner.len(), 1);
         assert!(inner[0].head > all.iter().map(|l| l.head).min().unwrap() || all.len() == 1);
+    }
+
+    #[test]
+    fn failed_item_move_is_counted_recorded_and_unbound() {
+        let src = "int g; int x[32];\n\
+            void k(int *p) { int i; for (i = 0; i < 32; i++) p[i] = g; }\n\
+            int main() { k(x); return 0; }";
+        let (p, s) = compile_to_ast(src).unwrap();
+        let prog = lower_program(&p, &s);
+        let f = prog.func("k").unwrap();
+        let hli = generate_hli(&p, &s);
+        let mut entry = hli.entry("k").unwrap().clone();
+        let mut map = map_function(f, &entry);
+        // Tamper: g's load item stays mapped and in its class but leaves
+        // the line table, so re-homing it after the hoist must fail.
+        let g_item = entry
+            .line_table
+            .items()
+            .find(|(_, it)| it.ty == hli_core::ItemType::Load)
+            .map(|(_, it)| it.id)
+            .unwrap();
+        assert!(entry.line_table.remove_item(g_item));
+        let reg = std::sync::Arc::new(hli_obs::MetricsRegistry::new());
+        let sink = std::sync::Arc::new(hli_obs::ProvenanceSink::new());
+        let r = {
+            let _m = hli_obs::metrics::scoped(reg.clone());
+            let _s = hli_obs::provenance::scoped(sink.clone());
+            licm_function(
+                f,
+                Some((&mut entry, &mut map)),
+                DepMode::Combined,
+                &hli_lir::TableBackend::scalar(),
+            )
+        };
+        assert_eq!(r.hoisted, 1);
+        assert_eq!(reg.snapshot().counter("backend.quarantine.items"), 1);
+        let records = sink.drain();
+        let q = records.iter().find(|r| r.pass == "quarantine.item").expect("a record");
+        assert!(
+            matches!(&q.verdict, hli_obs::Verdict::Blocked { reason } if reason.contains("not in line table")),
+            "{q:?}"
+        );
+        // Later passes answer "unknown" for the hoisted load.
+        assert!(map.insn_of(g_item).is_none());
     }
 }

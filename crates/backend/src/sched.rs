@@ -17,7 +17,8 @@
 //! target's issue width.
 
 use crate::cfg::{blocks, Block};
-use crate::ddg::{build_block_ddg, DepMode, HliSide, QueryStats};
+use crate::ddg::build_block_ddg;
+use crate::disamb::{DepMode, HliSide, MemDisambiguator, QueryStats};
 use crate::lir::lir_function;
 use crate::rtl::{Insn, Op, RtlFunc};
 use hli_lir::{LirFunc, MachineBackend};
@@ -45,15 +46,14 @@ pub fn schedule_function(
     let reg = hli_obs::metrics::cur();
     let ready_hist = reg.histogram("backend.sched.ready_list");
     let prov = hli_obs::provenance::active();
-    let mut stats = QueryStats::default();
+    let mut disamb = MemDisambiguator::new(hli.copied(), mode);
     let mut new_insns: Vec<Insn> = Vec::with_capacity(f.insns.len());
     let mut blocks_changed = 0;
     let lir = lir_function(f);
     let bs = blocks(f);
     let blocks_total = bs.len();
     for b in &bs {
-        let (order, span, est_cycles) =
-            schedule_block(f, &lir, b, hli, mode, mach, &mut stats, &ready_hist);
+        let (order, span, est_cycles) = schedule_block(f, &lir, b, &mut disamb, mach, &ready_hist);
         let mut emitted: Vec<Insn> = Vec::with_capacity(b.len());
         // Leading labels.
         let mut i = b.start;
@@ -109,6 +109,7 @@ pub fn schedule_function(
     func.insns = new_insns;
     // Mirror the Table-2 counters (and scheduler effect totals) into the
     // registry; `stats` itself remains the harness's unit of aggregation.
+    let stats = disamb.stats;
     stats.record(&reg);
     reg.counter("backend.sched.funcs").inc();
     reg.counter("backend.sched.blocks_total").add(blocks_total as u64);
@@ -120,18 +121,15 @@ pub fn schedule_function(
 /// order, the block's causal span id, and the estimated cycle benefit
 /// (program-order makespan minus scheduled makespan; 0 when provenance is
 /// off — the estimate only feeds `sched.block` records).
-#[allow(clippy::too_many_arguments)]
 fn schedule_block(
     f: &RtlFunc,
     lir: &LirFunc,
     b: &Block,
-    hli: Option<&HliSide<'_>>,
-    mode: DepMode,
+    disamb: &mut MemDisambiguator<'_>,
     mach: &dyn MachineBackend,
-    stats: &mut QueryStats,
     ready_hist: &hli_obs::Histogram,
 ) -> (Vec<usize>, u64, u64) {
-    let g = build_block_ddg(f, b, hli, mode, stats);
+    let g = build_block_ddg(f, b, disamb);
     let n = g.nodes.len();
     if n == 0 {
         return (Vec::new(), g.span, 0);
@@ -235,61 +233,21 @@ fn makespan(lir: &LirFunc, g: &crate::ddg::Ddg, mach: &dyn MachineBackend, seq: 
     span
 }
 
-/// Schedule every function of a program against its HLI file (the
-/// harness's standard path). Returns the scheduled program and the
-/// aggregated Table-2 query counters. Each call uses fresh per-function
-/// query caches; use [`schedule_program_cached`] to share memos across
-/// passes.
+/// Schedule every function of a program against its HLI file: one
+/// [`crate::driver::schedule_program_passes`] pass at `jobs` 1, so each
+/// unit crosses the same trust boundary as every other path. Returns the
+/// scheduled program and the aggregated Table-2 query counters.
 pub fn schedule_program(
     prog: &crate::rtl::RtlProgram,
     hli: &hli_core::HliFile,
     mode: DepMode,
     mach: &dyn MachineBackend,
 ) -> (crate::rtl::RtlProgram, QueryStats) {
-    let caches: std::collections::HashMap<String, hli_core::QueryCache> = prog
-        .funcs
-        .iter()
-        .map(|f| (f.name.clone(), hli_core::QueryCache::new()))
-        .collect();
-    schedule_program_cached(prog, |n| hli.entry(n), mode, mach, &caches)
-}
-
-/// Schedule every function, resolving owned HLI entries through `lookup`
-/// and memoizing query answers in the per-function `caches`. Passing the same `caches` map to several
-/// scheduling passes lets the second pass hit memos the first one filled;
-/// functions absent from `caches` get a throwaway cache.
-pub fn schedule_program_cached<'h>(
-    prog: &crate::rtl::RtlProgram,
-    lookup: impl Fn(&str) -> Option<&'h hli_core::HliEntry>,
-    mode: DepMode,
-    mach: &dyn MachineBackend,
-    caches: &std::collections::HashMap<String, hli_core::QueryCache>,
-) -> (crate::rtl::RtlProgram, QueryStats) {
-    let mut out = prog.clone();
-    let mut total = QueryStats::default();
-    for f in &mut out.funcs {
-        let entry = lookup(&f.name);
-        let r = match entry {
-            Some(e) => {
-                let fresh;
-                let cache = match caches.get(&f.name) {
-                    Some(c) => c,
-                    None => {
-                        fresh = hli_core::QueryCache::new();
-                        &fresh
-                    }
-                };
-                let q = cache.attach(e);
-                let map = crate::mapping::map_function(f, e);
-                let side = HliSide { query: &q, map: &map };
-                schedule_function(f, Some(&side), mode, mach)
-            }
-            None => schedule_function(f, None, DepMode::GccOnly, mach),
-        };
-        total.add(&r.stats);
-        *f = r.func;
-    }
-    (out, total)
+    let lookup = |n: &str| hli.entry(n).map(hli_core::image::EntryRef::Owned);
+    let pass = crate::driver::PassSpec { mode, caches: None };
+    crate::driver::schedule_program_passes(prog, &lookup, &[pass], mach, 1)
+        .pop()
+        .expect("one result per pass")
 }
 
 #[cfg(test)]
@@ -329,9 +287,9 @@ mod tests {
         // respects every edge.
         let pos: std::collections::HashMap<u32, usize> =
             new.insns.iter().enumerate().map(|(i, insn)| (insn.id, i)).collect();
-        let mut stats = QueryStats::default();
+        let mut disamb = MemDisambiguator::new(None, mode);
         for b in blocks(orig) {
-            let g = build_block_ddg(orig, &b, None, mode, &mut stats);
+            let g = build_block_ddg(orig, &b, &mut disamb);
             for (k, preds) in g.preds.iter().enumerate() {
                 for &p in preds {
                     let from = orig.insns[g.nodes[p]].id;

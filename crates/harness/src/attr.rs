@@ -40,9 +40,11 @@ pub fn tables_of(pass: &str) -> &'static [&'static str] {
     match pass {
         // Block scheduling benefit materializes on sched.block; the
         // pair/call probes under the same span cite the actual queries.
-        "sched.pair" | "sched.block" => &["equiv", "alias", "lcdd"],
+        // `get_equiv_acc` consults the alias table; the DDG never asks
+        // `get_lcdd` (same-iteration pairs only), but a hoist does.
+        "sched.pair" | "sched.block" => &["equiv", "alias"],
         "sched.call" | "cse.call" => &["call_refmod"],
-        "licm.hoist" => &["call_refmod", "equiv", "lcdd"],
+        "licm.hoist" => &["call_refmod", "equiv", "alias", "lcdd"],
         "unroll.loop" => &["region", "lcdd"],
         _ => &[],
     }

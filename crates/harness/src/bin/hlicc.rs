@@ -235,7 +235,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                         Some(entry) => cache.attach(entry),
                         None => cache.attach_ref(view),
                     };
-                    let side = hli_backend::ddg::HliSide { query: &q, map: &map };
+                    let side = hli_backend::disamb::HliSide { query: &q, map: &map };
                     let r = schedule_function(&cur, Some(&side), mode, mach);
                     stats.add(&r.stats);
                     r.func

@@ -80,13 +80,9 @@ impl ObsArgs {
     pub fn emit(&self) {
         let mut snap = hli_obs::metrics::global().snapshot();
         if self.stats.is_some() {
-            // Surface the lossy-buffer drop counts alongside the metrics so
-            // a truncated ring/trace is visible in the same snapshot that
-            // would otherwise silently under-report.
-            let ring = hli_obs::ring::global().dropped();
-            if ring > 0 {
-                snap.counters.insert("obs.ring.dropped".into(), ring);
-            }
+            // Surface the lossy span buffer's drop count alongside the
+            // metrics so a truncated trace is visible in the same snapshot
+            // that would otherwise silently under-report.
             let trace = hli_obs::trace::global().dropped();
             if trace > 0 {
                 snap.counters.insert("obs.trace.dropped".into(), trace);

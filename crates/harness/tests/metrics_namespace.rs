@@ -20,7 +20,7 @@ const DOCUMENTED_PREFIXES: &[&str] = &[
     "machine.",    // R4600/R10000 model execution
     "hli.",        // HLI decode/import and Table-2 query accounting
     "provenance.", // per-pass decision verdict tallies
-    "obs.",        // the observability layer's own overhead (ring, trace, mem, phase)
+    "obs.",        // the observability layer's own overhead (trace, mem, phase)
     "attr.",       // decision-to-cycles attribution (per-function and total)
     "serve.",      // the hlicc serve daemon: batches, cache hits/misses/bytes
 ];

@@ -99,6 +99,41 @@ fn hlicc_build_emits_stats_and_trace() {
     let _ = std::fs::remove_file(tmp_path("sample.hli"));
 }
 
+/// A schedule-only build of the Fig.4/Fig.5 fixture asks no loop-carried
+/// question (the DDG tests same-iteration pairs), so obsreport may credit
+/// `lcdd` with no scheduling decision.
+#[test]
+fn scheduling_asks_no_lcdd_and_credits_none() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/fig45.c");
+    let prov_path = tmp_path("fig45.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_hlicc"))
+        .args(["build", fixture, "--stats", "json", "--provenance-out"])
+        .arg(&prov_path)
+        .output()
+        .expect("hlicc runs");
+    assert!(
+        out.status.success(),
+        "hlicc failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stats = stats_json(&String::from_utf8(out.stdout).unwrap());
+    let lcdd = stats.get("counters").and_then(|c| c.get("hli.query.get_lcdd"));
+    assert_eq!(lcdd.and_then(|v| v.as_num()), Some(0.0), "scheduling asked get_lcdd");
+    let jsonl = std::fs::read_to_string(&prov_path).unwrap();
+    let _ = std::fs::remove_file(&prov_path);
+    let passes: std::collections::BTreeSet<String> = jsonl
+        .lines()
+        .filter_map(|l| hli_obs::DecisionRecord::parse_line(l).ok())
+        .map(|r| r.pass)
+        .filter(|p| p.starts_with("sched."))
+        .collect();
+    assert!(!passes.is_empty(), "the fixture schedules with HLI: {jsonl}");
+    for pass in &passes {
+        let tables = hli_harness::attr::tables_of(pass);
+        assert!(!tables.contains(&"lcdd"), "`{pass}` credits lcdd: {tables:?}");
+    }
+}
+
 #[test]
 fn plain_run_output_has_no_stats_block() {
     let src_path = tmp_path("plain.c");

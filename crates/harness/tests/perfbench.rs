@@ -111,17 +111,26 @@ fn perfbench_binary_emit_compare_round_trip() {
     assert_eq!(report.schema_version, hli_obs::SCHEMA_VERSION);
     assert_eq!(report.corpus.seeds, vec![5]);
 
-    // Self-compare: same corpus, fresh run, must gate clean (exit 0).
+    // Self-compare: same corpus, fresh run. Counters must match exactly
+    // and every section must be present; the soft time/rate/memory
+    // sections may trip on host noise between two back-to-back runs
+    // (their thresholds are unit-tested on fixed inputs in `perf.rs`).
     let ok = Command::new(env!("CARGO_BIN_EXE_perfbench"))
         .args(corpus_args)
         .args(["--compare", out.to_str().unwrap()])
         .output()
         .expect("perfbench runs");
-    assert!(
-        ok.status.success(),
-        "self-compare regressed: {}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&ok.stderr);
+    assert_ne!(ok.status.code(), Some(2), "self-compare refused: {stderr}");
+    let regressions: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("perfbench: REGRESSION: "))
+        .collect();
+    assert_eq!(ok.status.success(), regressions.is_empty(), "{stderr}");
+    for r in regressions {
+        let soft = ["time ", "rate ", "mem "].iter().any(|p| r.starts_with(p));
+        assert!(soft && !r.contains("-> missing"), "self-compare regressed: {r}");
+    }
 
     // Perturb an exact-section counter: the gate must fail with exit 1.
     let bad = out.with_extension("perturbed.json");

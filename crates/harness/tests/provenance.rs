@@ -4,7 +4,8 @@
 //! Applied/Blocked records, and `obsdiff` gates on snapshot regressions.
 
 use hli_backend::cse::cse_function;
-use hli_backend::ddg::{DepMode, HliSide};
+use hli_backend::ddg::DepMode;
+use hli_backend::disamb::HliSide;
 use hli_backend::lower::{lower_program, lower_with_loops};
 use hli_backend::mapping::map_function;
 use hli_backend::sched::schedule_function;

@@ -14,9 +14,6 @@
 //!   power-of-two histograms keyed by dotted string names
 //!   (`frontend.*`, `backend.ddg.*`, `machine.*`, `hli.query.*`), with a
 //!   hand-rolled JSON emitter and mergeable snapshots;
-//! * [`ring`] — a bounded ring buffer for per-instruction / per-query
-//!   debug events, **off by default** so the hot paths pay one relaxed
-//!   atomic load when disabled;
 //! * [`provenance`] — decision provenance: a lock-free append sink of
 //!   [`provenance::DecisionRecord`]s, one per back-end decision an HLI
 //!   answer justified (reorder allowed, CSE entry purged, load hoisted),
@@ -47,14 +44,12 @@ pub mod mem;
 pub mod metrics;
 pub mod phase;
 pub mod provenance;
-pub mod ring;
 pub mod shard;
 pub mod timing;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use provenance::{DecisionRecord, ProvenanceSink, QueryRef, Verdict};
-pub use ring::EventRing;
 pub use shard::{capture, capture_cfg, commit, CaptureCfg, ObsShard};
 pub use trace::{span, Clock, SpanGuard, Tracer};
 

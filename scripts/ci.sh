@@ -78,4 +78,7 @@ echo "== servebench check (docs/SERVE.md determinism contract: jobs-1-vs-8 and"
 echo "   cold-vs-warm byte identity, steady-state hit rate >= 80%)"
 target/release/servebench --programs 2 --funcs 5 --epochs 3 --jobs 4 --check > /dev/null
 
+echo "== benchmark build and self-test (hlibench builds against these crates; no timing)"
+python3 hlibench/run.py --test
+
 echo "CI green."

@@ -76,7 +76,7 @@ fn full_pass_stack(name: &str, src: &str, mode: DepMode, unroll_factor: Option<u
         // And the (possibly rewritten) code must still schedule legally.
         let cache = QueryCache::new();
         let q = cache.attach(&entry);
-        let side = hli_backend::ddg::HliSide { query: &q, map: &map };
+        let side = hli_backend::disamb::HliSide { query: &q, map: &map };
         let r = schedule_function(
             &cur,
             Some(&side),
