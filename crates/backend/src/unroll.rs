@@ -204,7 +204,8 @@ fn unroll_one(
             .find(|rg| matches!(rg.kind, RegionKind::Loop { header_line } if header_line == meta.header_line))
             .map(|rg| rg.id)
             .ok_or(())?;
-        let maps = maintain::unroll_loop(entry, region, factor, r > 0).map_err(|_| ())?;
+        let maps = maintain::unroll_loop(entry, region, factor, r > 0)
+            .map_err(|e| crate::driver::record_item_quarantine(&func.name, &e))?;
         item_maps = Some(maps);
     }
 
@@ -424,6 +425,48 @@ mod tests {
                 insn.id
             );
         }
+    }
+
+    #[test]
+    fn failed_table_maintenance_is_counted_recorded_and_skipped() {
+        let (p, s) = compile_to_ast(STREAM).unwrap();
+        let (prog, loops) = lower_with_loops(&p, &s);
+        let f = prog.func("main").unwrap();
+        let hli = generate_hli(&p, &s);
+        let mut entry = hli.entry("main").unwrap().clone();
+        let mut map = map_function(f, &entry);
+        // Tamper: the loop region claims a sub-region, so the Figure-6
+        // rebuild refuses it although the RTL loop is innermost.
+        let (loop_id, parent) = entry
+            .regions
+            .iter()
+            .find(|rg| rg.is_loop())
+            .map(|rg| (rg.id, rg.parent.unwrap()))
+            .unwrap();
+        entry.region_mut(loop_id).subregions.push(parent);
+        let reg = std::sync::Arc::new(hli_obs::MetricsRegistry::new());
+        let sink = std::sync::Arc::new(hli_obs::ProvenanceSink::new());
+        let r = {
+            let _m = hli_obs::metrics::scoped(reg.clone());
+            let _s = hli_obs::provenance::scoped(sink.clone());
+            unroll_function(
+                f,
+                &loops[&f.name],
+                4,
+                Some((&mut entry, &mut map)),
+                &hli_lir::TableBackend::scalar(),
+            )
+        };
+        assert_eq!((r.unrolled, r.skipped), (0, 1));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("backend.unroll.loops_skipped"), 1);
+        assert_eq!(snap.counter("backend.quarantine.items"), 1);
+        let records = sink.drain();
+        let q = records.iter().find(|r| r.pass == "quarantine.item").expect("a record");
+        assert!(
+            matches!(&q.verdict, hli_obs::Verdict::Blocked { reason } if reason.contains("sub-regions")),
+            "{q:?}"
+        );
     }
 
     #[test]

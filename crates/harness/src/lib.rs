@@ -104,17 +104,22 @@ impl BenchReport {
         self.machines.iter().copied().find(|m| m.machine == machine)
     }
 
-    /// HLI-over-GCC speedup on the named machine (`1.0` if not selected).
-    pub fn speedup_on(&self, machine: &str) -> f64 {
-        self.cycles_on(machine).map(|m| m.speedup()).unwrap_or(1.0)
+    /// HLI-over-GCC speedup on the named machine, `None` if it was not
+    /// selected for this run.
+    pub fn speedup_on(&self, machine: &str) -> Option<f64> {
+        self.cycles_on(machine).map(|m| m.speedup())
     }
 
+    /// Speedup on the R4600; panics if the run did not simulate it.
     pub fn speedup_r4600(&self) -> f64 {
         self.speedup_on("r4600")
+            .expect("speedup_r4600 on a run that did not simulate the R4600")
     }
 
+    /// Speedup on the R10000; panics if the run did not simulate it.
     pub fn speedup_r10000(&self) -> f64 {
         self.speedup_on("r10000")
+            .expect("speedup_r10000 on a run that did not simulate the R10000")
     }
 
     pub fn hli_bytes_per_line(&self) -> f64 {
@@ -420,7 +425,7 @@ pub fn format_table2(reports: &[BenchReport]) -> String {
             mean(&red)
         );
         for m in &machs {
-            let sp: Vec<f64> = rs.iter().map(|r| r.speedup_on(m)).collect();
+            let sp: Vec<f64> = rs.iter().filter_map(|r| r.speedup_on(m)).collect();
             let _ = write!(out, " {:>8.2}", geomean(&sp));
         }
         let _ = writeln!(out, "      ({label} mean)");
@@ -452,7 +457,10 @@ pub fn format_table2(reports: &[BenchReport]) -> String {
             r.reduction() * 100.0,
         );
         for m in &machs {
-            let _ = write!(out, " {:>8.2}", r.speedup_on(m));
+            let _ = match r.speedup_on(m) {
+                Some(sp) => write!(out, " {sp:>8.2}"),
+                None => write!(out, " {:>8}", "-"),
+            };
         }
         let _ = writeln!(out, " {:>3}", if r.validated { "ok" } else { "BAD" });
     }

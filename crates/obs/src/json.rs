@@ -1,9 +1,11 @@
-//! Minimal JSON support shared by the metric and trace emitters.
+//! Minimal JSON support shared by the metric and trace emitters and the
+//! serve daemon, without pulling an external crate into an offline build.
 //!
 //! Two halves: a writer ([`escape_into`], [`push_f64`]) used when emitting
-//! snapshots, and a small recursive-descent parser ([`parse`]) used by
-//! tests to check that emitted output is well-formed JSON without pulling
-//! an external crate into an offline build.
+//! snapshots, provenance and serve messages, and a small recursive-descent
+//! parser ([`parse`]). The parser decodes every `hlicc serve` request line
+//! and every cache object read on a hit, so it is linear in the document
+//! length: a string's unescaped runs are copied one slice at a time.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -81,7 +83,7 @@ pub fn push_f64(out: &mut String, v: f64) {
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -94,6 +96,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 const MAX_DEPTH: u32 = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -166,51 +169,42 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not needed by our emitters.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always well-formed).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next `"` or `\` as one slice. Both are
+            // ASCII, as is every escape, so a run starts and ends on a char
+            // boundary of `text`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex =
+                        self.bytes.get(self.pos + 1..self.pos + 5).ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                        16,
+                    )
+                    .map_err(|_| "bad \\u escape")?;
+                    // Surrogate pairs are not needed by our emitters.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -298,6 +292,89 @@ mod tests {
     fn rejects_pathological_nesting() {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(parse(&deep).is_err());
+    }
+
+    /// xorshift64: a seeded stream for the generated strings below.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A string of `len` chars mixing 1- to 4-byte UTF-8, quotes,
+    /// backslashes and control characters, so escapes often sit next to
+    /// each other (empty runs between them).
+    fn mixed_string(state: &mut u64, len: usize) -> String {
+        const POOL: [char; 16] = [
+            'a', 'Z', '7', ' ', 'é', 'ß', '€', '中', '𝄞', '😀', '"', '\\', '\n', '\t', '\u{1}',
+            '\u{1f}',
+        ];
+        (0..len).map(|_| POOL[(next(state) % POOL.len() as u64) as usize]).collect()
+    }
+
+    #[test]
+    fn escape_then_parse_roundtrips_generated_strings() {
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..500 {
+            let len = (next(&mut state) % 40) as usize;
+            let s = mixed_string(&mut state, len);
+            let mut doc = String::from("[");
+            escape_into(&mut doc, &s);
+            doc.push_str(", {");
+            escape_into(&mut doc, &s);
+            doc.push_str(": 1}]");
+            let mut obj = BTreeMap::new();
+            obj.insert(s.clone(), Json::Num(1.0));
+            assert_eq!(parse(&doc), Ok(Json::Arr(vec![Json::Str(s), Json::Obj(obj)])), "{doc}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_anywhere_in_a_string() {
+        let mut state = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..500 {
+            let len = (next(&mut state) % 40) as usize;
+            let s = mixed_string(&mut state, len);
+            // Write each basic-plane char as a `\uXXXX` escape half the
+            // time, the rest as `escape_into` would.
+            let mut doc = String::from("\"");
+            for c in s.chars() {
+                if (c as u32) < 0x1_0000 && next(&mut state) & 1 == 0 {
+                    let _ = write!(doc, "\\u{:04X}", c as u32);
+                } else {
+                    let mut one = String::new();
+                    escape_into(&mut one, c.encode_utf8(&mut [0; 4]));
+                    doc.push_str(&one[1..one.len() - 1]);
+                }
+            }
+            doc.push('"');
+            assert_eq!(parse(&doc), Ok(Json::Str(s)), "{doc}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 256 KiB of mixed content in one string: a parser that rescans
+        // the rest of the document per character takes tens of seconds
+        // here, a linear one about a millisecond.
+        let mut state = 0xdead_beef_cafe_f00d;
+        let mut s = String::new();
+        while s.len() < 256 * 1024 {
+            s.push_str(&mixed_string(&mut state, 64));
+        }
+        let mut doc = String::from("{\"s\": ");
+        escape_into(&mut doc, &s);
+        doc.push('}');
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(s.as_str()));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "{} KiB took {took:?}",
+            doc.len() / 1024
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   each citing the monotonic query ids behind the verdict; exportable
 //!   as JSONL and text, off by default;
 //! * [`json`] — the tiny JSON writer the emitters share, plus a minimal
-//!   parser used by tests to validate emitted output without external
-//!   dependencies.
+//!   linear-time parser that decodes serve requests and cache objects and
+//!   lets tests validate emitted output, without external dependencies.
 //!
 //! The crate is std-only by design: the build environment has no registry
 //! access, and the instrumented crates must never pull a dependency tree

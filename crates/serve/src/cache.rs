@@ -244,23 +244,29 @@ impl CachedObject {
     }
 }
 
-/// The on-disk store with in-process LRU accounting.
+/// The on-disk store. The object files are the presence index: `get`
+/// reads the key's file, and a file that is not there is a plain miss.
 ///
-/// Recency is tracked in memory only (objects found at startup are
+/// In memory the store keeps two running totals (objects and bytes
+/// resident) and, only when a byte budget is set, one recency entry per
+/// resident object. Recency is in-process (objects found at startup are
 /// seeded least-recent-first in name order — deterministic, if
-/// arbitrary); eviction deletes whole object files until the byte
-/// budget fits. Counters: `serve.cache.{hits,misses,evictions,
-/// quarantined}` and the `serve.cache.bytes` gauge.
+/// arbitrary); eviction deletes whole object files until the budget fits.
+/// Counters: `serve.cache.{hits,misses,evictions,quarantined}` and the
+/// `serve.cache.bytes` gauge.
 #[derive(Debug)]
 pub struct DiskCache {
     objects_dir: PathBuf,
     /// 0 = unlimited.
     max_bytes: u64,
-    sizes: HashMap<CacheKey, u64>,
-    /// `key -> last-touched tick`; min tick is the eviction victim.
-    last_used: HashMap<CacheKey, u64>,
-    tick: u64,
+    /// Objects resident.
+    count: usize,
+    /// Object bytes resident.
     bytes: u64,
+    /// Budgeted stores only: `key -> (object bytes, last-touched tick)`;
+    /// the min tick is the eviction victim. Empty without a budget.
+    recency: HashMap<CacheKey, (u64, u64)>,
+    tick: u64,
 }
 
 impl DiskCache {
@@ -268,8 +274,16 @@ impl DiskCache {
     pub fn open(root: &Path, max_bytes: u64) -> io::Result<DiskCache> {
         let objects_dir = root.join("v1").join("objects");
         std::fs::create_dir_all(&objects_dir)?;
-        let mut names: BTreeMap<String, u64> = BTreeMap::new();
-        for shard_dir in std::fs::read_dir(&objects_dir)? {
+        let mut cache = DiskCache {
+            objects_dir,
+            max_bytes,
+            count: 0,
+            bytes: 0,
+            recency: HashMap::new(),
+            tick: 0,
+        };
+        let mut names: BTreeMap<String, (CacheKey, u64)> = BTreeMap::new();
+        for shard_dir in std::fs::read_dir(&cache.objects_dir)? {
             let shard_dir = shard_dir?;
             if !shard_dir.file_type()?.is_dir() {
                 continue;
@@ -277,28 +291,21 @@ impl DiskCache {
             for f in std::fs::read_dir(shard_dir.path())? {
                 let f = f?;
                 let name = f.file_name().to_string_lossy().into_owned();
-                if let Some(stem) = name.strip_suffix(".json") {
-                    if CacheKey::from_hex(stem).is_some() {
-                        names.insert(stem.to_string(), f.metadata()?.len());
-                    }
+                let Some(key) = name.strip_suffix(".json").and_then(CacheKey::from_hex) else {
+                    continue;
+                };
+                let len = f.metadata()?.len();
+                cache.count += 1;
+                cache.bytes += len;
+                if max_bytes > 0 {
+                    names.insert(name, (key, len));
                 }
             }
         }
-        let mut cache = DiskCache {
-            objects_dir,
-            max_bytes,
-            sizes: HashMap::new(),
-            last_used: HashMap::new(),
-            tick: 0,
-            bytes: 0,
-        };
         // BTreeMap iteration = name order: deterministic startup recency.
-        for (stem, len) in names {
-            let key = CacheKey::from_hex(&stem).unwrap();
-            cache.sizes.insert(key, len);
-            cache.last_used.insert(key, cache.tick);
+        for (key, len) in names.into_values() {
             cache.tick += 1;
-            cache.bytes += len;
+            cache.recency.insert(key, (len, cache.tick));
         }
         cache.stamp_bytes();
         Ok(cache)
@@ -320,56 +327,70 @@ impl DiskCache {
 
     /// Number of objects resident.
     pub fn len(&self) -> usize {
-        self.sizes.len()
+        self.count
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
+        self.count == 0
     }
 
-    fn forget(&mut self, key: CacheKey) {
-        if let Some(len) = self.sizes.remove(&key) {
-            self.bytes -= len;
+    /// The size of `key`'s resident object as the totals count it: the
+    /// recency entry of a budgeted store, else the file's own length.
+    fn counted_len(&self, key: CacheKey, path: &Path) -> Option<u64> {
+        if self.max_bytes > 0 {
+            self.recency.get(&key).map(|&(len, _)| len)
+        } else {
+            std::fs::metadata(path).ok().map(|m| m.len())
         }
-        self.last_used.remove(&key);
-        let _ = std::fs::remove_file(self.path_of(key));
     }
 
-    /// Look `key` up. `function` is the caller's expected unit name; an
-    /// object that fails to parse, self-identify, or name that function
+    /// Delete `key`'s object and take it out of the totals.
+    fn forget(&mut self, key: CacheKey) {
+        let path = self.path_of(key);
+        if let Some(len) = self.counted_len(key, &path) {
+            self.count = self.count.saturating_sub(1);
+            self.bytes = self.bytes.saturating_sub(len);
+        }
+        self.recency.remove(&key);
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Look `key` up. `function` is the caller's expected unit name. A
+    /// missing object file is a plain miss; an object that cannot be
+    /// read, fails to parse or self-identify, or names another function
     /// is quarantined (deleted) and reported as a miss.
     pub fn get(&mut self, key: CacheKey, function: &str) -> Option<CachedObject> {
         let reg = hli_obs::metrics::cur();
-        if !self.sizes.contains_key(&key) {
-            reg.counter("serve.cache.misses").inc();
-            return None;
-        }
-        let text = match std::fs::read_to_string(self.path_of(key)) {
-            Ok(t) => t,
-            Err(_) => {
-                reg.counter("serve.cache.quarantined").inc();
+        let found = match std::fs::read_to_string(self.path_of(key)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 reg.counter("serve.cache.misses").inc();
-                self.forget(key);
-                self.stamp_bytes();
+                // A budgeted store drops the entry of an object deleted
+                // behind its back, so its totals stay exact.
+                if self.recency.contains_key(&key) {
+                    self.forget(key);
+                    self.stamp_bytes();
+                }
                 return None;
             }
+            Err(_) => None,
+            Ok(text) => CachedObject::parse(&text)
+                .ok()
+                .filter(|obj| obj.key == key && obj.function == function),
         };
-        match CachedObject::parse(&text) {
-            Ok(obj) if obj.key == key && obj.function == function => {
-                self.tick += 1;
-                self.last_used.insert(key, self.tick);
-                reg.counter("serve.cache.hits").inc();
-                Some(obj)
-            }
-            _ => {
-                reg.counter("serve.cache.quarantined").inc();
-                reg.counter("serve.cache.misses").inc();
-                self.forget(key);
-                self.stamp_bytes();
-                None
-            }
+        let Some(obj) = found else {
+            reg.counter("serve.cache.quarantined").inc();
+            reg.counter("serve.cache.misses").inc();
+            self.forget(key);
+            self.stamp_bytes();
+            return None;
+        };
+        if let Some(entry) = self.recency.get_mut(&key) {
+            self.tick += 1;
+            entry.1 = self.tick;
         }
+        reg.counter("serve.cache.hits").inc();
+        Some(obj)
     }
 
     /// Store `obj`, atomically, then evict least-recently-used objects
@@ -382,29 +403,28 @@ impl DiskCache {
         body.push('\n');
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, &body)?;
+        let replaced = self.counted_len(key, &path);
         std::fs::rename(&tmp, &path)?;
-        if let Some(old) = self.sizes.insert(key, body.len() as u64) {
-            self.bytes -= old;
+        let len = body.len() as u64;
+        match replaced {
+            Some(old) => self.bytes = self.bytes.saturating_sub(old),
+            None => self.count += 1,
         }
-        self.bytes += body.len() as u64;
-        self.tick += 1;
-        self.last_used.insert(key, self.tick);
+        self.bytes += len;
         if self.max_bytes > 0 {
+            self.tick += 1;
+            self.recency.insert(key, (len, self.tick));
             let reg = hli_obs::metrics::cur();
-            while self.bytes > self.max_bytes && self.sizes.len() > 1 {
+            while self.bytes > self.max_bytes {
                 let victim = self
-                    .last_used
+                    .recency
                     .iter()
                     .filter(|(k, _)| **k != key)
-                    .min_by_key(|(_, t)| **t)
+                    .min_by_key(|(_, &(_, t))| t)
                     .map(|(k, _)| *k);
-                match victim {
-                    Some(v) => {
-                        self.forget(v);
-                        reg.counter("serve.cache.evictions").inc();
-                    }
-                    None => break,
-                }
+                let Some(victim) = victim else { break };
+                self.forget(victim);
+                reg.counter("serve.cache.evictions").inc();
             }
         }
         self.stamp_bytes();
@@ -524,6 +544,94 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.cache.quarantined"), 1);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Object files on disk under `root`: (count, bytes).
+    fn on_disk(root: &Path) -> (usize, u64) {
+        let mut totals = (0, 0);
+        for shard in std::fs::read_dir(root.join("v1").join("objects")).unwrap() {
+            for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                let f = f.unwrap();
+                if f.file_name().to_string_lossy().ends_with(".json") {
+                    totals.0 += 1;
+                    totals.1 += f.metadata().unwrap().len();
+                }
+            }
+        }
+        totals
+    }
+
+    /// `len()`, `bytes()` and the gauge all agree with the disk, and the
+    /// store keeps one recency entry per object only under a budget.
+    fn assert_exact(c: &DiskCache, root: &Path, reg: &hli_obs::MetricsRegistry) {
+        let (count, bytes) = on_disk(root);
+        assert_eq!((c.len(), c.bytes()), (count, bytes));
+        assert_eq!(reg.snapshot().gauges["serve.cache.bytes"], bytes as i64);
+        let per_object = if c.max_bytes > 0 { count } else { 0 };
+        assert_eq!(c.recency.len(), per_object);
+    }
+
+    fn accounting_stays_exact(name: &str, max_bytes: u64) {
+        let root = tmp(name);
+        let reg = std::sync::Arc::new(hli_obs::MetricsRegistry::new());
+        let _g = hli_obs::metrics::scoped(reg.clone());
+        let mut c = DiskCache::open(&root, max_bytes).unwrap();
+        c.put(&obj(1, 1)).unwrap();
+        c.put(&obj(2, 3)).unwrap();
+        assert_eq!(c.len(), 2);
+        assert_exact(&c, &root, &reg);
+        // Overwrite key 1 with a larger object: one object, new size.
+        c.put(&obj(1, 9)).unwrap();
+        assert_eq!(c.len(), 2);
+        assert_exact(&c, &root, &reg);
+        // Corrupt key 2 in place and quarantine it. (Rot keeps the length;
+        // an unbudgeted store sees a size changed behind its back only at
+        // the next open, since it keeps no per-object size.)
+        let file = c.path_of(CacheKey(2));
+        let mut rotten = std::fs::read(&file).unwrap();
+        rotten[0] = b'#';
+        std::fs::write(&file, rotten).unwrap();
+        assert!(c.get(CacheKey(2), "f0").is_none());
+        assert_eq!(reg.snapshot().counter("serve.cache.quarantined"), 1);
+        assert_eq!(c.len(), 1);
+        assert_exact(&c, &root, &reg);
+        drop(c);
+        // Reopen.
+        let c = DiskCache::open(&root, max_bytes).unwrap();
+        assert_eq!(c.len(), 1);
+        assert_exact(&c, &root, &reg);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unbudgeted_accounting_stays_exact() {
+        accounting_stays_exact("exact-unbudgeted", 0);
+    }
+
+    #[test]
+    fn budgeted_accounting_stays_exact() {
+        accounting_stays_exact("exact-budgeted", 1 << 20);
+    }
+
+    #[test]
+    fn object_deleted_behind_the_cache_is_a_plain_miss() {
+        for max_bytes in [0, 1 << 20] {
+            let root = tmp(&format!("deleted-{max_bytes}"));
+            let reg = std::sync::Arc::new(hli_obs::MetricsRegistry::new());
+            let _g = hli_obs::metrics::scoped(reg.clone());
+            let o = obj(5, 1);
+            let mut c = DiskCache::open(&root, max_bytes).unwrap();
+            c.put(&o).unwrap();
+            std::fs::remove_file(c.path_of(o.key)).unwrap();
+            assert!(c.get(o.key, "f0").is_none());
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter("serve.cache.misses"), 1);
+            assert_eq!(snap.counter("serve.cache.quarantined"), 0, "a missing file is no fault");
+            if max_bytes > 0 {
+                assert_exact(&c, &root, &reg);
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

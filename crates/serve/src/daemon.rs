@@ -199,12 +199,12 @@ impl Server {
                 Ok(p) => p,
             };
             let mut funcs: Vec<FuncResult> = Vec::with_capacity(prep.plans.len());
-            for (qi, plan) in prep.plans.iter().enumerate() {
-                let (obj, cached) = match &plan.hit {
-                    Some(obj) => {
+            for (qi, plan) in prep.plans.into_iter().enumerate() {
+                let (obj, cached) = match plan.hit {
+                    Some(mut obj) => {
                         hits += 1;
-                        hli_obs::commit(obj.shard.clone().into_shard());
-                        (obj.clone(), true)
+                        hli_obs::commit(std::mem::take(&mut obj.shard).into_shard());
+                        (obj, true)
                     }
                     None => {
                         miss_count += 1;
@@ -215,7 +215,7 @@ impl Server {
                         hli_obs::commit(shard);
                         let obj = CachedObject {
                             key: plan.key,
-                            function: plan.name.clone(),
+                            function: plan.name,
                             sched_hash: fnv1a(dump.as_bytes()),
                             dump,
                             stats,
@@ -230,12 +230,12 @@ impl Server {
                     }
                 };
                 funcs.push(FuncResult {
-                    function: plan.name.clone(),
-                    key: plan.key.hex(),
+                    function: obj.function,
+                    key: obj.key.hex(),
                     cached,
                     sched_hash: format!("{:016x}", obj.sched_hash),
                     stats: obj.stats,
-                    dump: prep.flags.dump.then(|| obj.dump.clone()),
+                    dump: prep.flags.dump.then_some(obj.dump),
                 });
             }
             results.push(ProgramResult { program: req.name.clone(), outcome: Ok(funcs) });
