@@ -39,6 +39,10 @@ echo "== timing models == their reference loops (stats, function bins, metrics)"
 echo "   on corpus traces, fed whole and in chunks"
 cargo test -q --release -p hli-machine --test model_reference -- --include-ignored
 
+echo "== interpreter oracle == its golden table (return value, checksum and"
+echo "   InterpStats on the suite at both scales and the BENCH_6.json corpus)"
+cargo test -q --release -p hli-suite --test oracle_golden -- --include-ignored
+
 echo "== three-target smoke (tiny Table 2 on every registered machine model)"
 for m in r4600 r10000 w4; do
   target/release/table2 12 2 --machine "$m" > /dev/null
