@@ -126,7 +126,7 @@ pub fn extract(e: &Expr, sema: &Sema) -> Option<Affine> {
     match &e.kind {
         ExprKind::IntLit(v) => Some(Affine::constant(*v)),
         ExprKind::Ident(_) => {
-            let sym = *sema.ident_sym.get(&e.id)?;
+            let sym = sema.ident_sym(e.id)?;
             if sema.sym(sym).ty == Type::Int {
                 Some(Affine::var(sym))
             } else {

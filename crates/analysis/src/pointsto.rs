@@ -73,8 +73,8 @@ pub fn analyze(prog: &Program, sema: &Sema) -> PointsTo {
         load: Vec::new(),
         store: Vec::new(),
     };
-    for f in &prog.funcs {
-        cx.func(f);
+    for (fi, f) in prog.funcs.iter().enumerate() {
+        cx.func(fi as u32, f);
     }
     solve(cx)
 }
@@ -100,8 +100,8 @@ struct Collector<'a> {
 }
 
 impl<'a> Collector<'a> {
-    fn func(&mut self, f: &FuncDef) {
-        self.current_func = Some(self.sema.func_sigs[&f.name].index);
+    fn func(&mut self, index: u32, f: &FuncDef) {
+        self.current_func = Some(index);
         self.block(&f.body);
     }
 
@@ -117,7 +117,7 @@ impl<'a> Collector<'a> {
                 if let Some(init) = &d.init {
                     self.expr(init);
                     if d.ty.is_pointer() {
-                        let sym = self.sema.decl_sym[&s.id];
+                        let sym = self.sema.decl_sym(s.id);
                         let terms = self.sources(init);
                         self.bind(Node::Sym(sym), &terms);
                     }
@@ -192,18 +192,14 @@ impl<'a> Collector<'a> {
                 }
             }
             ExprKind::IncDec(_, l) => self.lhs_subexprs(l),
-            ExprKind::Call(name, args) => {
+            ExprKind::Call(_, args) => {
                 for a in args {
                     self.expr(a);
                 }
-                if let Some(sig) = self.sema.func_sigs.get(name) {
-                    let fidx = sig.index as usize;
-                    let params = self.sema.func_params[fidx].clone();
-                    for (i, a) in args.iter().enumerate() {
-                        if i < params.len() && self.sema.sym(params[i]).ty.is_pointer() {
-                            let terms = self.sources(a);
-                            self.bind(Node::Sym(params[i]), &terms);
-                        }
+                for (a, param) in args.iter().zip(self.sema.func_params(self.sema.callee(e))) {
+                    if self.sema.sym(param).ty.is_pointer() {
+                        let terms = self.sources(a);
+                        self.bind(Node::Sym(param), &terms);
                     }
                 }
             }
@@ -286,10 +282,7 @@ impl<'a> Collector<'a> {
                     }
                 }
             }
-            ExprKind::Call(name, _) => match self.sema.func_sigs.get(name) {
-                Some(sig) => vec![SrcTerm::Node(Node::Ret(sig.index))],
-                None => vec![],
-            },
+            ExprKind::Call(..) => vec![SrcTerm::Node(Node::Ret(self.sema.callee(e)))],
             ExprKind::Assign(_, r) | ExprKind::CompoundAssign(_, _, r) => self.sources(r),
             ExprKind::IncDec(_, l) => self.sources(l),
             _ => vec![],

@@ -88,7 +88,7 @@ pub fn analyze(prog: &Program, sema: &Sema, pts: &PointsTo) -> RefMod {
                         AccessKind::Call => {}
                     }
                 }
-                (_, AccessPath::Call { callee }) => match sema.func_sigs.get(callee) {
+                (_, AccessPath::Call { callee }) => match sema.func_named(callee) {
                     Some(sig) => {
                         callees[fi].insert(sig.index as usize);
                     }

@@ -140,7 +140,7 @@ impl<'a> Builder<'a> {
             parent: Some(parent),
             children: Vec::new(),
             stmt: Some(stmt.id),
-            canon: self.sema.loops.get(&stmt.id).cloned(),
+            canon: self.sema.canon_loop(stmt.id).cloned(),
             span: (stmt.line, stmt.line),
             depth: self.tree.nodes[parent].depth + 1,
         });

@@ -58,8 +58,8 @@ pub fn lower_with_loops(
     let mut funcs = Vec::with_capacity(prog.funcs.len());
     let mut loop_metas = HashMap::new();
     let reg = hli_obs::metrics::cur();
-    for f in &prog.funcs {
-        let (rf, metas) = Lowerer::new(sema, &global_addr).func(f);
+    for (fi, f) in prog.funcs.iter().enumerate() {
+        let (rf, metas) = Lowerer::new(sema, &global_addr).func(fi as u32, f);
         reg.counter("backend.lower.funcs").inc();
         reg.counter("backend.lower.insns").add(rf.insns.len() as u64);
         loop_metas.insert(rf.name.clone(), metas);
@@ -152,14 +152,13 @@ impl<'a> Lowerer<'a> {
         off
     }
 
-    fn func(mut self, f: &FuncDef) -> (RtlFunc, Vec<LoopMeta>) {
+    fn func(mut self, index: u32, f: &FuncDef) -> (RtlFunc, Vec<LoopMeta>) {
         self.cur_line = f.line;
         self.ret_ty = f.ret.clone();
-        let fidx = self.sema.func_sigs[&f.name].index as usize;
-        let params = self.sema.func_params[fidx].clone();
+        let params = self.sema.func_params(index);
         let mut param_regs = Vec::new();
         // Register parameters get their registers up front.
-        for (i, &sym) in params.iter().enumerate() {
+        for (i, sym) in params.clone().enumerate() {
             if i < NUM_ARG_REGS {
                 let r = self.reg();
                 param_regs.push(r);
@@ -168,7 +167,7 @@ impl<'a> Lowerer<'a> {
         }
         // Entry ABI traffic, in parameter order (matches memwalk):
         // stack-parameter loads, then address-taken spills.
-        for (i, &sym) in params.iter().enumerate() {
+        for (i, sym) in params.clone().enumerate() {
             if i >= NUM_ARG_REGS {
                 let r = self.reg();
                 self.emit(Op::Load(
@@ -222,7 +221,7 @@ impl<'a> Lowerer<'a> {
         self.cur_line = s.line;
         match &s.kind {
             StmtKind::Decl(d) => {
-                let sym = self.sema.decl_sym[&s.id];
+                let sym = self.sema.decl_sym(s.id);
                 let info = self.sema.sym(sym);
                 if info.is_mem_resident() {
                     let slot = self.alloc_slot(info.ty.size() as i64);
@@ -293,7 +292,7 @@ impl<'a> Lowerer<'a> {
                 let l_step = self.label();
                 let l_exit = self.label();
                 // Record unroller metadata for canonical constant-trip loops.
-                if let Some(cl) = self.sema.loops.get(&s.id) {
+                if let Some(cl) = self.sema.canon_loop(s.id) {
                     if let (Some(trip), hli_lang::sema::Bound::Const(lower)) =
                         (cl.trip_count(), cl.lower)
                     {
@@ -752,7 +751,7 @@ impl<'a> Lowerer<'a> {
                 }
             }
             ExprKind::Call(name, args) => {
-                let sig = self.sema.func_sigs[name].clone();
+                let sig = self.sema.func(self.sema.callee(e));
                 let mut reg_args = Vec::new();
                 for (i, a) in args.iter().enumerate() {
                     let r = self.rvalue(a);

@@ -165,7 +165,7 @@ fn modified_per_region(f: &FuncDef, tree: &RegionTree, sema: &Sema) -> Vec<HashS
                     | ExprKind::IncDec(_, l) = &x.kind
                     {
                         if matches!(l.kind, ExprKind::Ident(_)) {
-                            if let Some(&sym) = sema.ident_sym.get(&l.id) {
+                            if let Some(sym) = sema.ident_sym(l.id) {
                                 let r = tree.region_of_expr(x.id);
                                 sets[r].insert(sym);
                             }

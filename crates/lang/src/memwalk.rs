@@ -96,7 +96,7 @@ pub fn resolve_array_access<'a>(e: &'a Expr, sema: &Sema) -> Option<(SymId, Vec<
                 cur = base;
             }
             ExprKind::Ident(_) => {
-                let sym = sema.ident_sym.get(&cur.id).copied()?;
+                let sym = sema.ident_sym(cur.id)?;
                 if !sema.sym(sym).ty.is_array() {
                     return None;
                 }
@@ -121,9 +121,8 @@ impl<'a> Walker<'a> {
     /// ABI events at function entry: loads of stack-passed parameters and
     /// spills of address-taken parameters, in parameter order.
     fn entry_events(&mut self, f: &FuncDef) {
-        let idx = self.sema.func_sigs[&f.name].index as usize;
-        let params = &self.sema.func_params[idx];
-        for (i, &sym) in params.iter().enumerate() {
+        let sig = self.sema.func_named(&f.name).expect("function resolved by sema");
+        for (i, sym) in self.sema.func_params(sig.index).enumerate() {
             if i >= NUM_ARG_REGS {
                 self.emit(f.line, AccessKind::Load, AccessPath::StackParamEntry { index: i }, None);
             }
@@ -144,7 +143,7 @@ impl<'a> Walker<'a> {
             StmtKind::Decl(d) => {
                 if let Some(init) = &d.init {
                     self.rvalue(init);
-                    let sym = self.sema.decl_sym[&s.id];
+                    let sym = self.sema.decl_sym(s.id);
                     if self.sema.sym(sym).is_mem_resident() {
                         self.emit(s.line, AccessKind::Store, AccessPath::Var(sym), None);
                     }
@@ -196,7 +195,7 @@ impl<'a> Walker<'a> {
     fn lvalue_path(&self, e: &Expr) -> Option<AccessPath> {
         match &e.kind {
             ExprKind::Ident(_) => {
-                let sym = self.sema.ident_sym[&e.id];
+                let sym = self.sema.sym_of(e);
                 let info = self.sema.sym(sym);
                 if info.ty.is_array() {
                     // Bare array name: an address, not an access.

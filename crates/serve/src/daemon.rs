@@ -211,21 +211,30 @@ impl Server {
                         let slot = miss_slot[&(pi, qi)];
                         let ((dump, stats), shard) =
                             compiled[slot].take().expect("each miss compiled exactly once");
-                        let shard_data = ShardData::from_shard(&shard);
-                        hli_obs::commit(shard);
-                        let obj = CachedObject {
+                        // The capture ran untraced, so the fields a cache
+                        // object keeps are the whole shard: move them into
+                        // the object, store it, and commit them from there
+                        // as a hit does. `put` writes only `serve.*` keys,
+                        // so committing after it changes no byte.
+                        debug_assert!(shard.spans.is_empty() && shard.seq_used == 0);
+                        let mut obj = CachedObject {
                             key: plan.key,
                             function: plan.name,
                             sched_hash: fnv1a(dump.as_bytes()),
                             dump,
                             stats,
-                            shard: shard_data,
+                            shard: ShardData {
+                                ids_used: shard.ids_used,
+                                metrics: shard.metrics,
+                                records: shard.records,
+                            },
                         };
                         if cache.put(&obj).is_err() {
                             // The answer is still correct; only the next
                             // compile of this function pays again.
                             reg.counter("serve.errors").inc();
                         }
+                        hli_obs::commit(std::mem::take(&mut obj.shard).into_shard());
                         (obj, false)
                     }
                 };
