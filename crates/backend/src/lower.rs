@@ -59,7 +59,7 @@ pub fn lower_with_loops(
     let mut loop_metas = HashMap::new();
     let reg = hli_obs::metrics::cur();
     for (fi, f) in prog.funcs.iter().enumerate() {
-        let (rf, metas) = Lowerer::new(sema, &global_addr).func(fi as u32, f);
+        let (rf, metas) = Lowerer::new(sema).func(fi as u32, f);
         reg.counter("backend.lower.funcs").inc();
         reg.counter("backend.lower.insns").add(rf.insns.len() as u64);
         loop_metas.insert(rf.name.clone(), metas);
@@ -89,8 +89,6 @@ enum Val {
 
 struct Lowerer<'a> {
     sema: &'a Sema,
-    #[allow(dead_code)]
-    global_addr: &'a HashMap<SymId, i64>,
     insns: Vec<Insn>,
     next_reg: Reg,
     next_label: Label,
@@ -109,10 +107,9 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(sema: &'a Sema, global_addr: &'a HashMap<SymId, i64>) -> Self {
+    fn new(sema: &'a Sema) -> Self {
         Lowerer {
             sema,
-            global_addr,
             insns: Vec::new(),
             next_reg: 0,
             next_label: 0,

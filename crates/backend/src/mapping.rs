@@ -14,8 +14,7 @@
 //! instruction id.
 
 use crate::rtl::{InsnId, Op, RtlFunc};
-use hli_core::image::EntryRef;
-use hli_core::{HliEntry, ItemEntry, ItemId, ItemType};
+use hli_core::{HliEntry, ItemId, ItemType};
 use std::collections::{HashMap, HashSet};
 
 /// The bidirectional item ↔ instruction mapping for one function.
@@ -62,16 +61,8 @@ fn rtl_kind(op: &Op) -> Option<ItemType> {
     }
 }
 
-/// Build the mapping for one function against its owned HLI entry.
+/// Build the mapping for one function against its HLI entry.
 pub fn map_function(f: &RtlFunc, entry: &HliEntry) -> HliMap {
-    map_function_ref(f, EntryRef::Owned(entry))
-}
-
-/// Build the mapping for one function against an owned entry or a
-/// zero-copy view. The line table is consumed through the flat
-/// [`EntryRef::line_items`] stream (grouped back into per-line runs), so
-/// a view is mapped without decoding any owned tables.
-pub fn map_function_ref(f: &RtlFunc, entry: EntryRef<'_>) -> HliMap {
     let mut map = HliMap::default();
     // Group the function's memory/call instructions by line, preserving
     // chain order.
@@ -81,22 +72,13 @@ pub fn map_function_ref(f: &RtlFunc, entry: EntryRef<'_>) -> HliMap {
             by_line.entry(insn.line).or_default().push((insn.id, kind));
         }
     }
-    // Re-group the flat (line, item) stream into the per-line runs the
-    // matching below consumes. Line entries left empty by maintenance
-    // vanish here, which is behavior-preserving: an empty run binds
-    // nothing and leaves every instruction of its line unmapped — exactly
-    // what the "no line-table entry" fallthrough does.
-    let mut line_groups: Vec<(u32, Vec<ItemEntry>)> = Vec::new();
-    for (line, it) in entry.line_items() {
-        match line_groups.last_mut() {
-            Some((l, items)) if *l == line => items.push(it),
-            _ => line_groups.push((line, vec![it])),
-        }
-    }
     let mut seen_lines: HashSet<u32> = HashSet::new();
-    for (line, items) in &line_groups {
-        seen_lines.insert(*line);
-        let insns = by_line.get(line).map(|v| v.as_slice()).unwrap_or(&[]);
+    for l in &entry.line_table.lines {
+        let (line, items) = (l.line, &l.items);
+        // A line entry that maintenance emptied binds nothing and leaves
+        // every instruction of its line unmapped.
+        seen_lines.insert(line);
+        let insns = by_line.get(&line).map(|v| v.as_slice()).unwrap_or(&[]);
         let n = items.len().min(insns.len());
         for k in 0..n {
             let item = &items[k];
@@ -226,6 +208,34 @@ mod tests {
         let m = map_function(&f, &e);
         assert!(m.insn_to_item.is_empty() || !m.unmapped_insns.is_empty());
         assert!(!m.unmapped_items.is_empty());
+    }
+
+    #[test]
+    fn emptied_line_entry_binds_nothing() {
+        let (_, f, mut e) = mapped("int g; int h;\nint main() {\n g = h;\n return g;\n}", "main");
+        let line3: Vec<ItemId> =
+            e.line_table.entry(3).unwrap().items.iter().map(|i| i.id).collect();
+        for id in &line3 {
+            assert!(e.line_table.remove_item(*id));
+        }
+        assert!(
+            e.line_table.entry(3).unwrap().items.is_empty(),
+            "the entry stays, emptied"
+        );
+        let m = map_function(&f, &e);
+        let insns3: Vec<InsnId> = f
+            .insns
+            .iter()
+            .filter(|i| i.line == 3 && rtl_kind(&i.op).is_some())
+            .map(|i| i.id)
+            .collect();
+        assert!(!insns3.is_empty());
+        for insn in &insns3 {
+            assert!(m.item_of(*insn).is_none());
+            assert!(m.unmapped_insns.contains(insn));
+        }
+        // Other lines still map.
+        assert!(!m.insn_to_item.is_empty());
     }
 
     #[test]

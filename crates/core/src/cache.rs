@@ -32,9 +32,8 @@
 //! Cache traffic is metered as `backend.query_cache.{hit,miss,invalidate}`.
 
 use crate::ids::{ItemId, RegionId};
-use crate::image::{EntryRef, RegionMeta};
 use crate::query::{CallAcc, EquivAcc, HliQuery, LcddAnswer};
-use crate::tables::{HliEntry, ItemType};
+use crate::tables::{HliEntry, ItemType, Region};
 use hli_obs::provenance::QueryRef;
 use hli_obs::Counter;
 use std::collections::HashMap;
@@ -63,7 +62,9 @@ impl CacheState {
 
 /// Memo storage for one program unit's query answers. Create one per
 /// function (or share one across passes over the same function) and
-/// [`attach`](QueryCache::attach) it to the entry before querying.
+/// [`attach`](QueryCache::attach) it to the entry before querying — in
+/// the back end, the tables `vet_unit` verified, whether an in-memory
+/// file lent them or an image unit was decoded into them.
 ///
 /// `Send + Sync`: the state sits behind a single `Mutex`, so one cache
 /// may be probed from several threads — though the intended sharing
@@ -112,28 +113,18 @@ impl QueryCache {
         s.call.clear();
     }
 
-    /// Build a cached query view of `entry`. Memos survive across attaches
+    /// Build a cached query index over `entry`. Memos survive across attaches
     /// as long as the entry's `(unit_name, generation)` key is unchanged;
     /// any mismatch flushes them (counted as invalidations).
     pub fn attach<'a>(&'a self, entry: &'a HliEntry) -> CachedQuery<'a> {
-        self.attach_ref(EntryRef::Owned(entry))
-    }
-
-    /// [`attach`](QueryCache::attach) over an [`EntryRef`], so zero-copy
-    /// views get the same memoization. The `(unit, generation)` validity
-    /// key carries over unchanged: views report generation 0, and any
-    /// mutation happens on a materialized overlay whose generation the
-    /// maintenance API bumps past 0 — so a view→overlay transition always
-    /// flushes, and view→view reattaches keep memos warm.
-    pub fn attach_ref<'a>(&'a self, entry: EntryRef<'a>) -> CachedQuery<'a> {
         let mut s = self.state.lock().unwrap();
-        if s.unit != entry.unit_name() || s.generation != entry.generation() {
+        if s.unit != entry.unit_name || s.generation != entry.generation {
             self.flush(&mut s);
-            s.unit = entry.unit_name().to_string();
-            s.generation = entry.generation();
+            s.unit = entry.unit_name.clone();
+            s.generation = entry.generation;
         }
         drop(s);
-        CachedQuery { cache: self, inner: HliQuery::new_ref(entry) }
+        CachedQuery { cache: self, inner: HliQuery::new(entry) }
     }
 
     /// Surgical invalidation: drop only the memos whose keys mention one of
@@ -186,7 +177,8 @@ impl QueryCache {
     }
 }
 
-/// A memoizing view over one entry, mirroring the [`HliQuery`] surface.
+/// A memoizing query index over one entry, mirroring the [`HliQuery`]
+/// surface.
 pub struct CachedQuery<'a> {
     cache: &'a QueryCache,
     inner: HliQuery<'a>,
@@ -208,11 +200,6 @@ impl<'a> CachedQuery<'a> {
         self.inner.provenance_active()
     }
 
-    /// The entry this view serves.
-    pub fn entry_ref(&self) -> EntryRef<'a> {
-        self.inner.entry_ref()
-    }
-
     /// Direct access to the underlying index.
     pub fn inner(&self) -> &HliQuery<'a> {
         &self.inner
@@ -229,7 +216,7 @@ impl<'a> CachedQuery<'a> {
     }
 
     /// Region metadata (uncached: already a direct index into the entry).
-    pub fn region_info(&self, r: RegionId) -> RegionMeta {
+    pub fn region_info(&self, r: RegionId) -> &'a Region {
         self.inner.region_info(r)
     }
 

@@ -1,19 +1,21 @@
-//! Zero-copy HLI images (`HLI\x03`) — the one form the back end imports.
+//! `HLI\x03` images — the form the back end imports.
 //!
 //! The paper's back end reads the HLI file on demand, one program unit at
 //! a time (§3.2.1). The v3 container stores every table as fixed-width
-//! little-endian `u32` words so a borrowed [`HliEntryView`] can serve the
-//! five basic queries **directly from the image bytes** — no per-unit
-//! allocation, no decode pass — and only the units the maintenance API
-//! rewrites are ever copied into an owned [`HliEntry`].
+//! little-endian `u32` words behind a directory, so opening an image reads
+//! only the directory, and a unit's body is read only when the back end
+//! asks for that unit: it is structurally validated once (memoized) and
+//! then decoded by [`HliEntryView::materialize`] into the owned
+//! [`HliEntry`] the back end verifies and queries. That decode is the only
+//! reader of a unit body.
 //!
-//! Layout contract (see DESIGN.md "Zero-copy image layout & overlay
-//! contract" for the full rules):
+//! Layout contract (see DESIGN.md, "On-demand import: the `HLI\x03`
+//! image", for the full rules):
 //!
 //! * everything is `u32` little-endian words; the file length must be a
 //!   multiple of 4 ("misaligned" images are rejected at open), and every
-//!   intra-file table offset is expressed in words, so no view read can
-//!   ever be torn or unaligned — words are assembled with
+//!   intra-file table offset is expressed in words, so no read can ever
+//!   be torn or unaligned — words are assembled with
 //!   `u32::from_le_bytes`, which is defined for any byte position;
 //! * file = magic word `HLI\x03` · unit count · directory
 //!   (4 words per unit: name byte-offset/byte-length, body
@@ -27,41 +29,33 @@
 //! Trust boundary: [`HliImage::open`] checks only the file frame; the
 //! first access to a unit runs a **structural** validation pass
 //! (memoized) proving every offset, count and tag in the body in-bounds
-//! and well-formed, which is what makes all view accessors infallible —
-//! a truncated, bit-flipped or misaligned image fails at open or at view
-//! construction with a [`DecodeError`], never a panic or an
+//! and well-formed, which is what makes decoding infallible — a
+//! truncated, bit-flipped or misaligned image fails at open or at the
+//! unit's first access with a [`DecodeError`], never a panic or an
 //! out-of-bounds read. *Semantic* validity (partition property, alias
-//! locality, …) remains [`HliEntry::verify`]'s job: the back-end's
-//! `vet_unit` materializes a transient owned entry from the view and
-//! verifies it, keeping `verify` the single trust boundary for blindly
-//! mapped bytes.
-//!
-//! Mutation: views are immutable. [`HliImage::entry_mut`] materializes a
-//! copy-on-write overlay ([`HliEntry`]) for exactly the units the
-//! maintenance API touches; [`HliImage::get_ref`] then serves the
-//! overlay (with its live [`HliEntry::generation`]) instead of the view,
-//! so `QueryCache`'s `(unit, generation)` validity key keeps working
-//! unchanged — views report generation 0, the same value a freshly
-//! decoded owned entry carries.
+//! locality, …) remains [`HliEntry::verify`]'s job: the back end's
+//! `vet_unit` verifies the decoded tables and hands exactly those on.
+//! Images are immutable; maintenance rewrites the decoded copy.
 //!
 //! Image activity is mirrored into the metrics registry under
 //! `hli.image.*`: `bytes` (image bytes encoded), `opens`, `units_total`,
-//! `units_validated` (structural passes run), `overlays` (units
-//! materialized for mutation). Bytes consumed by the open itself (magic +
-//! directory + names) are counted as `hli.deserialize.bytes`; view
-//! accesses decode nothing and count nothing. `hli.serialize.*` is left
-//! to the compact `HLI\x01` form, Table 1's size meter.
+//! `units_validated` (structural passes run). Bytes consumed by the open
+//! itself (magic + directory + names) are counted as
+//! `hli.deserialize.bytes`; decoding a unit counts nothing.
+//! `hli.serialize.*` is left to the compact `HLI\x01` form, Table 1's
+//! size meter.
 
-use crate::ids::{ItemId, RegionId, UNIT_REGION};
+use crate::ids::{ItemId, RegionId};
 use crate::serialize::{count_decoded, DecodeError, SerializeOpts};
 use crate::tables::{
     AliasEntry, CallRef, CallRefMod, DepKind, Distance, EquivClass, EquivKind, HliEntry, HliFile,
     ItemEntry, ItemType, LcddEntry, LineTable, MemberRef, Region, RegionKind,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// Magic bytes of the zero-copy container: `HLI\x03`.
+/// Magic bytes of the image container: `HLI\x03`.
 pub const MAGIC_V3: [u8; 4] = *b"HLI\x03";
 
 const HDR_WORDS: u32 = 8;
@@ -248,9 +242,9 @@ fn encode_entry_v3(e: &HliEntry, opts: SerializeOpts) -> Vec<u32> {
     b
 }
 
-/// Serialize a whole HLI file as a zero-copy `HLI\x03` image: a
-/// word-aligned directory plus one fixed-width word-table body per unit,
-/// readable through [`HliImage`] without decoding.
+/// Serialize a whole HLI file as an `HLI\x03` image: a word-aligned
+/// directory plus one fixed-width word-table body per unit, opened by
+/// [`HliImage`] one unit at a time.
 pub fn encode_file_v3(file: &HliFile, opts: SerializeOpts) -> Vec<u8> {
     let _t = hli_obs::phase::timed("hli.image.encode");
     let bodies: Vec<Vec<u32>> = file.entries.iter().map(|e| encode_entry_v3(e, opts)).collect();
@@ -347,10 +341,10 @@ impl Check<'_> {
     }
 }
 
-/// One structural pass over a body: prove every offset, count and tag a
-/// view accessor will ever follow in-bounds and well-formed, so the
-/// accessors themselves can be infallible. Semantic validity is *not*
-/// checked here — that stays with [`HliEntry::verify`].
+/// One structural pass over a body: prove every offset, count and tag
+/// [`HliEntryView::materialize`] will follow in-bounds and well-formed, so
+/// decoding itself is infallible. Semantic validity is *not* checked
+/// here — that stays with [`HliEntry::verify`].
 fn validate_body(b: &[u8], unit: &str) -> Result<(), DecodeError> {
     let c = Check { b, unit };
     if c.n_words() < u64::from(HDR_WORDS) {
@@ -408,8 +402,9 @@ fn validate_body(b: &[u8], unit: &str) -> Result<(), DecodeError> {
         let rec = regs_off + i * u64::from(REGION_WORDS);
         c.tag(c.w(rec + 1, "region kind")?, 1, "region kind")?;
         let parent_plus1 = c.w(rec + 3, "region parent")?;
-        // Parents must come strictly before their children so the view's
-        // parent chase (region_path / region_lca) always terminates.
+        // Parents must come strictly before their children so a parent
+        // chase over the decoded regions (region_path / region_lca)
+        // always terminates.
         if parent_plus1 != 0 && u64::from(parent_plus1 - 1) >= i {
             return Err(DecodeError(format!(
                 "unit `{unit}`: region {i} has parent {} not before it",
@@ -510,41 +505,13 @@ fn validate_body(b: &[u8], unit: &str) -> Result<(), DecodeError> {
 }
 
 // ---------------------------------------------------------------------------
-// The borrowed view
+// Decoding a unit
 // ---------------------------------------------------------------------------
 
-/// Header-plus-scope metadata of one region, copied out of an image or an
-/// owned [`Region`]. This is the `Copy` answer [`EntryRef::region_meta`]
-/// (and the query layer's `region_info`) returns, since a view has no
-/// owned [`Region`] to borrow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionMeta {
-    /// The region's ID.
-    pub id: RegionId,
-    /// Unit region or loop region.
-    pub kind: RegionKind,
-    /// The enclosing region; `None` only for the unit region.
-    pub parent: Option<RegionId>,
-    /// Source-line span `[lo, hi]` of the region.
-    pub scope: (u32, u32),
-}
-
-impl RegionMeta {
-    /// Is this a loop region (vs. the unit region)?
-    pub fn is_loop(&self) -> bool {
-        matches!(self.kind, RegionKind::Loop { .. })
-    }
-
-    fn of(r: &Region) -> Self {
-        RegionMeta { id: r.id, kind: r.kind, parent: r.parent, scope: r.scope }
-    }
-}
-
-/// A borrowed, structurally-validated window over one unit's body in an
-/// `HLI\x03` image. All accessors read the image words directly — nothing
-/// is decoded or allocated — and are infallible because the structural
-/// validation pass ran before the view was handed out. `Copy`, so it
-/// can be passed around as freely as `&HliEntry`.
+/// A structurally validated unit body in an `HLI\x03` image. Its one job
+/// is [`materialize`](HliEntryView::materialize): validation ran before
+/// the view was handed out, so decoding it cannot fail. `Copy`, so a
+/// lookup can hand it out as freely as `&HliEntry`.
 #[derive(Clone, Copy)]
 pub struct HliEntryView<'a> {
     name: &'a str,
@@ -556,178 +523,112 @@ impl<'a> HliEntryView<'a> {
         word_at(self.body, i as usize)
     }
 
-    /// Name of the program unit the view describes.
-    pub fn unit_name(&self) -> &'a str {
-        self.name
+    /// The `count` words of a raw id pool starting at word `off`.
+    fn pool(&self, off: u32, count: u32) -> impl Iterator<Item = u32> + '_ {
+        (off..off + count).map(|i| self.w(i))
     }
 
-    /// The unit's next free item/class ID (header word 0).
-    pub fn next_id(&self) -> u32 {
-        self.w(0)
-    }
-
-    /// Whether the image carries class name hints (flags bit 0).
-    pub fn has_name_hints(&self) -> bool {
-        self.w(1) & 1 != 0
-    }
-
-    /// Number of regions in the unit.
-    pub fn num_regions(&self) -> usize {
-        self.w(4) as usize
-    }
-
-    fn n_lines(&self) -> u32 {
-        self.w(2)
-    }
-
-    fn n_items(&self) -> u32 {
-        self.w(3)
-    }
-
-    fn lines_off(&self) -> u32 {
-        HDR_WORDS
-    }
-
-    fn items_off(&self) -> u32 {
-        self.lines_off() + self.n_lines() * LINE_WORDS
-    }
-
-    fn region_rec(&self, r: usize) -> u32 {
-        assert!(r < self.num_regions(), "region {r} out of range");
-        self.items_off() + self.n_items() * ITEM_WORDS + r as u32 * REGION_WORDS
-    }
-
-    fn strings(&self) -> &'a [u8] {
-        let off = self.w(5) as usize * 4;
-        &self.body[off..off + self.w(6) as usize]
-    }
-
-    fn item_at(&self, i: u32) -> ItemEntry {
-        let rec = self.items_off() + i * ITEM_WORDS;
-        let ty = match self.w(rec + 1) {
-            0 => ItemType::Load,
-            1 => ItemType::Store,
-            _ => ItemType::Call,
-        };
-        ItemEntry { id: ItemId(self.w(rec)), ty }
-    }
-
-    /// Region header metadata. Panics if `r` is out of range, matching
-    /// the owned [`HliEntry::region`] accessor.
-    pub fn region_meta(&self, r: RegionId) -> RegionMeta {
-        let rec = self.region_rec(r.0 as usize);
-        let kind = if self.w(rec + 1) == 0 {
-            RegionKind::Unit
-        } else {
-            RegionKind::Loop { header_line: self.w(rec + 2) }
-        };
-        let p = self.w(rec + 3);
-        RegionMeta {
-            id: RegionId(self.w(rec)),
-            kind,
-            parent: (p != 0).then(|| RegionId(p - 1)),
-            scope: (self.w(rec + 4), self.w(rec + 5)),
-        }
-    }
-
-    /// All line-table items in line order then intra-line order, as
-    /// `(line, item)` pairs — the view analogue of `LineTable::items`.
-    pub fn line_items(&self) -> LineItems<'a> {
-        LineItems {
-            inner: LineItemsInner::View { img: *self, line: 0, in_line: 0 },
-        }
-    }
-
-    /// The classes defined at region `r`.
-    pub fn classes(&self, r: RegionId) -> Classes<'a> {
-        let rec = self.region_rec(r.0 as usize);
-        Classes {
-            inner: ClassesInner::View { img: *self, off: self.w(rec + 6), left: self.w(rec + 7) },
-        }
-    }
-
-    /// The alias entries of region `r`.
-    pub fn alias_entries(&self, r: RegionId) -> Aliases<'a> {
-        let rec = self.region_rec(r.0 as usize);
-        Aliases {
-            inner: AliasesInner::View { img: *self, off: self.w(rec + 8), left: self.w(rec + 9) },
-        }
-    }
-
-    /// The loop-carried dependence arcs of region `r`.
-    pub fn lcdd(&self, r: RegionId) -> Lcdds<'a> {
-        let rec = self.region_rec(r.0 as usize);
-        Lcdds {
-            inner: LcddsInner::View { img: *self, off: self.w(rec + 10), left: self.w(rec + 11) },
-        }
-    }
-
-    /// The call REF/MOD entries of region `r`.
-    pub fn call_refmods(&self, r: RegionId) -> Crms<'a> {
-        let rec = self.region_rec(r.0 as usize);
-        Crms {
-            inner: CrmsInner::View { img: *self, off: self.w(rec + 12), left: self.w(rec + 13) },
-        }
-    }
-
-    /// The immediate sub-regions of region `r`, in stored order.
-    pub fn subregions(&self, r: RegionId) -> SubRegions<'a> {
-        let rec = self.region_rec(r.0 as usize);
-        SubRegions {
-            inner: SubRegionsInner::View {
-                img: *self,
-                off: self.w(rec + 14),
-                left: self.w(rec + 15),
-            },
-        }
-    }
-
-    /// Decode the view into an owned [`HliEntry`] (generation 0). This is
-    /// the bridge to the mutable world: `vet_unit` verifies the
-    /// materialized copy, and [`HliImage::entry_mut`] stores one as the
-    /// unit's copy-on-write overlay. Deliberately **not** metered as
-    /// `hli.deserialize.bytes` — materialization is an explicit opt-out
-    /// of the zero-copy read path, accounted under `hli.image.*`.
+    /// Decode the unit into an owned [`HliEntry`] (generation 0). This is
+    /// the only reader of a unit body: the back end's `vet_unit` verifies
+    /// the decoded tables and then queries exactly those. Not metered as
+    /// `hli.deserialize.bytes`, which counts only what the open reads.
     pub fn materialize(&self) -> HliEntry {
+        let (n_lines, n_items, n_regions) = (self.w(2), self.w(3), self.w(4));
+        let items_off = HDR_WORDS + n_lines * LINE_WORDS;
+        let regs_off = items_off + n_items * ITEM_WORDS;
+        let strings = {
+            let off = self.w(5) as usize * 4;
+            &self.body[off..off + self.w(6) as usize]
+        };
         let mut line_table = LineTable::default();
-        for i in 0..self.n_lines() {
-            let rec = self.lines_off() + i * LINE_WORDS;
+        for rec in records(HDR_WORDS, n_lines, LINE_WORDS) {
             let (line, first, count) = (self.w(rec), self.w(rec + 1), self.w(rec + 2));
-            for k in 0..count {
-                line_table.push_item(line, self.item_at(first + k));
+            for it in records(items_off + first * ITEM_WORDS, count, ITEM_WORDS) {
+                let ty = match self.w(it + 1) {
+                    0 => ItemType::Load,
+                    1 => ItemType::Store,
+                    _ => ItemType::Call,
+                };
+                line_table.push_item(line, ItemEntry { id: ItemId(self.w(it)), ty });
             }
         }
-        let regions = (0..self.num_regions())
-            .map(|ri| {
-                let r = RegionId(ri as u32);
-                let meta = self.region_meta(r);
+        let class = |c: u32| EquivClass {
+            id: ItemId(self.w(c)),
+            kind: if self.w(c + 1) == 0 {
+                EquivKind::Definite
+            } else {
+                EquivKind::Maybe
+            },
+            members: records(self.w(c + 2), self.w(c + 3), MEMBER_WORDS)
+                .map(|m| {
+                    if self.w(m) == 0 {
+                        MemberRef::Item(ItemId(self.w(m + 1)))
+                    } else {
+                        MemberRef::SubClass {
+                            region: RegionId(self.w(m + 1)),
+                            class: ItemId(self.w(m + 2)),
+                        }
+                    }
+                })
+                .collect(),
+            name_hint: {
+                let (off, len) = (self.w(c + 4) as usize, self.w(c + 5) as usize);
+                // Validated: in-bounds and UTF-8.
+                std::str::from_utf8(&strings[off..off + len]).unwrap().to_string()
+            },
+        };
+        let lcdd = |l: u32| LcddEntry {
+            src: ItemId(self.w(l)),
+            dst: ItemId(self.w(l + 1)),
+            kind: if self.w(l + 2) == 0 {
+                DepKind::Definite
+            } else {
+                DepKind::Maybe
+            },
+            distance: if self.w(l + 3) == 0 {
+                Distance::Const(self.w(l + 4))
+            } else {
+                Distance::Unknown
+            },
+        };
+        let call_refmod = |c: u32| CallRefMod {
+            callee: if self.w(c) == 0 {
+                CallRef::Item(ItemId(self.w(c + 1)))
+            } else {
+                CallRef::SubRegion(RegionId(self.w(c + 1)))
+            },
+            refs: self.pool(self.w(c + 2), self.w(c + 3)).map(ItemId).collect(),
+            mods: self.pool(self.w(c + 4), self.w(c + 5)).map(ItemId).collect(),
+        };
+        let regions = records(regs_off, n_regions, REGION_WORDS)
+            .map(|rec| {
+                let parent = self.w(rec + 3);
                 Region {
-                    id: meta.id,
-                    kind: meta.kind,
-                    parent: meta.parent,
-                    subregions: self.subregions(r).collect(),
-                    scope: meta.scope,
-                    equiv_classes: self
-                        .classes(r)
-                        .map(|c| EquivClass {
-                            id: c.id(),
-                            kind: c.kind(),
-                            members: c.members().collect(),
-                            name_hint: c.name_hint().to_string(),
+                    id: RegionId(self.w(rec)),
+                    kind: if self.w(rec + 1) == 0 {
+                        RegionKind::Unit
+                    } else {
+                        RegionKind::Loop { header_line: self.w(rec + 2) }
+                    },
+                    parent: (parent != 0).then(|| RegionId(parent - 1)),
+                    subregions: self
+                        .pool(self.w(rec + 14), self.w(rec + 15))
+                        .map(RegionId)
+                        .collect(),
+                    scope: (self.w(rec + 4), self.w(rec + 5)),
+                    equiv_classes: records(self.w(rec + 6), self.w(rec + 7), CLASS_WORDS)
+                        .map(class)
+                        .collect(),
+                    alias_table: records(self.w(rec + 8), self.w(rec + 9), ALIAS_WORDS)
+                        .map(|a| AliasEntry {
+                            classes: self.pool(self.w(a), self.w(a + 1)).map(ItemId).collect(),
                         })
                         .collect(),
-                    alias_table: self
-                        .alias_entries(r)
-                        .map(|a| AliasEntry { classes: a.classes().collect() })
+                    lcdd_table: records(self.w(rec + 10), self.w(rec + 11), LCDD_WORDS)
+                        .map(lcdd)
                         .collect(),
-                    lcdd_table: self.lcdd(r).collect(),
-                    call_refmod: self
-                        .call_refmods(r)
-                        .map(|c| CallRefMod {
-                            callee: c.callee(),
-                            refs: c.refs().collect(),
-                            mods: c.mods().collect(),
-                        })
+                    call_refmod: records(self.w(rec + 12), self.w(rec + 13), CRM_WORDS)
+                        .map(call_refmod)
                         .collect(),
                 }
             })
@@ -736,26 +637,30 @@ impl<'a> HliEntryView<'a> {
             unit_name: self.name.to_string(),
             line_table,
             regions,
-            next_id: self.next_id(),
+            next_id: self.w(0),
             generation: 0,
         }
     }
 }
 
+/// Word offsets of `count` fixed-width records of `size` words from `off`.
+fn records(off: u32, count: u32, size: u32) -> impl Iterator<Item = u32> {
+    (0..count).map(move |k| off + k * size)
+}
+
 // ---------------------------------------------------------------------------
-// EntryRef: one accessor surface over owned entries and views
+// EntryRef: how a lookup hands a unit to the back end
 // ---------------------------------------------------------------------------
 
-/// A borrowed HLI entry that is either an owned [`HliEntry`] (an
-/// in-memory file, or a COW overlay) or a zero-copy [`HliEntryView`].
-/// `Copy`, so the back-end can hand it through lookups exactly like the
-/// `&HliEntry` it used to pass; the query layer reads both shapes through
-/// one accessor surface.
+/// A unit as a back-end lookup hands it over: an owned [`HliEntry`] from
+/// an in-memory file, or a view into an `HLI\x03` image. `Copy`. The back
+/// end queries neither form directly: its `vet_unit` takes
+/// [`EntryRef::tables`], verifies them and queries exactly those.
 #[derive(Clone, Copy)]
 pub enum EntryRef<'a> {
-    /// A decoded (or overlaid) owned entry.
+    /// An entry of an in-memory file.
     Owned(&'a HliEntry),
-    /// A borrowed view straight over image bytes.
+    /// A structurally validated unit of an image.
     View(HliEntryView<'a>),
 }
 
@@ -764,15 +669,13 @@ impl<'a> EntryRef<'a> {
     pub fn unit_name(&self) -> &'a str {
         match self {
             EntryRef::Owned(e) => &e.unit_name,
-            EntryRef::View(v) => v.unit_name(),
+            EntryRef::View(v) => v.name,
         }
     }
 
-    /// The entry's maintenance generation. Views are immutable, so they
-    /// report 0 — the same value a freshly decoded owned entry carries —
-    /// keeping `QueryCache`'s `(unit, generation)` validity key sound:
-    /// any mutation goes through a materialized overlay whose generation
-    /// is bumped past 0 by the maintenance API.
+    /// The entry's maintenance generation. An image unit has never been
+    /// maintained, so it reports 0, the same value its decoded tables
+    /// carry.
     pub fn generation(&self) -> u64 {
         match self {
             EntryRef::Owned(e) => e.generation,
@@ -780,564 +683,19 @@ impl<'a> EntryRef<'a> {
         }
     }
 
-    /// Number of regions in the unit.
-    pub fn num_regions(&self) -> usize {
+    /// The unit's tables: borrowed from an owned entry, decoded from a
+    /// view.
+    pub fn tables(&self) -> Cow<'a, HliEntry> {
         match self {
-            EntryRef::Owned(e) => e.regions.len(),
-            EntryRef::View(v) => v.num_regions(),
+            EntryRef::Owned(e) => Cow::Borrowed(*e),
+            EntryRef::View(v) => Cow::Owned(v.materialize()),
         }
     }
 
-    /// Region header metadata. Panics if `r` is out of range, like
-    /// [`HliEntry::region`].
-    pub fn region_meta(&self, r: RegionId) -> RegionMeta {
-        match self {
-            EntryRef::Owned(e) => RegionMeta::of(e.region(r)),
-            EntryRef::View(v) => v.region_meta(r),
-        }
-    }
-
-    /// All line-table items in line order then intra-line order.
-    pub fn line_items(&self) -> LineItems<'a> {
-        match self {
-            EntryRef::Owned(e) => LineItems {
-                inner: LineItemsInner::Owned { lines: e.line_table.lines.iter(), cur: None },
-            },
-            EntryRef::View(v) => v.line_items(),
-        }
-    }
-
-    /// The classes defined at region `r`.
-    pub fn classes(&self, r: RegionId) -> Classes<'a> {
-        match self {
-            EntryRef::Owned(e) => {
-                Classes { inner: ClassesInner::Owned(e.region(r).equiv_classes.iter()) }
-            }
-            EntryRef::View(v) => v.classes(r),
-        }
-    }
-
-    /// The alias entries of region `r`.
-    pub fn alias_entries(&self, r: RegionId) -> Aliases<'a> {
-        match self {
-            EntryRef::Owned(e) => {
-                Aliases { inner: AliasesInner::Owned(e.region(r).alias_table.iter()) }
-            }
-            EntryRef::View(v) => v.alias_entries(r),
-        }
-    }
-
-    /// The loop-carried dependence arcs of region `r`.
-    pub fn lcdd(&self, r: RegionId) -> Lcdds<'a> {
-        match self {
-            EntryRef::Owned(e) => Lcdds { inner: LcddsInner::Owned(e.region(r).lcdd_table.iter()) },
-            EntryRef::View(v) => v.lcdd(r),
-        }
-    }
-
-    /// The call REF/MOD entries of region `r`.
-    pub fn call_refmods(&self, r: RegionId) -> Crms<'a> {
-        match self {
-            EntryRef::Owned(e) => Crms { inner: CrmsInner::Owned(e.region(r).call_refmod.iter()) },
-            EntryRef::View(v) => v.call_refmods(r),
-        }
-    }
-
-    /// The immediate sub-regions of region `r`, in stored order.
-    pub fn subregions(&self, r: RegionId) -> SubRegions<'a> {
-        match self {
-            EntryRef::Owned(e) => {
-                SubRegions { inner: SubRegionsInner::Owned(e.region(r).subregions.iter()) }
-            }
-            EntryRef::View(v) => v.subregions(r),
-        }
-    }
-
-    /// Path from the unit region down to `region` (inclusive), mirroring
-    /// [`HliEntry::region_path`]. Terminates on views because structural
-    /// validation requires parents to precede their children.
-    pub fn region_path(&self, region: RegionId) -> Vec<RegionId> {
-        let mut path = vec![region];
-        let mut cur = region;
-        while let Some(p) = self.region_meta(cur).parent {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        path
-    }
-
-    /// Lowest common ancestor of two regions, mirroring
-    /// [`HliEntry::region_lca`].
-    pub fn region_lca(&self, a: RegionId, b: RegionId) -> RegionId {
-        let pa = self.region_path(a);
-        let pb = self.region_path(b);
-        let mut lca = UNIT_REGION;
-        for (x, y) in pa.iter().zip(pb.iter()) {
-            if x == y {
-                lca = *x;
-            } else {
-                break;
-            }
-        }
-        lca
-    }
-
-    /// An owned copy of the entry: a clone for `Owned`, a decode for
-    /// `View`. The back-end's `vet_unit` runs [`HliEntry::verify`] on
-    /// this copy, keeping `verify` the single trust boundary.
+    /// An owned copy of the unit's tables: a clone of an owned entry, a
+    /// decode of a view.
     pub fn materialize(&self) -> HliEntry {
-        match self {
-            EntryRef::Owned(e) => (*e).clone(),
-            EntryRef::View(v) => v.materialize(),
-        }
-    }
-
-    /// Do the entry's serializable tables equal `other`'s? (`Owned`
-    /// compares directly; a view is materialized first.)
-    pub fn same_tables(&self, other: &HliEntry) -> bool {
-        match self {
-            EntryRef::Owned(e) => *e == other,
-            EntryRef::View(v) => v.materialize() == *other,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Iterators and per-record handles
-// ---------------------------------------------------------------------------
-
-/// Iterator over `(line, item)` pairs (see [`EntryRef::line_items`]).
-pub struct LineItems<'a> {
-    inner: LineItemsInner<'a>,
-}
-
-enum LineItemsInner<'a> {
-    Owned {
-        lines: std::slice::Iter<'a, crate::tables::LineEntry>,
-        cur: Option<(u32, std::slice::Iter<'a, ItemEntry>)>,
-    },
-    View {
-        img: HliEntryView<'a>,
-        line: u32,
-        in_line: u32,
-    },
-}
-
-impl Iterator for LineItems<'_> {
-    type Item = (u32, ItemEntry);
-
-    fn next(&mut self) -> Option<(u32, ItemEntry)> {
-        match &mut self.inner {
-            LineItemsInner::Owned { lines, cur } => loop {
-                if let Some((line, items)) = cur {
-                    if let Some(it) = items.next() {
-                        return Some((*line, *it));
-                    }
-                }
-                let l = lines.next()?;
-                *cur = Some((l.line, l.items.iter()));
-            },
-            LineItemsInner::View { img, line, in_line } => loop {
-                if *line >= img.n_lines() {
-                    return None;
-                }
-                let rec = img.lines_off() + *line * LINE_WORDS;
-                let (src, first, count) = (img.w(rec), img.w(rec + 1), img.w(rec + 2));
-                if *in_line < count {
-                    let it = img.item_at(first + *in_line);
-                    *in_line += 1;
-                    return Some((src, it));
-                }
-                *line += 1;
-                *in_line = 0;
-            },
-        }
-    }
-}
-
-/// One equivalent-access class, borrowed from an owned entry or an image.
-#[derive(Clone, Copy)]
-pub struct ClassRef<'a> {
-    inner: ClassRefInner<'a>,
-}
-
-#[derive(Clone, Copy)]
-enum ClassRefInner<'a> {
-    Owned(&'a EquivClass),
-    View { img: HliEntryView<'a>, rec: u32 },
-}
-
-impl<'a> ClassRef<'a> {
-    /// The class's ID.
-    pub fn id(&self) -> ItemId {
-        match self.inner {
-            ClassRefInner::Owned(c) => c.id,
-            ClassRefInner::View { img, rec } => ItemId(img.w(rec)),
-        }
-    }
-
-    /// Definite equivalence, or a may-alias merge.
-    pub fn kind(&self) -> EquivKind {
-        match self.inner {
-            ClassRefInner::Owned(c) => c.kind,
-            ClassRefInner::View { img, rec } => {
-                if img.w(rec + 1) == 0 {
-                    EquivKind::Definite
-                } else {
-                    EquivKind::Maybe
-                }
-            }
-        }
-    }
-
-    /// The class's members.
-    pub fn members(&self) -> Members<'a> {
-        match self.inner {
-            ClassRefInner::Owned(c) => Members { inner: MembersInner::Owned(c.members.iter()) },
-            ClassRefInner::View { img, rec } => Members {
-                inner: MembersInner::View { img, off: img.w(rec + 2), left: img.w(rec + 3) },
-            },
-        }
-    }
-
-    /// Debug label (empty when the image was encoded without names).
-    pub fn name_hint(&self) -> &'a str {
-        match self.inner {
-            ClassRefInner::Owned(c) => &c.name_hint,
-            ClassRefInner::View { img, rec } => {
-                let (off, len) = (img.w(rec + 4) as usize, img.w(rec + 5) as usize);
-                // Validated: in-bounds and UTF-8.
-                std::str::from_utf8(&img.strings()[off..off + len]).unwrap()
-            }
-        }
-    }
-}
-
-/// Iterator over a region's classes (see [`EntryRef::classes`]).
-pub struct Classes<'a> {
-    inner: ClassesInner<'a>,
-}
-
-enum ClassesInner<'a> {
-    Owned(std::slice::Iter<'a, EquivClass>),
-    View {
-        img: HliEntryView<'a>,
-        off: u32,
-        left: u32,
-    },
-}
-
-impl<'a> Iterator for Classes<'a> {
-    type Item = ClassRef<'a>;
-
-    fn next(&mut self) -> Option<ClassRef<'a>> {
-        match &mut self.inner {
-            ClassesInner::Owned(it) => {
-                it.next().map(|c| ClassRef { inner: ClassRefInner::Owned(c) })
-            }
-            ClassesInner::View { img, off, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let rec = *off;
-                *off += CLASS_WORDS;
-                *left -= 1;
-                Some(ClassRef { inner: ClassRefInner::View { img: *img, rec } })
-            }
-        }
-    }
-}
-
-/// Iterator over a class's members (see [`ClassRef::members`]).
-pub struct Members<'a> {
-    inner: MembersInner<'a>,
-}
-
-enum MembersInner<'a> {
-    Owned(std::slice::Iter<'a, MemberRef>),
-    View {
-        img: HliEntryView<'a>,
-        off: u32,
-        left: u32,
-    },
-}
-
-impl Iterator for Members<'_> {
-    type Item = MemberRef;
-
-    fn next(&mut self) -> Option<MemberRef> {
-        match &mut self.inner {
-            MembersInner::Owned(it) => it.next().copied(),
-            MembersInner::View { img, off, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let rec = *off;
-                *off += MEMBER_WORDS;
-                *left -= 1;
-                Some(if img.w(rec) == 0 {
-                    MemberRef::Item(ItemId(img.w(rec + 1)))
-                } else {
-                    MemberRef::SubClass {
-                        region: RegionId(img.w(rec + 1)),
-                        class: ItemId(img.w(rec + 2)),
-                    }
-                })
-            }
-        }
-    }
-}
-
-/// One alias entry, borrowed from an owned entry or an image.
-#[derive(Clone, Copy)]
-pub struct AliasRef<'a> {
-    inner: AliasRefInner<'a>,
-}
-
-#[derive(Clone, Copy)]
-enum AliasRefInner<'a> {
-    Owned(&'a AliasEntry),
-    View { img: HliEntryView<'a>, rec: u32 },
-}
-
-impl AliasRef<'_> {
-    /// The classes that may overlap; all defined at the owning region.
-    pub fn classes(&self) -> Ids<'_> {
-        match self.inner {
-            AliasRefInner::Owned(a) => Ids { inner: IdsInner::Owned(a.classes.iter()) },
-            AliasRefInner::View { img, rec } => Ids {
-                inner: IdsInner::View { img, off: img.w(rec), left: img.w(rec + 1) },
-            },
-        }
-    }
-}
-
-/// Iterator over a region's alias entries (see [`EntryRef::alias_entries`]).
-pub struct Aliases<'a> {
-    inner: AliasesInner<'a>,
-}
-
-enum AliasesInner<'a> {
-    Owned(std::slice::Iter<'a, AliasEntry>),
-    View {
-        img: HliEntryView<'a>,
-        off: u32,
-        left: u32,
-    },
-}
-
-impl<'a> Iterator for Aliases<'a> {
-    type Item = AliasRef<'a>;
-
-    fn next(&mut self) -> Option<AliasRef<'a>> {
-        match &mut self.inner {
-            AliasesInner::Owned(it) => {
-                it.next().map(|a| AliasRef { inner: AliasRefInner::Owned(a) })
-            }
-            AliasesInner::View { img, off, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let rec = *off;
-                *off += ALIAS_WORDS;
-                *left -= 1;
-                Some(AliasRef { inner: AliasRefInner::View { img: *img, rec } })
-            }
-        }
-    }
-}
-
-/// Iterator over a region's immediate sub-region IDs.
-pub struct SubRegions<'a> {
-    inner: SubRegionsInner<'a>,
-}
-
-enum SubRegionsInner<'a> {
-    Owned(std::slice::Iter<'a, RegionId>),
-    View {
-        img: HliEntryView<'a>,
-        off: u32,
-        left: u32,
-    },
-}
-
-impl Iterator for SubRegions<'_> {
-    type Item = RegionId;
-
-    fn next(&mut self) -> Option<RegionId> {
-        match &mut self.inner {
-            SubRegionsInner::Owned(it) => it.next().copied(),
-            SubRegionsInner::View { img, off, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let id = RegionId(img.w(*off));
-                *off += 1;
-                *left -= 1;
-                Some(id)
-            }
-        }
-    }
-}
-
-/// Iterator over a pool of [`ItemId`]s (alias classes, REF/MOD lists).
-pub struct Ids<'a> {
-    inner: IdsInner<'a>,
-}
-
-enum IdsInner<'a> {
-    Owned(std::slice::Iter<'a, ItemId>),
-    View {
-        img: HliEntryView<'a>,
-        off: u32,
-        left: u32,
-    },
-}
-
-impl Iterator for Ids<'_> {
-    type Item = ItemId;
-
-    fn next(&mut self) -> Option<ItemId> {
-        match &mut self.inner {
-            IdsInner::Owned(it) => it.next().copied(),
-            IdsInner::View { img, off, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let id = ItemId(img.w(*off));
-                *off += 1;
-                *left -= 1;
-                Some(id)
-            }
-        }
-    }
-}
-
-/// Iterator over a region's LCDD arcs (see [`EntryRef::lcdd`]).
-pub struct Lcdds<'a> {
-    inner: LcddsInner<'a>,
-}
-
-enum LcddsInner<'a> {
-    Owned(std::slice::Iter<'a, LcddEntry>),
-    View {
-        img: HliEntryView<'a>,
-        off: u32,
-        left: u32,
-    },
-}
-
-impl Iterator for Lcdds<'_> {
-    type Item = LcddEntry;
-
-    fn next(&mut self) -> Option<LcddEntry> {
-        match &mut self.inner {
-            LcddsInner::Owned(it) => it.next().copied(),
-            LcddsInner::View { img, off, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let rec = *off;
-                *off += LCDD_WORDS;
-                *left -= 1;
-                Some(LcddEntry {
-                    src: ItemId(img.w(rec)),
-                    dst: ItemId(img.w(rec + 1)),
-                    kind: if img.w(rec + 2) == 0 {
-                        DepKind::Definite
-                    } else {
-                        DepKind::Maybe
-                    },
-                    distance: if img.w(rec + 3) == 0 {
-                        Distance::Const(img.w(rec + 4))
-                    } else {
-                        Distance::Unknown
-                    },
-                })
-            }
-        }
-    }
-}
-
-/// One call REF/MOD entry, borrowed from an owned entry or an image.
-#[derive(Clone, Copy)]
-pub struct CrmRef<'a> {
-    inner: CrmRefInner<'a>,
-}
-
-#[derive(Clone, Copy)]
-enum CrmRefInner<'a> {
-    Owned(&'a CallRefMod),
-    View { img: HliEntryView<'a>, rec: u32 },
-}
-
-impl CrmRef<'_> {
-    /// Which call(s) the entry describes.
-    pub fn callee(&self) -> CallRef {
-        match self.inner {
-            CrmRefInner::Owned(c) => c.callee,
-            CrmRefInner::View { img, rec } => {
-                if img.w(rec) == 0 {
-                    CallRef::Item(ItemId(img.w(rec + 1)))
-                } else {
-                    CallRef::SubRegion(RegionId(img.w(rec + 1)))
-                }
-            }
-        }
-    }
-
-    /// Classes possibly read by the call(s).
-    pub fn refs(&self) -> Ids<'_> {
-        match self.inner {
-            CrmRefInner::Owned(c) => Ids { inner: IdsInner::Owned(c.refs.iter()) },
-            CrmRefInner::View { img, rec } => Ids {
-                inner: IdsInner::View { img, off: img.w(rec + 2), left: img.w(rec + 3) },
-            },
-        }
-    }
-
-    /// Classes possibly written by the call(s).
-    pub fn mods(&self) -> Ids<'_> {
-        match self.inner {
-            CrmRefInner::Owned(c) => Ids { inner: IdsInner::Owned(c.mods.iter()) },
-            CrmRefInner::View { img, rec } => Ids {
-                inner: IdsInner::View { img, off: img.w(rec + 4), left: img.w(rec + 5) },
-            },
-        }
-    }
-}
-
-/// Iterator over a region's REF/MOD entries (see [`EntryRef::call_refmods`]).
-pub struct Crms<'a> {
-    inner: CrmsInner<'a>,
-}
-
-enum CrmsInner<'a> {
-    Owned(std::slice::Iter<'a, CallRefMod>),
-    View {
-        img: HliEntryView<'a>,
-        off: u32,
-        left: u32,
-    },
-}
-
-impl<'a> Iterator for Crms<'a> {
-    type Item = CrmRef<'a>;
-
-    fn next(&mut self) -> Option<CrmRef<'a>> {
-        match &mut self.inner {
-            CrmsInner::Owned(it) => it.next().map(|c| CrmRef { inner: CrmRefInner::Owned(c) }),
-            CrmsInner::View { img, off, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let rec = *off;
-                *off += CRM_WORDS;
-                *left -= 1;
-                Some(CrmRef { inner: CrmRefInner::View { img: *img, rec } })
-            }
-        }
+        self.tables().into_owned()
     }
 }
 
@@ -1352,27 +710,26 @@ struct ImageUnit {
     body_off: u32,
     body_len: u32,
     /// Memoized structural-validation verdict: run at most once per unit,
-    /// shared by every later view request (including across threads).
+    /// shared by every later request (including across threads).
     validated: OnceLock<Result<(), DecodeError>>,
 }
 
-/// A zero-copy `HLI\x03` image: serves [`HliEntryView`]s straight over
-/// the file bytes, with copy-on-write [`HliEntry`] overlays for units the
-/// maintenance API mutates. Shareable across back-end workers (`Sync`).
+/// An `HLI\x03` image: a directory over the file bytes that hands out a
+/// structurally validated [`HliEntryView`] per unit. Immutable and
+/// shareable across back-end workers (`Sync`).
 pub struct HliImage {
     data: Vec<u8>,
     units: Vec<ImageUnit>,
     index: HashMap<String, usize>,
-    /// COW arena: `Some` only for units [`HliImage::entry_mut`] touched.
-    overlays: Vec<Option<Box<HliEntry>>>,
     units_validated: hli_obs::Counter,
 }
 
 impl HliImage {
     /// Open an image from in-memory bytes. Only the file frame (magic,
     /// directory, names) is checked and metered here — O(units), not
-    /// O(bytes); bodies are validated lazily on first access.
-    pub fn open(data: Vec<u8>, _opts: SerializeOpts) -> Result<Self, DecodeError> {
+    /// O(bytes); bodies are validated lazily on first access. The layout
+    /// (and whether class name hints are present) is read from the bytes.
+    pub fn open(data: Vec<u8>) -> Result<Self, DecodeError> {
         let _t = hli_obs::phase::timed("hli.image.open");
         let r = hli_obs::metrics::cur();
         // The magic first, so a file in another format (such as one an
@@ -1439,24 +796,21 @@ impl HliImage {
         r.counter("hli.image.units_total").add(n as u64);
         // The open consumed exactly the frame: header + directory + names.
         count_decoded(dir_words * 4 + names_bytes);
-        let overlays = (0..n).map(|_| None).collect();
         Ok(HliImage {
             data,
             units,
             index,
-            overlays,
             units_validated: r.counter("hli.image.units_validated"),
         })
     }
 
     /// Open an image file with positioned reads (`pread`) into a private
     /// buffer — the portable stand-in for `mmap` in a std-only workspace:
-    /// one up-front copy, after which every access is zero-copy against
-    /// the buffer.
-    pub fn open_file(path: &std::path::Path, opts: SerializeOpts) -> Result<Self, DecodeError> {
+    /// one up-front copy, after which the file is no longer needed.
+    pub fn open_file(path: &std::path::Path) -> Result<Self, DecodeError> {
         let data = read_file_pread(path)
             .map_err(|e| DecodeError(format!("read `{}`: {e}", path.display())))?;
-        Self::open(data, opts)
+        Self::open(data)
     }
 
     /// Unit names in file order.
@@ -1484,12 +838,13 @@ impl HliImage {
         self.units.iter().filter(|u| u.validated.get().is_some()).count()
     }
 
-    /// How many units have a copy-on-write overlay.
-    pub fn overlaid_units(&self) -> usize {
-        self.overlays.iter().filter(|o| o.is_some()).count()
-    }
-
-    fn view_at(&self, i: usize) -> Result<HliEntryView<'_>, DecodeError> {
+    /// The view of `unit`, structurally validated on first access
+    /// (memoized, thread-safe). `Ok(None)` when the directory has no such
+    /// unit; `Err` when the unit's body fails validation.
+    pub fn get_ref(&self, unit: &str) -> Result<Option<EntryRef<'_>>, DecodeError> {
+        let Some(&i) = self.index.get(unit) else {
+            return Ok(None);
+        };
         let u = &self.units[i];
         let name = self.name_of(u);
         let body = &self.data[u.body_off as usize * 4..(u.body_off + u.body_len) as usize * 4];
@@ -1498,41 +853,9 @@ impl HliImage {
             validate_body(body, name)
         });
         match verdict {
-            Ok(()) => Ok(HliEntryView { name, body }),
+            Ok(()) => Ok(Some(EntryRef::View(HliEntryView { name, body }))),
             Err(e) => Err(e.clone()),
         }
-    }
-
-    /// The entry for `unit`: its COW overlay when one exists, otherwise a
-    /// zero-copy view (structurally validated on first access, memoized —
-    /// thread-safe). `Ok(None)` when the directory
-    /// has no such unit; `Err` when the unit's body fails validation.
-    pub fn get_ref(&self, unit: &str) -> Result<Option<EntryRef<'_>>, DecodeError> {
-        let Some(&i) = self.index.get(unit) else {
-            return Ok(None);
-        };
-        if let Some(e) = self.overlays[i].as_deref() {
-            return Ok(Some(EntryRef::Owned(e)));
-        }
-        self.view_at(i).map(|v| Some(EntryRef::View(v)))
-    }
-
-    /// Mutable access for the maintenance API: materializes the unit's
-    /// copy-on-write overlay on first call (counted as
-    /// `hli.image.overlays`) and returns it on every later one. The
-    /// overlay starts at generation 0 — the same value its view reported —
-    /// and the maintenance ops bump it from there, so query caches keyed
-    /// on `(unit, generation)` invalidate exactly as with owned files.
-    pub fn entry_mut(&mut self, unit: &str) -> Result<Option<&mut HliEntry>, DecodeError> {
-        let Some(&i) = self.index.get(unit) else {
-            return Ok(None);
-        };
-        if self.overlays[i].is_none() {
-            let e = self.view_at(i)?.materialize();
-            hli_obs::metrics::cur().counter("hli.image.overlays").inc();
-            self.overlays[i] = Some(Box::new(e));
-        }
-        Ok(self.overlays[i].as_deref_mut())
     }
 }
 
@@ -1579,14 +902,15 @@ mod tests {
             let opts = SerializeOpts { include_names };
             let file = two_unit_file();
             let bytes = encode_file_v3(&file, opts);
-            let img = HliImage::open(bytes, opts).unwrap();
+            let img = HliImage::open(bytes).unwrap();
             assert_eq!(img.len(), 2);
             assert_eq!(img.units().collect::<Vec<_>>(), vec!["foo", "bar"]);
             for want in &file.entries {
-                let got = match img.get_ref(&want.unit_name).unwrap().unwrap() {
-                    EntryRef::View(v) => v.materialize(),
-                    EntryRef::Owned(_) => panic!("fresh image must serve views"),
-                };
+                let unit = img.get_ref(&want.unit_name).unwrap().unwrap();
+                assert!(matches!(unit, EntryRef::View(_)), "an image serves views");
+                assert_eq!(unit.unit_name(), want.unit_name);
+                assert_eq!(unit.generation(), 0);
+                let got = unit.materialize();
                 if include_names {
                     assert_eq!(got, *want);
                 } else {
@@ -1604,90 +928,19 @@ mod tests {
     }
 
     #[test]
-    fn views_match_owned_accessors() {
-        let opts = SerializeOpts { include_names: true };
-        let e = figure2_like();
-        let file = HliFile { entries: vec![e.clone()] };
-        let img = HliImage::open(encode_file_v3(&file, opts), opts).unwrap();
-        let view = img.get_ref("foo").unwrap().unwrap();
-        let owned = EntryRef::Owned(&e);
-        assert_eq!(view.unit_name(), "foo");
-        assert_eq!(view.generation(), 0);
-        assert_eq!(view.num_regions(), owned.num_regions());
-        assert_eq!(
-            view.line_items().collect::<Vec<_>>(),
-            owned.line_items().collect::<Vec<_>>()
-        );
-        for ri in 0..e.regions.len() {
-            let r = RegionId(ri as u32);
-            assert_eq!(view.region_meta(r), owned.region_meta(r));
-            assert_eq!(view.region_path(r), e.region_path(r));
-            let vc: Vec<_> = view
-                .classes(r)
-                .map(|c| {
-                    (
-                        c.id(),
-                        c.kind(),
-                        c.members().collect::<Vec<_>>(),
-                        c.name_hint().to_string(),
-                    )
-                })
-                .collect();
-            let oc: Vec<_> = owned
-                .classes(r)
-                .map(|c| {
-                    (
-                        c.id(),
-                        c.kind(),
-                        c.members().collect::<Vec<_>>(),
-                        c.name_hint().to_string(),
-                    )
-                })
-                .collect();
-            assert_eq!(vc, oc);
-            assert_eq!(
-                view.alias_entries(r)
-                    .map(|a| a.classes().collect::<Vec<_>>())
-                    .collect::<Vec<_>>(),
-                owned
-                    .alias_entries(r)
-                    .map(|a| a.classes().collect::<Vec<_>>())
-                    .collect::<Vec<_>>()
-            );
-            assert_eq!(view.lcdd(r).collect::<Vec<_>>(), owned.lcdd(r).collect::<Vec<_>>());
-            let vcrm: Vec<_> = view
-                .call_refmods(r)
-                .map(|c| (c.callee(), c.refs().collect::<Vec<_>>(), c.mods().collect::<Vec<_>>()))
-                .collect();
-            let ocrm: Vec<_> = owned
-                .call_refmods(r)
-                .map(|c| (c.callee(), c.refs().collect::<Vec<_>>(), c.mods().collect::<Vec<_>>()))
-                .collect();
-            assert_eq!(vcrm, ocrm);
-        }
-        assert_eq!(
-            view.region_lca(RegionId(3), RegionId(2)),
-            e.region_lca(RegionId(3), RegionId(2))
-        );
-        assert!(view.same_tables(&e));
-    }
-
-    #[test]
     fn open_decodes_only_the_directory() {
         let reg = std::sync::Arc::new(hli_obs::MetricsRegistry::new());
-        let opts = SerializeOpts::default();
-        let bytes = encode_file_v3(&two_unit_file(), opts);
+        let bytes = encode_file_v3(&two_unit_file(), SerializeOpts::default());
         let total = bytes.len() as u64;
         let _g = hli_obs::metrics::scoped(reg.clone());
-        let img = HliImage::open(bytes, opts).unwrap();
+        let img = HliImage::open(bytes).unwrap();
         let open_bytes = reg.snapshot().counter("hli.deserialize.bytes");
         assert!(
             open_bytes > 0 && open_bytes < total / 4,
             "open must meter only the frame ({open_bytes} of {total} B)"
         );
-        // Serving and walking a view decodes nothing further.
-        let r = img.get_ref("foo").unwrap().unwrap();
-        let _ = r.line_items().count();
+        // Serving and decoding one unit meters nothing further.
+        let _ = img.get_ref("foo").unwrap().unwrap().materialize();
         assert_eq!(reg.snapshot().counter("hli.deserialize.bytes"), open_bytes);
         assert_eq!(reg.snapshot().counter("hli.image.units_validated"), 1);
     }
@@ -1706,70 +959,44 @@ mod tests {
     }
 
     #[test]
-    fn cow_overlay_is_allocated_only_for_mutated_units() {
-        let opts = SerializeOpts { include_names: true };
-        let file = two_unit_file();
-        let mut img = HliImage::open(encode_file_v3(&file, opts), opts).unwrap();
-        assert_eq!(img.overlaid_units(), 0);
-        // Mutate `foo` through the maintenance API on its overlay.
-        let e = img.entry_mut("foo").unwrap().unwrap();
-        assert_eq!(e.generation, 0);
-        crate::maintain::delete_item(e, ItemId(0)).unwrap();
-        assert!(e.generation > 0, "maintenance bumps the overlay generation");
-        assert_eq!(img.overlaid_units(), 1, "only the mutated unit pays for an overlay");
-        // The overlay (with its bumped generation) now shadows the view...
-        let foo = img.get_ref("foo").unwrap().unwrap();
-        assert!(matches!(foo, EntryRef::Owned(_)));
-        assert!(foo.generation() > 0);
-        assert!(!foo.same_tables(&file.entries[0]), "the mutation is visible");
-        // ...while the untouched unit keeps being served zero-copy.
-        let bar = img.get_ref("bar").unwrap().unwrap();
-        assert!(matches!(bar, EntryRef::View(_)));
-        assert!(bar.same_tables(&file.entries[1]));
-        assert!(img.entry_mut("missing").unwrap().is_none());
-    }
-
-    #[test]
     fn pread_open_matches_in_memory_open() {
-        let opts = SerializeOpts { include_names: true };
-        let bytes = encode_file_v3(&two_unit_file(), opts);
+        let bytes = encode_file_v3(&two_unit_file(), SerializeOpts { include_names: true });
         let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target"));
-        let path = dir.join(format!("zero-copy-pread-test-{}.hli", std::process::id()));
+        let path = dir.join(format!("image-pread-test-{}.hli", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let img = HliImage::open_file(&path, opts).unwrap();
+        let img = HliImage::open_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(img.len(), 2);
         let got = img.get_ref("bar").unwrap().unwrap().materialize();
         assert_eq!(got, two_unit_file().entries[1]);
-        assert!(HliImage::open_file(&dir.join("no-such-image.hli"), opts).is_err());
+        assert!(HliImage::open_file(&dir.join("no-such-image.hli")).is_err());
     }
 
     #[test]
     fn misaligned_truncated_and_corrupt_images_fail_cleanly() {
-        let opts = SerializeOpts { include_names: true };
-        let bytes = encode_file_v3(&two_unit_file(), opts);
+        let bytes = encode_file_v3(&two_unit_file(), SerializeOpts { include_names: true });
         // A clean image must open and validate.
-        assert!(HliImage::open(bytes.clone(), opts).is_ok());
+        assert!(HliImage::open(bytes.clone()).is_ok());
         // Misaligned: any non-word length is rejected at open.
         for cut in [1usize, 2, 3] {
-            let err = HliImage::open(bytes[..bytes.len() - cut].to_vec(), opts)
+            let err = HliImage::open(bytes[..bytes.len() - cut].to_vec())
                 .err()
                 .expect("misaligned image must be rejected");
             assert!(err.0.contains("word-aligned"), "got: {err:?}");
         }
-        assert!(HliImage::open(b"HLI".to_vec(), opts).is_err());
-        assert!(HliImage::open(b"NOPE0000".to_vec(), opts).is_err());
+        assert!(HliImage::open(b"HLI".to_vec()).is_err());
+        assert!(HliImage::open(b"NOPE0000".to_vec()).is_err());
         // Another format, even of a misaligned length, is named as such.
-        let err = HliImage::open(b"HLI\x02\x01".to_vec(), opts).err().expect("not an image");
+        let err = HliImage::open(b"HLI\x02\x01".to_vec()).err().expect("not an image");
         assert!(err.0.contains("bad magic"), "got: {err:?}");
         // Trailing words after the last body are rejected (as in v1).
         let mut trailing = bytes.clone();
         trailing.extend_from_slice(&[0, 0, 0, 0]);
-        assert!(HliImage::open(trailing, opts).is_err());
-        // Word-aligned truncations must fail at open or at view
-        // construction/walk — never panic, never read out of bounds.
+        assert!(HliImage::open(trailing).is_err());
+        // Word-aligned truncations must fail at open or at a unit's first
+        // access or decode cleanly — never panic, never read out of bounds.
         for cut in (0..bytes.len()).step_by(4) {
-            let img = match HliImage::open(bytes[..cut].to_vec(), opts) {
+            let img = match HliImage::open(bytes[..cut].to_vec()) {
                 Ok(img) => img,
                 Err(_) => continue,
             };
@@ -1783,24 +1010,23 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_contained() {
-        // The zero-copy trust boundary, exhaustively: flip each byte of
-        // the image in turn; open + validate + a full materializing walk
-        // must either fail with a DecodeError or produce *some* entry —
-        // never panic, never touch out-of-bounds memory. (Semantic damage
-        // that survives this structural gauntlet is vet_unit's job.)
-        let opts = SerializeOpts { include_names: true };
+        // The image trust boundary, exhaustively: flip each byte of the
+        // image in turn; open + validate + a full decode must either fail
+        // with a DecodeError or produce *some* entry — never panic, never
+        // touch out-of-bounds memory. (Semantic damage that survives this
+        // structural gauntlet is vet_unit's job.)
         let file = HliFile { entries: vec![figure2_like()] };
-        let bytes = encode_file_v3(&file, opts);
+        let bytes = encode_file_v3(&file, SerializeOpts { include_names: true });
         for i in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[i] ^= 0xA5;
-            let Ok(img) = HliImage::open(mutated, opts) else { continue };
+            let Ok(img) = HliImage::open(mutated) else { continue };
             let names: Vec<String> = img.units().map(String::from).collect();
             for unit in names {
                 if let Ok(Some(r)) = img.get_ref(&unit) {
                     let e = r.materialize();
-                    // The materialized entry may be semantically bogus;
-                    // verify (the semantic boundary) must stay panic-free.
+                    // The decoded entry may be semantically bogus; verify
+                    // (the semantic boundary) must stay panic-free.
                     let _ = e.verify();
                 }
             }
@@ -1809,30 +1035,27 @@ mod tests {
 
     #[test]
     fn hostile_offsets_cannot_escape_the_body() {
-        let opts = SerializeOpts { include_names: true };
         let file = HliFile { entries: vec![figure2_like()] };
-        let clean = encode_file_v3(&file, opts);
-        let img = HliImage::open(clean.clone(), opts).unwrap();
+        let clean = encode_file_v3(&file, SerializeOpts { include_names: true });
         let body_off = {
             // Word 4 of the directory record = body_off of unit 0.
             word_at(&clean, 4) as usize
         };
         // Poison the region table's class_off with a huge word offset;
-        // validation must reject it rather than let a view chase it.
+        // validation must reject it rather than let the decoder chase it.
         let n_lines = word_at(&clean, body_off + 2) as usize;
         let n_items = word_at(&clean, body_off + 3) as usize;
         let reg0 = body_off + 8 + n_lines * 3 + n_items * 2;
         let mut evil = clean.clone();
         evil[(reg0 + 6) * 4..(reg0 + 6) * 4 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let img2 = HliImage::open(evil, opts).unwrap();
-        let err = match img2.get_ref("foo") {
+        let img = HliImage::open(evil).unwrap();
+        let err = match img.get_ref("foo") {
             Err(e) => e,
-            Ok(_) => panic!("hostile class_off must fail view construction"),
+            Ok(_) => panic!("hostile class_off must fail the unit's first access"),
         };
         assert!(err.0.contains("class table"), "got: {err:?}");
         // And the memo serves the same error again without re-validating.
-        assert!(img2.get_ref("foo").is_err());
-        assert_eq!(img2.validated_units(), 1);
-        drop(img);
+        assert!(img.get_ref("foo").is_err());
+        assert_eq!(img.validated_units(), 1);
     }
 }

@@ -29,9 +29,9 @@
 //! * [`serialize`] — the compact `HLI\x01` encoding whose size Table 1 of
 //!   the paper reports, with its round-trip reference decoder;
 //! * [`image`] — the word-aligned `HLI\x03` image the back end imports
-//!   from: each program unit is validated on first touch and read in place
-//!   (the paper's §3.2.1 on-demand import), with copy-on-write overlays
-//!   for the units maintenance rewrites;
+//!   from: opening it reads only the directory, and each program unit is
+//!   validated and decoded into an [`HliEntry`] when the back end first
+//!   asks for it (the paper's §3.2.1 on-demand import);
 //! * [`query`] — the *query function* interface of Section 3.2.2 (the five
 //!   basic queries: equivalent access, alias, LCDD, call REF/MOD, region
 //!   info), backed by a prebuilt index so back-end passes pay hash-lookup
@@ -63,7 +63,7 @@ pub mod verify;
 
 pub use cache::{CachedQuery, QueryCache};
 pub use ids::{ItemId, RegionId};
-pub use image::{encode_file_v3, EntryRef, HliEntryView, HliImage, RegionMeta};
+pub use image::{encode_file_v3, EntryRef, HliEntryView, HliImage};
 pub use query::{CallAcc, EquivAcc, HliQuery};
 pub use tables::{
     AliasEntry, CallRef, CallRefMod, DepKind, Distance, EquivClass, EquivKind, HliEntry, HliFile,

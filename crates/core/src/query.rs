@@ -34,7 +34,6 @@
 //! it buys") for the query→table map.
 
 use crate::ids::{ItemId, RegionId, UNIT_REGION};
-use crate::image::{EntryRef, RegionMeta};
 use crate::tables::*;
 use hli_obs::provenance::{self, QueryRef};
 use hli_obs::Counter;
@@ -100,13 +99,12 @@ pub struct LcddAnswer {
     pub reversed: bool,
 }
 
-/// Prebuilt index over one [`HliEntry`] (or a zero-copy
-/// [`crate::image::HliEntryView`], via [`EntryRef`]) answering the basic
-/// queries in (amortized) constant time. Construction is a single
-/// bottom-up pass — this is the "hash table constructed as the mapping
-/// procedure proceeds" of Section 3.2.1.
+/// Prebuilt index over one [`HliEntry`] answering the basic queries in
+/// (amortized) constant time. Construction is a single bottom-up pass —
+/// this is the "hash table constructed as the mapping procedure proceeds"
+/// of Section 3.2.1.
 pub struct HliQuery<'a> {
-    entry: EntryRef<'a>,
+    entry: &'a HliEntry,
     /// Per region: item → the class representing it at that region.
     class_at: Vec<HashMap<ItemId, ItemId>>,
     /// Per region: class id → kind.
@@ -155,17 +153,10 @@ impl QueryCounters {
 }
 
 impl<'a> HliQuery<'a> {
-    /// Build the index over one owned entry (a single bottom-up pass).
+    /// Build the index over one entry (a single bottom-up pass that reads
+    /// every table once).
     pub fn new(entry: &'a HliEntry) -> Self {
-        Self::new_ref(EntryRef::Owned(entry))
-    }
-
-    /// Build the index over an owned entry *or* a zero-copy view. The
-    /// sweep reads every table exactly once through the [`EntryRef`]
-    /// accessors, so views pay no decode and no owned-table allocation —
-    /// only the same hash maps an owned entry's index costs.
-    pub fn new_ref(entry: EntryRef<'a>) -> Self {
-        let n = entry.num_regions();
+        let n = entry.regions.len();
         let mut class_at: Vec<HashMap<ItemId, ItemId>> = vec![HashMap::new(); n];
         let mut class_kind: Vec<HashMap<ItemId, EquivKind>> = vec![HashMap::new(); n];
         let mut alias_pairs: Vec<HashSet<(ItemId, ItemId)>> = vec![HashSet::new(); n];
@@ -174,16 +165,14 @@ impl<'a> HliQuery<'a> {
         // Children always have larger ids than their parents (regions are
         // appended during a top-down construction), so a reverse id sweep
         // is a bottom-up traversal.
-        for idx in (0..n).rev() {
-            let r = RegionId(idx as u32);
-            let rid = entry.region_meta(r).id;
-            for c in entry.classes(r) {
-                class_kind[idx].insert(c.id(), c.kind());
-                for m in c.members() {
-                    match m {
+        for (idx, r) in entry.regions.iter().enumerate().rev() {
+            for c in &r.equiv_classes {
+                class_kind[idx].insert(c.id, c.kind);
+                for m in &c.members {
+                    match *m {
                         MemberRef::Item(it) => {
-                            class_at[idx].insert(it, c.id());
-                            owner.insert(it, rid);
+                            class_at[idx].insert(it, c.id);
+                            owner.insert(it, r.id);
                         }
                         MemberRef::SubClass { region, class } => {
                             let sub: Vec<ItemId> = class_at[region.0 as usize]
@@ -192,14 +181,14 @@ impl<'a> HliQuery<'a> {
                                 .map(|(it, _)| *it)
                                 .collect();
                             for it in sub {
-                                class_at[idx].insert(it, c.id());
+                                class_at[idx].insert(it, c.id);
                             }
                         }
                     }
                 }
             }
-            for a in entry.alias_entries(r) {
-                let classes: Vec<ItemId> = a.classes().collect();
+            for a in &r.alias_table {
+                let classes = &a.classes;
                 for i in 0..classes.len() {
                     for j in i + 1..classes.len() {
                         let (x, y) = (classes[i].min(classes[j]), classes[i].max(classes[j]));
@@ -217,17 +206,15 @@ impl<'a> HliQuery<'a> {
         // SubRegion summary — answering `None` for locations the call does
         // modify.
         let mut call_region = HashMap::new();
-        for idx in 0..n {
-            let r = RegionId(idx as u32);
-            let rid = entry.region_meta(r).id;
-            for crm in entry.call_refmods(r) {
-                if let CallRef::Item(it) = crm.callee() {
-                    call_region.entry(it).or_insert(rid);
+        for r in &entry.regions {
+            for crm in &r.call_refmod {
+                if let CallRef::Item(it) = crm.callee {
+                    call_region.entry(it).or_insert(r.id);
                 }
             }
         }
         let mut item_info = HashMap::new();
-        for (line, it) in entry.line_items() {
+        for (line, it) in entry.line_table.items() {
             item_info.insert(it.id, (line, it.ty));
             if it.ty == ItemType::Call {
                 call_region
@@ -271,11 +258,6 @@ impl<'a> HliQuery<'a> {
         log[mark.min(log.len())..].to_vec()
     }
 
-    /// The entry this index serves.
-    pub fn entry_ref(&self) -> EntryRef<'a> {
-        self.entry
-    }
-
     /// True when a provenance sink was active at construction. The
     /// memoization layer ([`crate::cache::CachedQuery`]) bypasses its memo
     /// tables in that case so every decision still cites a freshly-stamped
@@ -284,15 +266,12 @@ impl<'a> HliQuery<'a> {
         self.prov_active
     }
 
-    /// Basic query 5a: region metadata. Returns the `Copy`
-    /// [`RegionMeta`] header (id, kind, parent, scope) rather than a
-    /// borrowed [`Region`], since a zero-copy view has no owned region
-    /// to lend out; the region's tables are reached through the other
-    /// four queries.
-    pub fn region_info(&self, r: RegionId) -> RegionMeta {
+    /// Basic query 5a: region metadata (id, kind, parent, scope; the
+    /// region's tables are reached through the other four queries).
+    pub fn region_info(&self, r: RegionId) -> &'a Region {
         self.counters.region_info.inc();
         self.stamp();
-        self.entry.region_meta(r)
+        self.entry.region(r)
     }
 
     /// Basic query 5b: the innermost region owning an item (for call items,
@@ -372,7 +351,7 @@ impl<'a> HliQuery<'a> {
     pub fn get_lcdd_at(&self, region: RegionId, a: ItemId, b: ItemId) -> Option<LcddAnswer> {
         let l = region.0 as usize;
         let (&ca, &cb) = (self.class_at[l].get(&a)?, self.class_at[l].get(&b)?);
-        for e in self.entry.lcdd(region) {
+        for e in &self.entry.region(region).lcdd_table {
             if e.src == ca && e.dst == cb {
                 return Some(LcddAnswer { kind: e.kind, distance: e.distance, reversed: false });
             }
@@ -406,12 +385,13 @@ impl<'a> HliQuery<'a> {
                 let pos = call_path.iter().position(|&r| r == cur).expect("on path");
                 CallRef::SubRegion(call_path[pos + 1])
             };
-            if let Some(entry) = self.entry.call_refmods(cur).find(|c| c.callee() == callee_ref) {
+            let region_entry = self.entry.region(cur);
+            if let Some(entry) = region_entry.call_refmod.iter().find(|c| c.callee == callee_ref) {
                 let Some(&cmem) = self.class_at[l].get(&mem) else {
                     return CallAcc::Unknown;
                 };
-                let r = entry.refs().any(|c| c == cmem);
-                let m = entry.mods().any(|c| c == cmem);
+                let r = entry.refs.contains(&cmem);
+                let m = entry.mods.contains(&cmem);
                 return match (r, m) {
                     (false, false) => CallAcc::None,
                     (true, false) => CallAcc::Ref,
@@ -419,23 +399,22 @@ impl<'a> HliQuery<'a> {
                     (true, true) => CallAcc::RefMod,
                 };
             }
-            region = self.entry.region_meta(cur).parent;
+            region = region_entry.parent;
         }
         CallAcc::Unknown
     }
 }
 
 /// Innermost region whose line scope contains `line`.
-fn innermost_region_by_line(entry: EntryRef<'_>, line: u32) -> RegionId {
+fn innermost_region_by_line(entry: &HliEntry, line: u32) -> RegionId {
     let mut best = UNIT_REGION;
     let mut best_width = u32::MAX;
-    for idx in 0..entry.num_regions() {
-        let meta = entry.region_meta(RegionId(idx as u32));
-        let (lo, hi) = meta.scope;
+    for r in &entry.regions {
+        let (lo, hi) = r.scope;
         if lo <= line && line <= hi {
             let width = hi - lo;
-            if width < best_width || (width == best_width && meta.id.0 > best.0) {
-                best = meta.id;
+            if width < best_width || (width == best_width && r.id.0 > best.0) {
+                best = r.id;
                 best_width = width;
             }
         }

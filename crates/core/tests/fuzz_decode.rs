@@ -63,7 +63,7 @@ fn reader_open_never_panics() {
             1 => drop(bytes.splice(0..0, *b"HLI\x01")),
             _ => (),
         };
-        if let Ok(img) = HliImage::open(bytes, SerializeOpts::default()) {
+        if let Ok(img) = HliImage::open(bytes) {
             for unit in img.units().map(str::to_owned).collect::<Vec<_>>() {
                 let _ = img.get_ref(&unit);
             }
@@ -100,7 +100,7 @@ fn truncations_of_valid_files_fail_cleanly() {
         let v3 = encode_file_v3(&hli, opts);
         for cut in 0..v3.len() {
             let slice = v3[..cut].to_vec();
-            if let Ok(img) = HliImage::open(slice, opts) {
+            if let Ok(img) = HliImage::open(slice) {
                 // The frame may parse; resolving any unit of a truncated
                 // image must error, never panic.
                 for unit in img.units().map(str::to_owned).collect::<Vec<_>>() {
@@ -140,14 +140,14 @@ fn v1_and_v3_images_agree_unit_by_unit() {
     let hli = sample_hli();
     let opts = SerializeOpts { include_names: true };
     let v1 = decode_file(&encode_file(&hli, opts), opts).unwrap();
-    let v3 = HliImage::open(encode_file_v3(&hli, opts), opts).unwrap();
+    let v3 = HliImage::open(encode_file_v3(&hli, opts)).unwrap();
     assert_eq!(v1.entries.len(), v3.len());
     let names: Vec<&str> = v1.entries.iter().map(|e| e.unit_name.as_str()).collect();
     assert_eq!(names, v3.units().collect::<Vec<_>>());
     for unit in &v1.entries {
         let view = v3.get_ref(&unit.unit_name).unwrap().unwrap();
         assert!(
-            view.same_tables(unit),
+            view.materialize() == *unit,
             "unit `{}` differs between v1 and v3",
             unit.unit_name
         );

@@ -128,9 +128,8 @@ fn prepare() -> Vec<Prep> {
             if let Some((unit, err)) = hli_core::verify_file(&hli).first() {
                 die(&b.name, &format!("clean HLI invalid for `{unit}`: {err}"));
             }
-            let opts = SerializeOpts::default();
-            let image = encode_file_v3(&hli, opts);
-            let img = HliImage::open(image.clone(), opts).unwrap_or_else(|e| die(&b.name, &e.0));
+            let image = encode_file_v3(&hli, SerializeOpts::default());
+            let img = HliImage::open(image.clone()).unwrap_or_else(|e| die(&b.name, &e.0));
             let entries = img.units().map(|n| match img.get_ref(n) {
                 Ok(Some(e)) => e.materialize(),
                 _ => die(&b.name, &format!("clean image cannot serve `{n}`")),
@@ -248,7 +247,7 @@ fn run_byte_mutant(p: &Prep, bytes: Vec<u8>) -> Result<ByteClass, String> {
     // Open the mutated image; units are validated on first access. A unit
     // that fails validation is quarantined by the scheduling lookup,
     // exactly as `hlicc` and the harness treat it.
-    let Ok(img) = HliImage::open(bytes, SerializeOpts::default()) else {
+    let Ok(img) = HliImage::open(bytes) else {
         return Ok(ByteClass::Rejected);
     };
     let served = |n: &str| img.get_ref(n).ok().flatten();
@@ -262,7 +261,7 @@ fn run_byte_mutant(p: &Prep, bytes: Vec<u8>) -> Result<ByteClass, String> {
         && p.clean
             .entries
             .iter()
-            .all(|clean| served(&clean.unit_name).is_some_and(|e| e.same_tables(clean)));
+            .all(|clean| served(&clean.unit_name).is_some_and(|e| e.materialize() == *clean));
 
     let (gcc_prog, hli_prog, stats) = schedule(&p.rtl, &|n| image_entry(&img, n));
     let quarantined = reg.snapshot().counter("backend.quarantine.units");

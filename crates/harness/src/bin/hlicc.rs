@@ -30,10 +30,10 @@
 
 use hli_backend::cse::cse_function;
 use hli_backend::ddg::DepMode;
-use hli_backend::driver::record_quarantine;
+use hli_backend::driver::{record_quarantine, vet_unit};
 use hli_backend::licm::licm_function;
 use hli_backend::lower::lower_with_loops;
-use hli_backend::mapping::map_function_ref;
+use hli_backend::mapping::map_function;
 use hli_backend::rtl::dump_func;
 use hli_backend::sched::schedule_function;
 use hli_backend::unroll::unroll_function;
@@ -98,22 +98,9 @@ struct FuncOut {
     func: hli_backend::rtl::RtlFunc,
 }
 
-/// Quarantine `function`'s HLI unit (§3.2.3's trust boundary): count it
-/// and record why, and tell the user the function compiles without HLI.
-fn quarantine(
-    function: &str,
-    messages: &mut Vec<String>,
-    region: Option<u32>,
-    errors: u64,
-    why: &str,
-) {
-    record_quarantine(function, region, errors, why);
-    messages.push(format!(
-        "warning: `{function}`: HLI unit quarantined ({why}); compiling without HLI"
-    ));
-}
-
-fn back(input: &str, hli_path: &str, flags: BackFlags) {
+/// The back end over `hli_path`; `temporary` marks the file `build`
+/// wrote, which is removed as soon as it is read.
+fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
     let _phase = hli_obs::span("hlicc.back");
     let src = read_source(input);
     let (prog, sema) = compile_to_ast(&src).unwrap_or_else(|e| fail(&e));
@@ -121,11 +108,14 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
         let _s = hli_obs::span("backend.lower");
         lower_with_loops(&prog, &sema)
     };
-    // On-demand import (§3.2.1): opening the image reads only its
-    // directory; each function's unit is validated on first touch and
-    // read in place.
-    let image = HliImage::open_file(std::path::Path::new(hli_path), OPTS)
-        .unwrap_or_else(|e| fail(&e.to_string()));
+    // On-demand import (§3.2.1): opening the image parses only its
+    // directory; each function's unit is validated and decoded when its
+    // work item asks for it.
+    let image = HliImage::open_file(std::path::Path::new(hli_path));
+    if temporary {
+        let _ = std::fs::remove_file(hli_path);
+    }
+    let image = image.unwrap_or_else(|e| fail(&e.to_string()));
     let maintain = flags.unroll.is_some() || flags.cse || flags.licm;
     let mode = if flags.use_hli {
         DepMode::Combined
@@ -148,33 +138,33 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
             // structural validation or semantic verification is
             // *quarantined* — this function compiles on the pure
             // GCC-dependence path instead of aborting the whole build.
-            let entry = match image.get_ref(&f.name) {
+            // A unit that passes is the decoded copy `vet_unit` verified,
+            // which CSE/LICM/unroll maintenance then rewrites in place.
+            let vetted = match image.get_ref(&f.name) {
                 _ if !flags.use_hli => None,
-                Ok(e) => e,
+                Ok(e) => e.map(|e| vet_unit(&f.name, e)),
                 Err(e) => {
-                    quarantine(&f.name, &mut messages, None, 1, &e.to_string());
-                    None
+                    let why = e.to_string();
+                    record_quarantine(&f.name, None, 1, &why);
+                    Some(Err(why))
                 }
             };
-            // Verification reads an owned copy of the unit, which is kept
-            // only where CSE/LICM/unroll maintenance will rewrite it.
-            let mut owned = None;
-            let entry = entry.filter(|e| {
-                let copy = e.materialize();
-                let errs = copy.verify();
-                let Some(first) = errs.first() else {
-                    owned = maintain.then_some(copy);
-                    return true;
-                };
-                let region = first.region.map(|r| r.0);
-                quarantine(&f.name, &mut messages, region, errs.len() as u64, &first.to_string());
-                false
-            });
+            let tables = match vetted {
+                Some(Ok(tables)) => Some(tables.into_owned()),
+                Some(Err(why)) => {
+                    messages.push(format!(
+                        "warning: `{}`: HLI unit quarantined ({why}); compiling without HLI",
+                        f.name
+                    ));
+                    None
+                }
+                None => None,
+            };
             let mut cur = f.clone();
             let mut stats = hli_backend::ddg::QueryStats::default();
-            let scheduled = match entry {
-                Some(view) => {
-                    let mut map = map_function_ref(&cur, view);
+            let scheduled = match tables {
+                Some(mut entry) => {
+                    let mut map = map_function(&cur, &entry);
                     if !map.unmapped_insns.is_empty() || !map.unmapped_items.is_empty() {
                         messages.push(format!(
                             "warning: `{}`: {} refs / {} items unmapped (treated as unknown)",
@@ -188,7 +178,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                             &cur,
                             &loops[&f.name],
                             u,
-                            owned.as_mut().map(|e| (e, &mut map)),
+                            Some((&mut entry, &mut map)),
                             mach,
                         );
                         cur = r.func;
@@ -200,8 +190,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                         }
                     }
                     if flags.cse {
-                        let r =
-                            cse_function(&cur, owned.as_mut().map(|e| (e, &mut map)), mode, mach);
+                        let r = cse_function(&cur, Some((&mut entry, &mut map)), mode, mach);
                         if r.loads_eliminated > 0 {
                             messages.push(format!(
                                 "`{}`: CSE removed {} load(s)",
@@ -211,8 +200,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                         cur = r.func;
                     }
                     if flags.licm {
-                        let r =
-                            licm_function(&cur, owned.as_mut().map(|e| (e, &mut map)), mode, mach);
+                        let r = licm_function(&cur, Some((&mut entry, &mut map)), mode, mach);
                         if r.hoisted > 0 {
                             messages
                                 .push(format!("`{}`: LICM hoisted {} load(s)", f.name, r.hoisted));
@@ -222,7 +210,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                     // Unlike import-time corruption (quarantined above), a
                     // verify failure *after* maintenance is our own bug —
                     // keep it fatal so it cannot hide.
-                    let errs = owned.as_ref().map(|e| e.verify()).unwrap_or_default();
+                    let errs = if maintain { entry.verify() } else { Vec::new() };
                     if let Some(first) = errs.first() {
                         return Err(format!(
                             "maintenance broke `{}`: {first} ({} violation(s))",
@@ -231,10 +219,7 @@ fn back(input: &str, hli_path: &str, flags: BackFlags) {
                         ));
                     }
                     let cache = QueryCache::new();
-                    let q = match &owned {
-                        Some(entry) => cache.attach(entry),
-                        None => cache.attach_ref(view),
-                    };
+                    let q = cache.attach(&entry);
                     let side = hli_backend::disamb::HliSide { query: &q, map: &map };
                     let r = schedule_function(&cur, Some(&side), mode, mach);
                     stats.add(&r.stats);
@@ -369,13 +354,9 @@ fn main() {
         "back" | "build" => {
             let input = args.get(1).unwrap_or_else(|| fail(usage)).clone();
             let (hli_path, rest_from) = if cmd == "back" {
-                (args.get(2).unwrap_or_else(|| fail(usage)).clone(), 3)
+                (Some(args.get(2).unwrap_or_else(|| fail(usage)).clone()), 3)
             } else {
-                // build: run the front end into a temp file first.
-                let tmp = std::env::temp_dir().join(format!("hlicc-{}.hli", std::process::id()));
-                let tmp = tmp.to_string_lossy().into_owned();
-                front(&input, Some(tmp.clone()));
-                (tmp, 2)
+                (None, 2)
             };
             let rest = &args[rest_from.min(args.len())..];
             let mut flags = BackFlags {
@@ -430,7 +411,16 @@ fn main() {
                     other => fail(&format!("unknown flag `{other}`\n{usage}")),
                 }
             }
-            back(&input, &hli_path, flags);
+            let temporary = hli_path.is_none();
+            let hli_path = hli_path.unwrap_or_else(|| {
+                // build: run the front end into a temp file first, once
+                // the flags are known to be good.
+                let tmp = std::env::temp_dir().join(format!("hlicc-{}.hli", std::process::id()));
+                let path = tmp.to_string_lossy().into_owned();
+                front(&input, Some(path.clone()));
+                path
+            });
+            back(&input, &hli_path, temporary, flags);
         }
         "serve" => serve(&args[1..]),
         _ => fail(usage),

@@ -206,14 +206,13 @@ fn run_pipeline(
 
     // Back-end import: hand the HLI over as the `HLI\x03` image a
     // separately-invoked back-end receives (Section 3.2.1). Opening it
-    // reads only the directory; each function's unit is validated on
-    // first touch and served in place. A unit that fails validation is
-    // quarantined by the lookup.
+    // reads only the directory; each function's unit is validated and
+    // decoded when its work item asks for it. A unit that fails
+    // validation is quarantined by the lookup.
     let image = {
         let _s = hli_obs::span("harness.import_hli");
         let bytes = encode_file_v3(&hli, SerializeOpts::default());
-        HliImage::open(bytes, SerializeOpts::default())
-            .map_err(|e| format!("{}: HLI import: {e}", b.name))?
+        HliImage::open(bytes).map_err(|e| format!("{}: HLI import: {e}", b.name))?
     };
     let lookup = |name: &str| image_entry(&image, name);
 

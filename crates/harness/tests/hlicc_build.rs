@@ -1,0 +1,41 @@
+//! `hlicc build` runs the front end into a temporary `.hli` file and the
+//! back end out of it; the file must not outlive the run.
+
+use std::process::Command;
+
+const SAMPLE: &str = "int a[8];\n\
+     int main() {\n\
+       int i;\n\
+       for (i = 0; i < 8; i++) a[i] = i * 3;\n\
+       return a[7];\n\
+     }";
+
+#[test]
+fn build_removes_its_temporary_hli_file() {
+    let base = std::env::temp_dir().join(format!("hlicc_build_{}", std::process::id()));
+    let tmpdir = base.join("tmp");
+    std::fs::create_dir_all(&tmpdir).unwrap();
+    let src = base.join("sample.c");
+    std::fs::write(&src, SAMPLE).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_hlicc"))
+        .args(["build", src.to_str().unwrap()])
+        .env("TMPDIR", &tmpdir)
+        .output()
+        .expect("hlicc runs");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let left: Vec<_> = std::fs::read_dir(&tmpdir).unwrap().map(|e| e.unwrap().path()).collect();
+    let _ = std::fs::remove_dir_all(&base);
+
+    assert!(
+        out.status.success(),
+        "hlicc failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains(&format!("-> {}", tmpdir.display())),
+        "the front end must write into TMPDIR: {stdout}"
+    );
+    assert!(stdout.contains("program result: 21"), "{stdout}");
+    assert!(left.is_empty(), "hlicc build left files behind: {left:?}");
+}

@@ -232,8 +232,7 @@ fn driver_obs_at(
                 PassSpec { mode: DepMode::Combined, caches: Some(&caches) },
             ];
             out.extend(if image {
-                let opts = SerializeOpts::default();
-                let img = HliImage::open(encode_file_v3(&hli, opts), opts).unwrap();
+                let img = HliImage::open(encode_file_v3(&hli, SerializeOpts::default())).unwrap();
                 schedule_program_passes(&rtl, &|n| image_entry(&img, n), &passes, mach, jobs)
             } else {
                 let owned = |n: &str| hli.entry(n).map(EntryRef::Owned);
@@ -244,22 +243,23 @@ fn driver_obs_at(
     (out, reg.snapshot(), provenance::to_jsonl(&sink.drain()))
 }
 
-/// The owned-vs-image parity gate: serving queries from borrowed image
-/// views instead of an owned in-memory file changes *cost only, never
-/// answers*. The scheduled programs, every query/backend counter and the
-/// full provenance JSONL are byte-identical between the two lookups, at 1
-/// and at 8 workers.
+/// The image-vs-in-memory parity gate: serving each function's unit from
+/// the file's `HLI\x03` image (validated, then decoded by `vet_unit`)
+/// instead of lending it from the in-memory `HliFile` changes *cost only,
+/// never answers*. The scheduled programs, every query/backend counter and
+/// the full provenance JSONL are byte-identical between the two lookups,
+/// at 1 and at 8 workers.
 #[test]
-fn zero_copy_answers_are_byte_identical_to_owned() {
+fn image_lookup_answers_are_byte_identical_to_in_memory_file() {
     for jobs in [1usize, 8] {
         let (owned, owned_snap, owned_prov) = driver_obs_at(jobs, false);
-        let (viewed, image_snap, image_prov) = driver_obs_at(jobs, true);
+        let (imaged, image_snap, image_prov) = driver_obs_at(jobs, true);
         assert!(
             image_snap.counter("hli.image.units_validated") > 0,
-            "the image run must actually validate views"
+            "the image run must actually validate its units"
         );
         assert!(
-            owned == viewed,
+            owned == imaged,
             "schedules diverge between owned and image at --jobs {jobs}"
         );
         assert_eq!(

@@ -80,17 +80,13 @@ impl CacheKey {
 }
 
 /// The serialized-bytes-plus-generation pair that forms the key's HLI
-/// component. Views are materialized first (the issue's "stable content
-/// hashing over `Tables`/`HliEntryView`"): an owned entry and a view of
-/// the same unit hash identically, because `include_names: false`
-/// serialization is canonical and a view's generation is 0 by contract.
+/// component, hashed over the unit's tables ([`EntryRef::tables`]): an
+/// in-memory entry and an image unit with the same tables hash
+/// identically, because `include_names: false` serialization is canonical
+/// and an image unit's generation is 0.
 pub fn hli_component(entry: &EntryRef<'_>) -> (Vec<u8>, u64) {
     const OPTS: SerializeOpts = SerializeOpts { include_names: false };
-    let bytes = match entry {
-        EntryRef::Owned(e) => encode_entry(e, OPTS),
-        EntryRef::View(_) => encode_entry(&entry.materialize(), OPTS),
-    };
-    (bytes, entry.generation())
+    (encode_entry(&entry.tables(), OPTS), entry.generation())
 }
 
 /// Derive one function's cache key. `body_dump` is the

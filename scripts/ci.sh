@@ -60,6 +60,17 @@ target/release/obsreport --stats target/ci-fig45-stats.json \
   --provenance target/ci-fig45.jsonl --json \
   --compare tests/baselines/obsreport-fig45.json > /dev/null
 
+echo "== two-process Figure-3 flow (hlicc front writes the .hli file, hlicc back"
+echo "   imports it in a second process; back's per-function loop is --jobs invariant)"
+target/release/hlicc front tests/fixtures/fig45.c -o target/ci-fig45.hli > /dev/null
+for j in 1 4; do
+  target/release/hlicc back tests/fixtures/fig45.c target/ci-fig45.hli \
+    --cse --licm --unroll 2 --dump-rtl --time --jobs "$j" \
+    --provenance-out "target/ci-fig45-back-j$j.jsonl" > "target/ci-fig45-back-j$j.txt" 2>/dev/null
+done
+cmp target/ci-fig45-back-j1.txt target/ci-fig45-back-j4.txt
+cmp target/ci-fig45-back-j1.jsonl target/ci-fig45-back-j4.jsonl
+
 echo "== caching/threading smoke (shared caches hit; per-pass, shared and"
 echo "   4-worker runs over the HLI\\x03 image agree on the Table-2 query counters)"
 target/release/importbench 12 2 --jobs 4 > /dev/null
