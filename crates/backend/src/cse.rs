@@ -17,7 +17,7 @@ use crate::disamb::{Access, DepMode, HliSide, MemDisambiguator};
 use crate::mapping::HliMap;
 use crate::rtl::{InsnId, MemRef, Op, RtlFunc};
 use hli_core::maintain;
-use hli_core::{HliEntry, ItemId, QueryCache};
+use hli_core::{HliEntry, HliQuery, ItemId};
 use hli_lir::{MachineBackend, OpClass};
 
 /// Outcome of running CSE on one function.
@@ -54,7 +54,6 @@ pub fn cse_function(
     // call: the reload it avoids, at the active machine's load latency
     // (DESIGN.md, "Estimated-benefit models").
     let est_load_cycles = mach.class_latency(OpClass::Load);
-    let cache = QueryCache::new();
     let prov = hli_obs::provenance::active();
 
     let mut out: Vec<crate::rtl::Insn> = Vec::with_capacity(f.insns.len());
@@ -65,7 +64,7 @@ pub fn cse_function(
     let mut deleted_items = Vec::new();
 
     // The scan only reads the entry; maintenance follows it.
-    let query = hli.as_ref().map(|(e, _)| cache.attach(e));
+    let query = hli.as_ref().map(|(e, _)| HliQuery::new(e));
     let side = query.as_ref().zip(hli.as_ref()).map(|(query, (_, map))| HliSide { query, map });
     // Items are tracked in every mode (eliminated loads are maintained
     // out of the entry), but GCC's CSE consults no HLI.
@@ -169,10 +168,9 @@ pub fn cse_function(
         out.push(insn.clone());
     }
 
-    // Apply maintenance for the eliminated items, then drop the memos that
-    // mention them so a reattached cache stays consistent with the
-    // maintained entry. A failed deletion leaves the entry out of step
-    // with the code: it is counted and recorded, never dropped.
+    // Apply maintenance for the eliminated items. A failed deletion leaves
+    // the entry out of step with the code: it is counted and recorded,
+    // never dropped.
     if let Some((entry, map)) = hli {
         for &item in &deleted_items {
             map.unbind_item(item);
@@ -180,7 +178,6 @@ pub fn cse_function(
                 crate::driver::record_item_quarantine(&f.name, &e);
             }
         }
-        cache.invalidate_items(entry, &deleted_items);
     }
 
     let mut func = f.clone();

@@ -202,8 +202,7 @@ mod tests {
         let prog = lower_program(&p, &s);
         let f = prog.func(func).unwrap();
         let entry = hli.entry(func).unwrap();
-        let cache = hli_core::QueryCache::new();
-        let q = cache.attach(entry);
+        let q = hli_core::HliQuery::new(entry);
         let map = map_function(f, entry);
         let mut disamb = MemDisambiguator::new(Some(HliSide { query: &q, map: &map }), mode);
         let mut edges = 0;
@@ -275,8 +274,7 @@ mod tests {
         let prog = lower_program(&p, &s);
         let f = prog.func("main").unwrap();
         let entry = hli.entry("main").unwrap();
-        let cache = hli_core::QueryCache::new();
-        let q = cache.attach(entry);
+        let q = hli_core::HliQuery::new(entry);
         let map = map_function(f, entry);
         let side = HliSide { query: &q, map: &map };
         let mut d_gcc = MemDisambiguator::new(Some(side), DepMode::GccOnly);
@@ -315,8 +313,7 @@ mod tests {
         let prog = lower_program(&p, &s);
         let f = prog.func("main").unwrap();
         let entry = hli.entry("main").unwrap();
-        let cache = hli_core::QueryCache::new();
-        let q = cache.attach(entry);
+        let q = hli_core::HliQuery::new(entry);
         let map = map_function(f, entry);
         let mut disamb =
             MemDisambiguator::new(Some(HliSide { query: &q, map: &map }), DepMode::HliOnly);

@@ -39,7 +39,7 @@
 use crate::gccdep;
 use crate::mapping::HliMap;
 use crate::rtl::{InsnId, MemRef};
-use hli_core::{CachedQuery, ItemId};
+use hli_core::{HliQuery, ItemId};
 use hli_obs::QueryRef;
 
 /// Which analyzer gates dependence answers.
@@ -112,13 +112,11 @@ impl QueryStats {
     }
 }
 
-/// A function's HLI: the query view over its entry and the item ↔
-/// instruction mapping. Queries go through the memoizing [`CachedQuery`]
-/// layer, so repeated probes of the same item pair (a second scheduling
-/// pass over the same function) are answered from the cache.
+/// A function's HLI: the query index over its entry and the item ↔
+/// instruction mapping.
 #[derive(Clone, Copy)]
 pub struct HliSide<'a> {
-    pub query: &'a CachedQuery<'a>,
+    pub query: &'a HliQuery<'a>,
     pub map: &'a HliMap,
 }
 
@@ -225,7 +223,7 @@ impl<'a> MemDisambiguator<'a> {
         &self,
         a: Option<ItemId>,
         b: Option<ItemId>,
-    ) -> Option<(&'a CachedQuery<'a>, ItemId, ItemId)> {
+    ) -> Option<(&'a HliQuery<'a>, ItemId, ItemId)> {
         Some((self.hli?.query, a?, b?))
     }
 
@@ -293,8 +291,7 @@ mod tests {
             (DepMode::HliOnly, false),
             (DepMode::Combined, true),
         ] {
-            let cache = hli_core::QueryCache::new();
-            let q = cache.attach(entry);
+            let q = hli_core::HliQuery::new(entry);
             let mut disamb = MemDisambiguator::new(Some(HliSide { query: &q, map: &map }), mode);
             let edges = build_block_ddg(f, &blocks(f)[0], &mut disamb).mem_edges;
             assert_eq!(edges, if independent { 0 } else { 2 }, "DDG under {mode:?}");

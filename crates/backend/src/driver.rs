@@ -5,8 +5,8 @@
 //! DDG, schedule — independent of every other function's. This module
 //! shards that pipeline across an [`hli_pool`] work-stealing pool, one
 //! work item per function, with each item running *all* requested
-//! scheduling passes back to back so a per-function [`QueryCache`] warmed
-//! by the first pass serves the second.
+//! scheduling passes back to back over one [`HliQuery`] index of the
+//! function's unit.
 //!
 //! ## Determinism contract
 //!
@@ -31,10 +31,10 @@
 //!
 //! Each work item resolves its function's HLI unit once, before the first
 //! pass, and [`vet_unit`] verifies its tables once — borrowed from an
-//! in-memory file, or decoded once from an `HLI\x03` image unit. Every
-//! pass then reads exactly the tables that were verified. A unit failing
-//! [`hli_core::verify`] — or, for an image, its structural validation
-//! ([`image_entry`]) — is
+//! in-memory file, or decoded once from an `HLI\x03` image unit. One
+//! query index is built over exactly the tables that were verified, and
+//! every pass asks it. A unit failing [`hli_core::verify`] — or, for an
+//! image, its structural validation ([`image_entry`]) — is
 //! **quarantined**: the function compiles with HLI disabled (the pure
 //! GCC-dependence conservative path — the paper's baseline) instead of
 //! aborting the compile, with `backend.quarantine.*` counters and a
@@ -47,7 +47,7 @@ use crate::disamb::{DepMode, HliSide, QueryStats};
 use crate::rtl::RtlProgram;
 use crate::sched::{schedule_function, SchedResult};
 use hli_core::image::EntryRef;
-use hli_core::{HliEntry, HliImage, QueryCache};
+use hli_core::{HliEntry, HliImage, HliQuery, QueryCache};
 use hli_lir::MachineBackend;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -128,10 +128,8 @@ pub fn image_entry<'a>(img: &'a HliImage, function: &str) -> Option<EntryRef<'a>
 pub struct PassSpec<'c> {
     /// Dependence-combination mode for this pass.
     pub mode: DepMode,
-    /// Per-function memo caches; functions missing from the map (or all of
-    /// them, when `None`) get a throwaway cache. Passing the *same* map to
-    /// two passes shares memos between them, the harness's
-    /// "shared cache" configuration.
+    /// Read by nothing: kept only because the benchmark under `hlibench/`
+    /// still sets it. Every pass asks its work item's [`HliQuery`].
     pub caches: Option<&'c HashMap<String, QueryCache>>,
 }
 
@@ -159,27 +157,20 @@ pub fn schedule_program_passes<'h>(
     let results = hli_pool::run(jobs, &prog.funcs, |_w, f| {
         hli_obs::capture_cfg(obs_cfg, || {
             // Trust boundary: the unit is resolved and verified once per
-            // work item, and every pass reads the tables that were
-            // verified. The quarantine counters and provenance land in
-            // this item's capture shard, so they commit in the same
-            // name-sorted order as everything else — byte-identical
+            // work item, and every pass asks one index over the tables
+            // that were verified. The quarantine counters and provenance
+            // land in this item's capture shard, so they commit in the
+            // same name-sorted order as everything else — byte-identical
             // across `--jobs` values.
             let tables = lookup(&f.name).and_then(|e| vet_unit(&f.name, e).ok());
+            let query = tables.as_deref().map(|e| (e, HliQuery::new(e)));
             passes
                 .iter()
-                .map(|pass| match tables.as_deref() {
-                    Some(e) => {
-                        let fresh;
-                        let cache = match pass.caches.and_then(|c| c.get(&f.name)) {
-                            Some(c) => c,
-                            None => {
-                                fresh = QueryCache::new();
-                                &fresh
-                            }
-                        };
-                        let q = cache.attach(e);
+                .map(|pass| match &query {
+                    Some((e, q)) => {
+                        // Mapped per pass: every call records `backend.map.*`.
                         let map = crate::mapping::map_function(f, e);
-                        let side = HliSide { query: &q, map: &map };
+                        let side = HliSide { query: q, map: &map };
                         schedule_function(f, Some(&side), pass.mode, mach)
                     }
                     None => schedule_function(f, None, DepMode::GccOnly, mach),
@@ -240,11 +231,9 @@ mod tests {
     /// Run the two-pass driver over `lookup` at `jobs` under fresh scoped
     /// observability state, returning the scheduled programs, stats, a
     /// metrics JSON snapshot and the provenance JSONL.
-    /// With `shared`, both passes share one memo cache per function.
     fn drive<'h>(
         prog: &RtlProgram,
         lookup: &(dyn Fn(&str) -> Option<EntryRef<'h>> + Sync),
-        shared: bool,
         jobs: usize,
         prov: bool,
     ) -> (Vec<(RtlProgram, QueryStats)>, String, String) {
@@ -256,14 +245,9 @@ mod tests {
             let _m = metrics::scoped(reg.clone());
             let _s = provenance::scoped(sink.clone());
             let _i = provenance::scoped_ids(ids);
-            // Built inside the scope: a cache meters into the registry
-            // that is current when it is created.
-            let map: HashMap<String, QueryCache> =
-                prog.funcs.iter().map(|f| (f.name.clone(), QueryCache::new())).collect();
-            let caches = shared.then_some(&map);
             let passes = [
-                PassSpec { mode: DepMode::GccOnly, caches },
-                PassSpec { mode: DepMode::Combined, caches },
+                PassSpec { mode: DepMode::GccOnly, caches: None },
+                PassSpec { mode: DepMode::Combined, caches: None },
             ];
             schedule_program_passes(prog, lookup, &passes, &hli_lir::TableBackend::scalar(), jobs)
         };
@@ -271,18 +255,18 @@ mod tests {
         (out, reg.snapshot().to_json(), jsonl)
     }
 
-    /// Run the two-pass driver at `jobs` with shared memo caches.
+    /// Run the two-pass driver at `jobs` over `SRC`'s in-memory file.
     fn run_at(jobs: usize, prov: bool) -> (Vec<(RtlProgram, QueryStats)>, String, String) {
         let (p, s) = compile_to_ast(SRC).unwrap();
         let hli = generate_hli(&p, &s);
         let prog = lower_program(&p, &s);
-        drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), true, jobs, prov)
+        drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), jobs, prov)
     }
 
     #[test]
     fn parallel_driver_matches_sequential_bit_for_bit() {
-        // Metrics phase (provenance off, memos active) and provenance
-        // phase (sink on) both must be invariant in the job count.
+        // Metrics phase (provenance off) and provenance phase (sink on)
+        // both must be invariant in the job count.
         for prov in [false, true] {
             let (seq, seq_json, seq_prov) = run_at(1, prov);
             let (par, par_json, par_prov) = run_at(4, prov);
@@ -295,9 +279,32 @@ mod tests {
             assert_eq!(seq_prov, par_prov, "provenance JSONL diverges (prov={prov})");
             if prov {
                 assert!(!seq_prov.is_empty(), "combined pass must record decisions");
-            } else {
-                assert!(seq_json.contains("backend.query_cache.hit"), "memos were exercised");
             }
+        }
+    }
+
+    /// The counters of a `--stats json` snapshot, less `provenance.*`.
+    fn counters_outside_provenance(json: &str) -> Vec<(String, f64)> {
+        let snap = hli_obs::json::parse(json).unwrap();
+        let Some(hli_obs::json::Json::Obj(counters)) = snap.get("counters") else {
+            panic!("no counters object in {json}");
+        };
+        counters
+            .iter()
+            .filter(|(k, _)| !k.starts_with("provenance."))
+            .map(|(k, v)| (k.clone(), v.as_num().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn counters_do_not_depend_on_the_provenance_sink() {
+        for jobs in [1, 4] {
+            let (plain_out, plain, _) = run_at(jobs, false);
+            let (prov_out, prov, _) = run_at(jobs, true);
+            assert_eq!(plain_out, prov_out, "schedules or stats diverge (jobs={jobs})");
+            let plain = counters_outside_provenance(&plain);
+            assert!(plain.iter().any(|(k, v)| k == "hli.query.get_equiv_acc" && *v > 0.0));
+            assert_eq!(plain, counters_outside_provenance(&prov), "jobs={jobs}");
         }
     }
 
@@ -331,9 +338,9 @@ mod tests {
             let bytes = hli_core::encode_file_v3(&hli, SerializeOpts::default());
             let img = HliImage::open(bytes).unwrap();
             assert!(img.get_ref("f2").unwrap().is_some(), "the damage must be semantic only");
-            drive(&prog, &|n| image_entry(&img, n), false, jobs, prov)
+            drive(&prog, &|n| image_entry(&img, n), jobs, prov)
         } else {
-            drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), false, jobs, prov)
+            drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), jobs, prov)
         }
     }
 
@@ -432,7 +439,7 @@ mod tests {
         let img = HliImage::open(bytes).unwrap();
         assert!(img.get_ref("f2").is_err(), "corruption must fail structural validation");
         let prog = lower_program(&p, &s);
-        drive(&prog, &|n| image_entry(&img, n), false, jobs, true)
+        drive(&prog, &|n| image_entry(&img, n), jobs, true)
     }
 
     #[test]
@@ -454,8 +461,8 @@ mod tests {
         let (p, s) = compile_to_ast(SRC).unwrap();
         let hli = generate_hli(&p, &s);
         let prog = lower_program(&p, &s);
-        let (clean, _, _) = drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), false, 1, false);
-        let (blind, _, _) = drive(&prog, &|_| None, false, 1, false);
+        let (clean, _, _) = drive(&prog, &|n| hli.entry(n).map(EntryRef::Owned), 1, false);
+        let (blind, _, _) = drive(&prog, &|_| None, 1, false);
         let (combined, clean_combined, blind_combined) = (&seq[1].0, &clean[1].0, &blind[1].0);
         for (i, f) in combined.funcs.iter().enumerate() {
             let want = if f.name == "f2" {
@@ -477,30 +484,5 @@ mod tests {
             !json.contains("backend.quarantine"),
             "clean runs must not grow the stats key set: {json}"
         );
-    }
-
-    #[test]
-    fn functions_missing_from_caches_get_throwaway_memos() {
-        let (p, s) = compile_to_ast(SRC).unwrap();
-        let hli = generate_hli(&p, &s);
-        let prog = lower_program(&p, &s);
-        let empty = HashMap::new();
-        let passes = [PassSpec { mode: DepMode::Combined, caches: Some(&empty) }];
-        let with_map = schedule_program_passes(
-            &prog,
-            &|n| hli.entry(n).map(EntryRef::Owned),
-            &passes,
-            &hli_lir::TableBackend::scalar(),
-            2,
-        );
-        let no_map = schedule_program_passes(
-            &prog,
-            &|n| hli.entry(n).map(EntryRef::Owned),
-            &[PassSpec { mode: DepMode::Combined, caches: None }],
-            &hli_lir::TableBackend::scalar(),
-            2,
-        );
-        assert_eq!(with_map[0].0, no_map[0].0);
-        assert_eq!(with_map[0].1, no_map[0].1);
     }
 }

@@ -13,7 +13,7 @@ use crate::disamb::{Access, DepMode, HliSide, MemDisambiguator};
 use crate::mapping::HliMap;
 use crate::rtl::{Label, Op, RtlFunc};
 use hli_core::maintain;
-use hli_core::{HliEntry, QueryCache};
+use hli_core::{HliEntry, HliQuery};
 use hli_lir::{MachineBackend, OpClass};
 use std::collections::HashSet;
 
@@ -84,7 +84,6 @@ pub fn licm_function(
     // Cycles one avoided in-loop load costs, at the active machine's load
     // latency — the same table the scheduler and simulator read.
     let est_load_cycles = mach.class_latency(OpClass::Load);
-    let cache = QueryCache::new();
     let prov = hli_obs::provenance::active();
 
     let loops = innermost(&find_loops(f));
@@ -92,7 +91,7 @@ pub fn licm_function(
     let mut taken: HashSet<usize> = HashSet::new();
 
     // The legality scan only reads the entry; maintenance follows it.
-    let query = hli.as_ref().map(|(e, _)| cache.attach(e));
+    let query = hli.as_ref().map(|(e, _)| HliQuery::new(e));
     let side = query.as_ref().zip(hli.as_ref()).map(|(query, (_, map))| HliSide { query, map });
     // GCC's LICM consults no HLI.
     let mut disamb = MemDisambiguator::new(side.filter(|_| mode != DepMode::GccOnly), mode);
@@ -204,12 +203,11 @@ pub fn licm_function(
     }
     func.insns = insns;
 
-    // HLI maintenance: re-home each hoisted item to the parent region,
-    // then invalidate the memos mentioning the moved items. An item that
-    // cannot move no longer describes its instruction: it is counted,
-    // recorded and unbound, so later passes answer "unknown" for it.
+    // HLI maintenance: re-home each hoisted item to the parent region. An
+    // item that cannot move no longer describes its instruction: it is
+    // counted, recorded and unbound, so later passes answer "unknown" for
+    // it.
     if let Some((entry, map)) = hli {
-        let mut moved = Vec::new();
         for &(i, _) in &hoist {
             let Some(item) = map.item_of(f.insns[i].id) else { continue };
             let Some(parent) = entry.owning_region(item).and_then(|r| entry.region(r).parent)
@@ -217,15 +215,11 @@ pub fn licm_function(
                 continue;
             };
             let line = entry.line_table.find(item).map(|(l, _)| l).unwrap_or(f.insns[i].line);
-            match maintain::move_item_to_region(entry, item, parent, line) {
-                Ok(()) => moved.push(item),
-                Err(e) => {
-                    map.unbind_item(item);
-                    crate::driver::record_item_quarantine(&f.name, &e);
-                }
+            if let Err(e) = maintain::move_item_to_region(entry, item, parent, line) {
+                map.unbind_item(item);
+                crate::driver::record_item_quarantine(&f.name, &e);
             }
         }
-        cache.invalidate_items(entry, &moved);
     }
 
     hli_obs::metrics::cur().counter("backend.licm.hoisted").add(hoist.len() as u64);

@@ -256,7 +256,7 @@ mod tests {
     use crate::lower::lower_program;
     use crate::mapping::map_function;
     use crate::rtl::IBinOp;
-    use hli_core::QueryCache;
+    use hli_core::HliQuery;
     use hli_frontend::generate_hli;
     use hli_lang::compile_to_ast;
     use hli_lir::TableBackend;
@@ -267,8 +267,7 @@ mod tests {
         let prog = lower_program(&p, &s);
         let f = prog.func(func).unwrap();
         let entry = hli.entry(func).unwrap();
-        let cache = QueryCache::new();
-        let q = cache.attach(entry);
+        let q = HliQuery::new(entry);
         let map = map_function(f, entry);
         let side = HliSide { query: &q, map: &map };
         let r = schedule_function(f, Some(&side), mode, &TableBackend::scalar());

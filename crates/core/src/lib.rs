@@ -51,7 +51,6 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod ids;
 pub mod image;
 pub mod maintain;
@@ -61,10 +60,9 @@ pub mod tables;
 pub mod textdump;
 pub mod verify;
 
-pub use cache::{CachedQuery, QueryCache};
 pub use ids::{ItemId, RegionId};
 pub use image::{encode_file_v3, EntryRef, HliEntryView, HliImage};
-pub use query::{CallAcc, EquivAcc, HliQuery};
+pub use query::{CallAcc, EquivAcc, HliQuery, QueryCache};
 pub use tables::{
     AliasEntry, CallRef, CallRefMod, DepKind, Distance, EquivClass, EquivKind, HliEntry, HliFile,
     ItemEntry, ItemType, LcddEntry, LineEntry, LineTable, MemberRef, Region, RegionKind,

@@ -18,10 +18,10 @@
 //!   preconditioning (remainder) loop region with the original dependence
 //!   structure.
 //!
-//! Every successful operation bumps [`HliEntry::bump_generation`]; this is
-//! the invalidation hook [`crate::cache::QueryCache`] keys on, so memoized
-//! query answers never outlive the tables they were computed from. Failed
-//! operations leave both the entry and its generation unchanged.
+//! Every successful operation bumps [`HliEntry::bump_generation`]. Only
+//! the serve cache key reads the generation (`hli_serve::key` hashes it
+//! next to the unit's bytes). Failed operations leave both the entry and
+//! its generation unchanged.
 
 use crate::ids::{ItemId, RegionId};
 use crate::tables::*;

@@ -250,9 +250,9 @@ pub struct HliEntry {
     /// operations allocate from here).
     pub next_id: u32,
     /// Mutation counter bumped by every successful maintenance operation
-    /// ([`crate::maintain`]); [`crate::cache::QueryCache`] uses it to
-    /// detect stale memoized answers. Not serialized, and ignored by
-    /// equality so round-tripped entries still compare equal.
+    /// ([`crate::maintain`]). Only the serve cache key reads it (see
+    /// `hli_serve::key`). Not serialized, and ignored by equality so
+    /// round-tripped entries still compare equal.
     pub generation: u64,
 }
 
@@ -308,8 +308,8 @@ impl HliEntry {
         }
     }
 
-    /// Record that a maintenance operation mutated this entry, so query
-    /// caches keyed on (unit, generation) discard their memoized answers.
+    /// Record that a maintenance operation mutated this entry (the serve
+    /// cache key hashes the count).
     pub fn bump_generation(&mut self) {
         self.generation += 1;
     }

@@ -457,9 +457,13 @@ fn verify_equiv_tables(e: &HliEntry, line_items: &HashMap<ItemId, ItemType>, sin
             }
         }
     }
-    for (it, ty) in line_items {
-        if *ty != ItemType::Call && !direct_owner.contains_key(it) {
-            sink.push(t, None, Some(*it), format!("memory item {} belongs to no class", it));
+    // Walk the line table, not the map, so the errors (and the first one,
+    // which quarantine reports) come out in line-table order.
+    let mut reported: HashSet<ItemId> = HashSet::new();
+    for it in e.line_table.items().map(|(_, it)| it.id) {
+        let memory = line_items[&it] != ItemType::Call;
+        if memory && !direct_owner.contains_key(&it) && reported.insert(it) {
+            sink.push(t, None, Some(it), format!("memory item {} belongs to no class", it));
         }
     }
     // Every subregion class is referenced by exactly one parent class
@@ -603,6 +607,7 @@ fn verify_call_refmod(
 mod tests {
     use super::*;
     use crate::tables::tests::figure2_like;
+    use crate::tables::ItemEntry;
 
     #[test]
     fn figure2_entry_verifies_clean() {
@@ -663,5 +668,22 @@ mod tests {
         let f = HliFile { entries: vec![figure2_like(), figure2_like()] };
         let errs = verify_file(&f);
         assert!(errs.iter().any(|(u, er)| u == "foo" && er.table == TableKind::UnitDirectory));
+    }
+
+    #[test]
+    fn unclassed_items_are_reported_in_line_table_order() {
+        let mut e = figure2_like();
+        // Two memory items no class claims; the later line gets the lower
+        // id, so id order and line-table order disagree.
+        let (late, early) = (e.fresh_id(), e.fresh_id());
+        e.line_table.push_item(20, ItemEntry { id: late, ty: ItemType::Store });
+        e.line_table.push_item(13, ItemEntry { id: early, ty: ItemType::Load });
+        let first = e.verify();
+        let items: Vec<Option<ItemId>> = first.iter().map(|er| er.item).collect();
+        assert_eq!(items, [Some(early), Some(late)], "{first:?}");
+        assert!(first.iter().all(|er| er.message.contains("belongs to no class")));
+        for _ in 0..64 {
+            assert_eq!(e.verify(), first, "the error list depends on the hash seed");
+        }
     }
 }

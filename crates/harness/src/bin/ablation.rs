@@ -62,7 +62,7 @@ fn main() {
             variants
                 .iter()
                 .map(|(_, opts)| {
-                    run_benchmark_on(b, *opts, ImportConfig::default(), &machines)
+                    run_benchmark_on(b, *opts, ImportConfig, &machines)
                         .map(|r| r.reduction() * 100.0)
                         .unwrap_or(f64::NAN)
                 })

@@ -61,7 +61,6 @@
 //! (N byte-level mutations, default 10000; M table-level mutations,
 //! default N/10).
 
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -71,7 +70,7 @@ use hli_backend::lower::lower_program;
 use hli_backend::rtl::RtlProgram;
 use hli_core::image::EntryRef;
 use hli_core::serialize::SerializeOpts;
-use hli_core::{encode_file_v3, HliFile, HliImage, MemberRef, QueryCache};
+use hli_core::{encode_file_v3, HliFile, HliImage, MemberRef};
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 use hli_obs::{metrics, provenance, MetricsRegistry, ProvenanceSink};
@@ -505,11 +504,9 @@ fn run_quarantined(jobs: usize) -> (String, String) {
         let _m = metrics::scoped(reg.clone());
         let _s = provenance::scoped(sink.clone());
         let _i = provenance::scoped_ids(ids);
-        let caches: HashMap<String, QueryCache> =
-            prog.funcs.iter().map(|f| (f.name.clone(), QueryCache::new())).collect();
         let passes = [
-            PassSpec { mode: DepMode::GccOnly, caches: Some(&caches) },
-            PassSpec { mode: DepMode::Combined, caches: Some(&caches) },
+            PassSpec { mode: DepMode::GccOnly, caches: None },
+            PassSpec { mode: DepMode::Combined, caches: None },
         ];
         schedule_program_passes(
             &prog,

@@ -38,7 +38,7 @@ use hli_backend::rtl::dump_func;
 use hli_backend::sched::schedule_function;
 use hli_backend::unroll::unroll_function;
 use hli_core::serialize::SerializeOpts;
-use hli_core::{encode_file_v3, HliImage, QueryCache};
+use hli_core::{encode_file_v3, HliImage, HliQuery};
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 use hli_machine::MachineBackend;
@@ -218,8 +218,7 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
                             errs.len()
                         ));
                     }
-                    let cache = QueryCache::new();
-                    let q = cache.attach(&entry);
+                    let q = HliQuery::new(&entry);
                     let side = hli_backend::disamb::HliSide { query: &q, map: &map };
                     let r = schedule_function(&cur, Some(&side), mode, mach);
                     stats.add(&r.stats);

@@ -32,7 +32,6 @@ const GROUPS: &[&str] = &[
     "backend.cse.",
     "backend.licm.",
     "backend.unroll.",
-    "backend.query_cache.",
     "backend.quarantine.",
     "hli.image.",
     "hli.maintain.",

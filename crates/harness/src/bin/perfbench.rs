@@ -43,7 +43,7 @@ use hli_harness::perf::{
     build_report, compare, load_baseline, parse_shape, CorpusEcho, Tolerances,
 };
 use hli_harness::report::{extract_jobs, extract_machines};
-use hli_harness::{run_benchmarks_jobs_on, BenchReport, ImportConfig};
+use hli_harness::{run_benchmarks_jobs_on, BenchReport};
 use hli_machine::MachineBackend;
 use hli_suite::corpus::{generate, CorpusSpec};
 
@@ -139,9 +139,7 @@ fn run_corpus(args: &Args) -> Vec<BenchReport> {
     for &seed in &args.seeds {
         let spec = CorpusSpec { seed, ..args.spec };
         let benches = generate(&spec);
-        for r in
-            run_benchmarks_jobs_on(&benches, ImportConfig::default(), args.jobs, &args.machines)
-        {
+        for r in run_benchmarks_jobs_on(&benches, args.jobs, &args.machines) {
             match r {
                 Ok(rep) => reports.push(rep),
                 Err(e) => {

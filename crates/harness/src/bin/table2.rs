@@ -13,17 +13,15 @@
 
 use hli_harness::format_table2;
 use hli_harness::report::{bench_args, collect_suite_jobs_on};
-use hli_harness::ImportConfig;
 
 fn main() {
     let a = bench_args("table2");
     let (scale, obs, jobs) = (a.scale, a.obs, a.jobs);
     eprintln!("running suite at scale n={} iters={}...", scale.n, scale.iters);
-    let reports = collect_suite_jobs_on(scale, ImportConfig::default(), jobs, &a.machines)
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+    let reports = collect_suite_jobs_on(scale, jobs, &a.machines).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     println!("Table 2. Dependence queries, edge reduction, and speedups.");
     println!("(speedups = cycles of GCC-scheduled / cycles of HLI-scheduled)");
     println!();

@@ -21,13 +21,12 @@ use hli_backend::ddg::{DepMode, QueryStats};
 use hli_backend::driver::{image_entry, schedule_program_passes, PassSpec};
 use hli_backend::lower::lower_program;
 use hli_core::serialize::{encode_file, SerializeOpts};
-use hli_core::{encode_file_v3, HliImage, QueryCache};
+use hli_core::{encode_file_v3, HliImage};
 use hli_frontend::{generate_hli_with, FrontendOptions};
 use hli_lang::compile_to_ast;
 use hli_machine::{backend_by_name, MachineBackend};
 use hli_obs::{MetricsRegistry, MetricsSnapshot};
 use hli_suite::Benchmark;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 pub mod attr;
@@ -127,24 +126,15 @@ impl BenchReport {
     }
 }
 
-/// How the back end memoizes query answers while it schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImportConfig {
-    /// Keep one query-memo cache per function across the two scheduling
-    /// passes (GCC-only then Combined) instead of starting each pass cold.
-    pub shared_cache: bool,
-}
-
-impl Default for ImportConfig {
-    fn default() -> Self {
-        ImportConfig { shared_cache: true }
-    }
-}
+/// Configures nothing: kept only because the benchmark under `hlibench/`
+/// still passes `ImportConfig` to [`run_benchmark_on`].
+#[derive(Debug, Default)]
+pub struct ImportConfig;
 
 /// Run the full measurement pipeline on one benchmark with the given
-/// front-end precision options (the ablation knob), query-cache setting
-/// and machine list. The first machine is the scheduler's latency source;
-/// every listed machine is simulated and reported.
+/// front-end precision options (the ablation knob) and machine list. The
+/// first machine is the scheduler's latency source; every listed machine
+/// is simulated and reported. `_cfg` is ignored ([`ImportConfig`]).
 ///
 /// The pipeline runs under a scoped per-run [`MetricsRegistry`]; the
 /// resulting snapshot is carried on the report and also absorbed into the
@@ -153,14 +143,14 @@ impl Default for ImportConfig {
 pub fn run_benchmark_on(
     b: &Benchmark,
     opts: FrontendOptions,
-    cfg: ImportConfig,
+    _cfg: ImportConfig,
     machines: &[&'static dyn MachineBackend],
 ) -> Result<BenchReport, String> {
     let parent = hli_obs::metrics::cur();
     let local = Arc::new(MetricsRegistry::new());
     let result = {
         let _scope = hli_obs::metrics::scoped(local.clone());
-        run_pipeline(b, opts, cfg, machines)
+        run_pipeline(b, opts, machines)
     };
     let metrics = local.snapshot();
     parent.absorb(&metrics);
@@ -174,7 +164,6 @@ pub fn run_benchmark_on(
 fn run_pipeline(
     b: &Benchmark,
     opts: FrontendOptions,
-    cfg: ImportConfig,
     machines: &[&'static dyn MachineBackend],
 ) -> Result<BenchReport, String> {
     let _run = hli_obs::span(format!("bench.{}", b.name));
@@ -218,10 +207,10 @@ fn run_pipeline(
 
     // Back-end: lower once, schedule twice (the two compiler builds) via
     // the per-function driver. Both passes run inside one work item per
-    // function, so a shared cache warms across them exactly as the old
-    // sequential two-call driver did. The suite already fans benchmarks
-    // out across the pool, so the per-benchmark driver stays sequential
-    // (`jobs = 1`); `hlicc back` is the per-function parallel entry.
+    // function and ask the same query index. The suite already fans
+    // benchmarks out across the pool, so the per-benchmark driver stays
+    // sequential (`jobs = 1`); `hlicc back` is the per-function parallel
+    // entry.
     let rtl = {
         let _s = hli_obs::span("backend.lower");
         lower_program(&prog, &sema)
@@ -232,20 +221,9 @@ fn run_pipeline(
         .first()
         .ok_or_else(|| format!("{}: no machine models selected", b.name))?;
     let _sched_span = hli_obs::span("backend.schedule");
-    let fresh_caches = || -> HashMap<String, QueryCache> {
-        rtl.funcs.iter().map(|f| (f.name.clone(), QueryCache::new())).collect()
-    };
-    let caches = fresh_caches();
-    let second_pass;
-    let caches2 = if cfg.shared_cache {
-        &caches
-    } else {
-        second_pass = fresh_caches();
-        &second_pass
-    };
     let passes = [
-        PassSpec { mode: DepMode::GccOnly, caches: Some(&caches) },
-        PassSpec { mode: DepMode::Combined, caches: Some(caches2) },
+        PassSpec { mode: DepMode::GccOnly, caches: None },
+        PassSpec { mode: DepMode::Combined, caches: None },
     ];
     let mut builds = schedule_program_passes(&rtl, &lookup, &passes, mach0, 1).into_iter();
     let (gcc_build, _) = builds.next().expect("GccOnly pass result");
@@ -320,14 +298,13 @@ where
 /// regardless of worker completion order.
 pub fn run_benchmarks_jobs_on(
     benches: &[Benchmark],
-    cfg: ImportConfig,
     jobs: usize,
     machines: &[&'static dyn MachineBackend],
 ) -> Vec<Result<BenchReport, String>> {
     let obs_cfg = hli_obs::CaptureCfg::from_env();
     let results = hli_pool::run(jobs, benches, |_w, b| {
         hli_obs::capture_cfg(obs_cfg, || {
-            run_benchmark_on(b, FrontendOptions::default(), cfg, machines)
+            run_benchmark_on(b, FrontendOptions::default(), ImportConfig, machines)
         })
     });
     results
@@ -490,13 +467,7 @@ mod tests {
     use hli_suite::Scale;
 
     fn run_default(b: &Benchmark) -> BenchReport {
-        run_benchmark_on(
-            b,
-            FrontendOptions::default(),
-            ImportConfig::default(),
-            &default_machines(),
-        )
-        .unwrap()
+        run_benchmark_on(b, FrontendOptions::default(), ImportConfig, &default_machines()).unwrap()
     }
 
     #[test]
@@ -539,7 +510,7 @@ mod tests {
         let blunt = run_benchmark_on(
             &b,
             FrontendOptions { pointer_analysis: false, ..Default::default() },
-            ImportConfig::default(),
+            ImportConfig,
             &default_machines(),
         )
         .unwrap();

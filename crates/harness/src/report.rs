@@ -4,7 +4,7 @@
 //! [`BenchReport`]s.
 
 use crate::cli::ObsArgs;
-use crate::{default_machines, run_benchmarks_jobs_on, BenchReport, ImportConfig};
+use crate::{default_machines, run_benchmarks_jobs_on, BenchReport};
 use hli_backend::ddg::QueryStats;
 use hli_machine::{backend_by_name, MachineBackend};
 use hli_obs::MetricsSnapshot;
@@ -116,11 +116,10 @@ pub fn extract_jobs(args: &mut Vec<String>) -> Result<usize, String> {
 /// reports, failing on the first benchmark error.
 pub fn collect_suite_jobs_on(
     scale: Scale,
-    cfg: ImportConfig,
     jobs: usize,
     machines: &[&'static dyn MachineBackend],
 ) -> Result<Vec<BenchReport>, String> {
-    run_benchmarks_jobs_on(&hli_suite::all(scale), cfg, jobs, machines)
+    run_benchmarks_jobs_on(&hli_suite::all(scale), jobs, machines)
         .into_iter()
         .collect()
 }
@@ -184,7 +183,7 @@ mod tests {
         let r = crate::run_benchmark_on(
             &b,
             hli_frontend::FrontendOptions::default(),
-            ImportConfig::default(),
+            crate::ImportConfig,
             &default_machines(),
         )
         .unwrap();
@@ -203,9 +202,7 @@ mod tests {
     /// `table2` binary prints and what EXPERIMENTS.md quotes.
     #[test]
     fn table2_totals_pinned() {
-        let reports =
-            collect_suite_jobs_on(Scale::tiny(), ImportConfig::default(), 0, &default_machines())
-                .unwrap();
+        let reports = collect_suite_jobs_on(Scale::tiny(), 0, &default_machines()).unwrap();
         let total = total_query_stats(&reports);
         assert_eq!(
             total,
@@ -297,9 +294,7 @@ mod tests {
     /// Suite-level aggregation helpers agree with a hand-rolled loop.
     #[test]
     fn aggregation_matches_manual_loop() {
-        let reports =
-            collect_suite_jobs_on(Scale::tiny(), ImportConfig::default(), 0, &default_machines())
-                .unwrap();
+        let reports = collect_suite_jobs_on(Scale::tiny(), 0, &default_machines()).unwrap();
         let total = total_query_stats(&reports);
         let manual: u64 = reports.iter().map(|r| r.stats.total_tests).sum();
         assert_eq!(total.total_tests, manual);

@@ -31,7 +31,7 @@ fn run_on(bench: &str, target: &str) -> BenchReport {
     let b = by_name(bench, Scale::tiny()).expect("known benchmark row");
     let mach: &'static dyn MachineBackend =
         hli_machine::backend_by_name(target).expect("registered target");
-    run_benchmark_on(&b, FrontendOptions::default(), ImportConfig::default(), &[mach])
+    run_benchmark_on(&b, FrontendOptions::default(), ImportConfig, &[mach])
         .expect("pipeline runs on every target")
 }
 

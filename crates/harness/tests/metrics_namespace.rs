@@ -6,7 +6,7 @@
 //! named, rather than silently fragment the snapshot schema that
 //! obsdiff, perfbench and obsreport all join on.
 
-use hli_harness::{default_machines, run_benchmarks_jobs_on, ImportConfig};
+use hli_harness::{default_machines, run_benchmarks_jobs_on};
 use hli_obs::{metrics, provenance, MetricsRegistry, ProvenanceSink};
 use hli_suite::Scale;
 use std::sync::atomic::AtomicU64;
@@ -70,7 +70,7 @@ fn every_pipeline_metric_key_is_in_a_documented_namespace() {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let suite = hli_suite::all(Scale::tiny());
-        run_benchmarks_jobs_on(&suite, ImportConfig::default(), 2, &default_machines())
+        run_benchmarks_jobs_on(&suite, 2, &default_machines())
     };
     for r in reports {
         assert!(r.expect("benchmark must compile").validated);

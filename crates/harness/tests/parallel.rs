@@ -13,16 +13,15 @@ use hli_backend::lower::lower_program;
 use hli_backend::rtl::RtlProgram;
 use hli_core::image::EntryRef;
 use hli_core::serialize::SerializeOpts;
-use hli_core::{encode_file_v3, HliImage, QueryCache};
+use hli_core::{encode_file_v3, HliImage};
 use hli_harness::attr::rollup;
-use hli_harness::{default_machines, run_benchmarks_jobs_on, BenchReport, ImportConfig};
+use hli_harness::{default_machines, run_benchmarks_jobs_on, BenchReport};
 use hli_machine::MachineBackend;
 use hli_obs::{
     metrics, provenance, trace, DecisionRecord, MetricsRegistry, MetricsSnapshot, ProvenanceSink,
     Tracer,
 };
 use hli_suite::Scale;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ fn tiny_suite_on(
     jobs: usize,
     machines: &[&'static dyn MachineBackend],
 ) -> Vec<Result<BenchReport, String>> {
-    run_benchmarks_jobs_on(&hli_suite::all(Scale::tiny()), ImportConfig::default(), jobs, machines)
+    run_benchmarks_jobs_on(&hli_suite::all(Scale::tiny()), jobs, machines)
 }
 
 /// Run the tiny suite at `jobs` under fresh scoped observability state,
@@ -201,7 +200,7 @@ fn semantic_counters(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
 }
 
 /// Schedule every tiny-suite benchmark through the two-pass driver at
-/// `jobs` with shared per-function caches, resolving each function's unit
+/// `jobs`, resolving each function's unit
 /// either from the in-memory `HliFile` (the `EntryRef::Owned` lookup the
 /// serve daemon and hlibench use) or, with `image`, from the file's
 /// `HLI\x03` image. Runs under fresh scoped observability state and
@@ -225,11 +224,9 @@ fn driver_obs_at(
             let (p, s) = hli_lang::compile_to_ast(&b.source).unwrap();
             let hli = hli_frontend::generate_hli(&p, &s);
             let rtl = lower_program(&p, &s);
-            let caches: HashMap<String, QueryCache> =
-                rtl.funcs.iter().map(|f| (f.name.clone(), QueryCache::new())).collect();
             let passes = [
-                PassSpec { mode: DepMode::GccOnly, caches: Some(&caches) },
-                PassSpec { mode: DepMode::Combined, caches: Some(&caches) },
+                PassSpec { mode: DepMode::GccOnly, caches: None },
+                PassSpec { mode: DepMode::Combined, caches: None },
             ];
             out.extend(if image {
                 let img = HliImage::open(encode_file_v3(&hli, SerializeOpts::default())).unwrap();

@@ -5,7 +5,7 @@
 //! passes; a perturbed checkpoint fails; a foreign schema is refused).
 
 use hli_harness::perf::{build_report, compare, CorpusEcho, PerfReport, Tolerances};
-use hli_harness::{default_machines, run_benchmarks_jobs_on, ImportConfig};
+use hli_harness::{default_machines, run_benchmarks_jobs_on};
 use hli_obs::MetricsRegistry;
 use hli_suite::corpus::{generate, CallShape, CorpusSpec};
 use std::process::Command;
@@ -31,7 +31,7 @@ fn corpus_report_at(jobs: usize) -> (PerfReport, String) {
     let reg = Arc::new(MetricsRegistry::new());
     let reports: Vec<_> = {
         let _scope = hli_obs::metrics::scoped(reg.clone());
-        run_benchmarks_jobs_on(&benches, ImportConfig::default(), jobs, &default_machines())
+        run_benchmarks_jobs_on(&benches, jobs, &default_machines())
             .into_iter()
             .map(|r| r.expect("generated program must compile and validate"))
             .collect()
@@ -72,7 +72,7 @@ fn every_call_shape_survives_the_full_pipeline() {
     for shape in [CallShape::Chain, CallShape::Balanced, CallShape::Wide] {
         let spec = CorpusSpec { shape, programs: 1, funcs: 8, seed: 3, ..Default::default() };
         let benches = generate(&spec);
-        for r in run_benchmarks_jobs_on(&benches, ImportConfig::default(), 1, &default_machines()) {
+        for r in run_benchmarks_jobs_on(&benches, 1, &default_machines()) {
             let r = r.expect("compiles");
             assert!(r.validated, "{} ({shape:?}) miscompiled", r.name);
             assert!(r.stats.total_tests > 0, "{} ({shape:?}) scheduled nothing", r.name);

@@ -10,7 +10,7 @@ use hli_backend::lower::{lower_program, lower_with_loops};
 use hli_backend::mapping::map_function;
 use hli_backend::sched::schedule_function;
 use hli_backend::unroll::unroll_function;
-use hli_core::QueryCache;
+use hli_core::HliQuery;
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 use hli_obs::provenance::{self, query_id_watermark, DecisionRecord, ProvenanceSink, QueryRef};
@@ -181,8 +181,7 @@ fn figure5_hoist_across_call_record_pinned() {
         let hli = generate_hli(&p, &s);
         let entry = hli.entry("main").unwrap().clone();
         let map = map_function(f, &entry);
-        let cache = QueryCache::new();
-        let q = cache.attach(&entry);
+        let q = HliQuery::new(&entry);
         let side = HliSide { query: &q, map: &map };
         let _ = schedule_function(
             f,

@@ -1,8 +1,8 @@
 //! The one wall-clock helper every harness times through.
 //!
-//! `hli-bench`'s self-calibrating `bench()` loop, `importbench`'s
-//! configuration grid and `perfbench`'s corpus runs all need the same two
-//! things: "run this once and tell me how long it took" ([`time`]) and
+//! `hli-bench`'s self-calibrating `bench()` loop, `faultbench`'s campaign
+//! phases and `perfbench`'s corpus runs all need the same two things:
+//! "run this once and tell me how long it took" ([`time`]) and
 //! "summarize a set of per-iteration samples robustly" ([`Samples`] —
 //! min/median/p95, not a single mean a slow outlier can poison). Keeping
 //! both here means every binary times identically and prints comparable
@@ -18,10 +18,9 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 }
 
 /// Format a wall-clock duration the way every harness prints one:
-/// milliseconds with one decimal (`12.3 ms`). `importbench`'s grid,
-/// `faultbench`'s campaign phases and `perfbench`'s corpus runs all used
-/// to hand-roll `as_secs_f64() * 1e3`; one helper keeps the outputs
-/// comparable.
+/// milliseconds with one decimal (`12.3 ms`). `faultbench`'s campaign
+/// phases and `perfbench`'s corpus runs both used to hand-roll
+/// `as_secs_f64() * 1e3`; one helper keeps the outputs comparable.
 pub fn fmt_ms(d: Duration) -> String {
     format!("{:.1} ms", d.as_secs_f64() * 1e3)
 }

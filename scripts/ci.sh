@@ -71,9 +71,15 @@ done
 cmp target/ci-fig45-back-j1.txt target/ci-fig45-back-j4.txt
 cmp target/ci-fig45-back-j1.jsonl target/ci-fig45-back-j4.jsonl
 
-echo "== caching/threading smoke (shared caches hit; per-pass, shared and"
-echo "   4-worker runs over the HLI\\x03 image agree on the Table-2 query counters)"
-target/release/importbench 12 2 --jobs 4 > /dev/null
+echo "== counters do not depend on the provenance sink (every counter of a plain"
+echo "   run reappears unchanged in the same run with --provenance-out)"
+target/release/table2 12 2 --stats json --provenance-out target/ci-table2.jsonl \
+  2>/dev/null > target/ci-table2-prov.txt
+target/release/obsdiff target/obsdiff-current.txt target/ci-table2-prov.txt --allow-new > /dev/null
+target/release/hlicc build tests/fixtures/fig45.c --cse --licm --stats json \
+  > target/ci-fig45-plain-stats.json 2>/dev/null
+target/release/obsdiff target/ci-fig45-plain-stats.json target/ci-fig45-stats.json \
+  --allow-new > /dev/null
 
 echo "== faultbench smoke (seeded mutation campaign: no panics, no unsound"
 echo "   HLI-justified decisions under corrupted HLI\\x03 images or tables)"

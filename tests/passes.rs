@@ -8,7 +8,7 @@ use hli_backend::lower::lower_with_loops;
 use hli_backend::mapping::map_function;
 use hli_backend::sched::schedule_function;
 use hli_backend::unroll::unroll_function;
-use hli_core::QueryCache;
+use hli_core::HliQuery;
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 
@@ -74,8 +74,7 @@ fn full_pass_stack(name: &str, src: &str, mode: DepMode, unroll_factor: Option<u
         let errs = entry.validate();
         assert!(errs.is_empty(), "{name} `{}` after passes: {errs:?}", f.name);
         // And the (possibly rewritten) code must still schedule legally.
-        let cache = QueryCache::new();
-        let q = cache.attach(&entry);
+        let q = HliQuery::new(&entry);
         let side = hli_backend::disamb::HliSide { query: &q, map: &map };
         let r = schedule_function(
             &cur,
