@@ -54,7 +54,9 @@ fn read_source(path: &str) -> String {
 
 const OPTS: SerializeOpts = SerializeOpts { include_names: true };
 
-fn front(input: &str, out: Option<String>) {
+/// The front end: write `input`'s HLI file to `out` and return the
+/// summary line (which names the file only if the caller shows it).
+fn front(input: &str, out: &str) -> String {
     let _phase = hli_obs::span("hlicc.front");
     let src = read_source(input);
     let (prog, sema) = compile_to_ast(&src).unwrap_or_else(|e| fail(&e));
@@ -64,13 +66,8 @@ fn front(input: &str, out: Option<String>) {
         fail(&format!("internal: invalid HLI for `{unit}`: {err}"));
     }
     let bytes = encode_file_v3(&hli, OPTS);
-    let out = out.unwrap_or_else(|| format!("{}.hli", input.trim_end_matches(".c")));
-    std::fs::write(&out, &bytes).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-    println!(
-        "{input}: {} unit(s), {} bytes of HLI -> {out}",
-        hli.entries.len(),
-        bytes.len()
-    );
+    std::fs::write(out, &bytes).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+    format!("{input}: {} unit(s), {} bytes of HLI", hli.entries.len(), bytes.len())
 }
 
 struct BackFlags {
@@ -345,10 +342,10 @@ fn main() {
         "front" => {
             let input = args.get(1).unwrap_or_else(|| fail(usage));
             let out = match args.get(2).map(String::as_str) {
-                Some("-o") => Some(args.get(3).unwrap_or_else(|| fail(usage)).clone()),
-                _ => None,
+                Some("-o") => args.get(3).unwrap_or_else(|| fail(usage)).clone(),
+                _ => format!("{}.hli", input.trim_end_matches(".c")),
             };
-            front(input, out);
+            println!("{} -> {out}", front(input, &out));
         }
         "back" | "build" => {
             let input = args.get(1).unwrap_or_else(|| fail(usage)).clone();
@@ -413,10 +410,11 @@ fn main() {
             let temporary = hli_path.is_none();
             let hli_path = hli_path.unwrap_or_else(|| {
                 // build: run the front end into a temp file first, once
-                // the flags are known to be good.
+                // the flags are known to be good. The file is gone when
+                // the run ends, so the summary does not name it.
                 let tmp = std::env::temp_dir().join(format!("hlicc-{}.hli", std::process::id()));
                 let path = tmp.to_string_lossy().into_owned();
-                front(&input, Some(path.clone()));
+                println!("{}", front(&input, &path));
                 path
             });
             back(&input, &hli_path, temporary, flags);

@@ -13,10 +13,13 @@
 //!
 //! Either input may be a bare snapshot or a full binary transcript — the
 //! JSON block is found by scanning for the first line that is exactly `{`,
-//! so `table2 12 2 --stats json > current.txt` diffs directly. Histograms
-//! are ignored (they hold wall-clock durations). After the per-key deltas
-//! the per-pass decision-count groups are summed so a scheduling or CSE
-//! decision drift is visible even when no single counter moved much.
+//! so `table2 12 2 --stats json > current.txt` diffs directly. A histogram
+//! outside `obs.*` holds a simulated quantity (a window occupancy, a ready
+//! list length) and must keep its count, sum and buckets exactly, whatever
+//! the tolerances; the `obs.*` histograms hold wall-clock durations and are
+//! ignored. After the per-key deltas the per-pass decision-count groups
+//! are summed so a scheduling or CSE decision drift is visible even when
+//! no single counter moved much.
 //!
 //! Exit codes: 0 no regression, 1 regression, 2 usage or parse error.
 
@@ -157,6 +160,61 @@ fn numbers(doc: &Json, section: &str, path: &str) -> BTreeMap<String, f64> {
     }
 }
 
+/// What is pinned of a histogram: its count, sum and buckets.
+type Pinned = (Option<f64>, Option<f64>, Option<Json>);
+
+/// The histograms of a snapshot outside `obs.*`.
+fn histograms(doc: &Json) -> BTreeMap<String, Pinned> {
+    let Some(Json::Obj(m)) = doc.get("histograms") else { return BTreeMap::new() };
+    m.iter()
+        .filter(|(k, _)| !k.starts_with("obs."))
+        .map(|(k, h)| {
+            let num = |f| h.get(f).and_then(Json::as_num);
+            (k.clone(), (num("count"), num("sum"), h.get("buckets").cloned()))
+        })
+        .collect()
+}
+
+/// Compare the pinned histograms of two snapshots: one report line per
+/// difference, and how many of them are regressions and new histograms.
+fn diff_histograms(base: &Json, cur: &Json, allow_new: bool) -> (Vec<String>, u32, u32) {
+    let (base, cur) = (histograms(base), histograms(cur));
+    let (mut lines, mut regressions, mut new_keys) = (Vec::new(), 0, 0);
+    let keys: std::collections::BTreeSet<&String> = base.keys().chain(cur.keys()).collect();
+    let show = |n: Option<f64>| n.map_or("-".to_string(), |n| n.to_string());
+    for key in keys {
+        match (base.get(key), cur.get(key)) {
+            (Some(b), Some(c)) if b == c => {}
+            (Some(b), Some(c)) => {
+                lines.push(format!(
+                    " {key:<44} histogram count {} -> {}, sum {} -> {}, buckets {}  REGRESSION",
+                    show(b.0),
+                    show(c.0),
+                    show(b.1),
+                    show(c.1),
+                    if b.2 == c.2 { "equal" } else { "differ" }
+                ));
+                regressions += 1;
+            }
+            (Some(_), None) => {
+                lines.push(format!(" {key:<44} histogram -> (missing)  REGRESSION"));
+                regressions += 1;
+            }
+            (None, Some(_)) => {
+                let over = !allow_new;
+                lines.push(format!(
+                    " {key:<44} (new histogram){}",
+                    if over { "  REGRESSION" } else { "" }
+                ));
+                new_keys += 1;
+                regressions += u32::from(over);
+            }
+            (None, None) => unreachable!(),
+        }
+    }
+    (lines, regressions, new_keys)
+}
+
 fn group_sum(map: &BTreeMap<String, f64>, prefix: &str) -> f64 {
     // A fold from +0.0: `Sum` over no f64 yields -0.0, printed as "-0".
     map.iter()
@@ -224,6 +282,12 @@ fn main() {
             (None, None) => unreachable!(),
         }
     }
+    let (lines, hist_regressions, hist_new) = diff_histograms(&base_doc, &cur_doc, opts.allow_new);
+    for line in lines {
+        println!("{line}");
+    }
+    regressions += hist_regressions;
+    new_keys += hist_new;
 
     println!("\nper-pass decision counts:");
     for prefix in GROUPS {
@@ -267,6 +331,34 @@ mod tests {
         let map = BTreeMap::from([("a.x".to_string(), 2.0)]);
         assert_eq!(group_sum(&map, "b.").to_string(), "0");
         assert_eq!(group_sum(&map, "a.").to_string(), "2");
+    }
+
+    #[test]
+    fn simulated_histograms_are_pinned_and_wall_clock_ones_are_not() {
+        let snap = |occupancy: &str, phase: &str| {
+            parse(&format!(
+                "{{\"histograms\": {{\
+                 \"machine.r10000.window_occupancy\": {{\"count\": 3, \"sum\": 60, \"max\": 32, \"buckets\": {occupancy}}},\
+                 \"obs.phase.backend.schedule.ns\": {{\"count\": 2, \"sum\": {phase}, \"buckets\": [[1024, 2]]}}}}}}"
+            ))
+            .unwrap()
+        };
+        let base = snap("[[16, 1], [32, 2]]", "1500");
+        let (lines, regressions, _) =
+            diff_histograms(&base, &snap("[[16, 1], [32, 2]]", "1900"), false);
+        assert_eq!(
+            (regressions, lines.len()),
+            (0, 0),
+            "a wall-clock histogram may move: {lines:?}"
+        );
+        let (lines, regressions, _) =
+            diff_histograms(&base, &snap("[[16, 2], [32, 1]]", "1500"), false);
+        assert_eq!(regressions, 1, "{lines:?}");
+        assert!(
+            lines[0].contains("machine.r10000.window_occupancy") && lines[0].contains("differ")
+        );
+        let (_, regressions, _) = diff_histograms(&base, &parse("{}").unwrap(), false);
+        assert_eq!(regressions, 1, "a missing simulated histogram is a regression");
     }
 
     #[test]

@@ -25,15 +25,17 @@
 //!   construction (pinned by the latency-agreement test in
 //!   `hli-machine`). Its simulator is a streaming [`CycleSim`]: the
 //!   trace is fed in chunks and never has to exist whole.
-//! * **[`RegTable`]**, the one register-to-value table the timing models
-//!   share, bounded by sweeping entries that can no longer matter.
+//!
+//! Trace events carry dataflow resolved once: the executor names each
+//! source's *producer*, the event that last wrote it, so no timing model
+//! renames registers. The in-order models keep the ready cycle of the
+//! last few events in a [`ReadyRing`]; [`rename`] gives the same form to
+//! a trace written by register name.
 //!
 //! The crate is dependency-free on purpose: it sits *below* both the
 //! back-end (which schedules against a backend) and the machine crate
 //! (which implements backends), the same way a shared ASDL pickle sits
 //! between lcc's front and back ends.
-
-use std::hash::Hasher;
 
 /// The closed set of opcode classes a machine model prices. Every RTL
 /// `Op` and every dynamic [`DynKind`] maps into exactly one class.
@@ -149,12 +151,31 @@ impl DynKind {
     }
 }
 
-/// A register identity unique across frames (frame serial ⊕ register).
+/// One dynamic instruction event.
+///
+/// A source operand is named by its *producer*: the event that last wrote
+/// the register it reads, given as a distance back in the trace (`1` is
+/// the event just before). `0` names no producer, for an unused slot or a
+/// register no event of the run wrote (a parameter filled by the call, a
+/// register never written). A register's value is the same in every model,
+/// so only which event made it matters, and the executor knows that when
+/// it runs the instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DynInsn {
+    pub kind: DynKind,
+    /// Producer distances of up to three source operands (0 = none).
+    pub srcs: [u32; 3],
+    /// Effective byte address for loads/stores.
+    pub addr: i64,
+}
+
+/// A register name in a trace written by register ([`RegInsn`]).
 pub type RegKey = u64;
 
-/// One dynamic instruction event.
+/// A trace event written by register name, the way a hand-written trace
+/// names operands; [`rename`] resolves a trace of them to [`DynInsn`]s.
 #[derive(Debug, Clone, Copy)]
-pub struct DynInsn {
+pub struct RegInsn {
     pub kind: DynKind,
     /// Destination register, if any.
     pub dst: Option<RegKey>,
@@ -165,11 +186,39 @@ pub struct DynInsn {
     pub addr: i64,
 }
 
-impl DynInsn {
+impl RegInsn {
+    /// An event of `kind` writing `dst` and reading the first three of
+    /// `srcs`, at address 0.
+    pub fn new(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> RegInsn {
+        let mut s = [0; 3];
+        let n = srcs.len().min(3);
+        s[..n].copy_from_slice(&srcs[..n]);
+        RegInsn { kind, dst, srcs: s, n_srcs: n as u8, addr: 0 }
+    }
+
     #[inline]
     pub fn sources(&self) -> &[RegKey] {
         &self.srcs[..self.n_srcs as usize]
     }
+}
+
+/// Name each source of a register-written trace by its producer: the
+/// latest earlier event whose `dst` is that register, or none. This is
+/// the renaming the executor does as it runs, for traces written by hand.
+pub fn rename(trace: &[RegInsn]) -> Vec<DynInsn> {
+    let mut writer = std::collections::HashMap::new();
+    let mut out = Vec::with_capacity(trace.len());
+    for (seq, ev) in trace.iter().enumerate() {
+        let mut srcs = [0; 3];
+        for (d, r) in srcs.iter_mut().zip(ev.sources()) {
+            *d = writer.get(r).map_or(0, |&w: &usize| (seq - w) as u32);
+        }
+        if let Some(r) = ev.dst {
+            writer.insert(r, seq);
+        }
+        out.push(DynInsn { kind: ev.kind, srcs, addr: ev.addr });
+    }
+    out
 }
 
 /// What an operand *is*, statically. The LIR does not rename or renumber —
@@ -316,8 +365,8 @@ pub trait MachineBackend: Sync {
 /// [`CycleSim::finish`], gives exactly what one feed of the whole trace
 /// gives — so an executor can stream events to several models at once and
 /// never hold the trace. A model keeps only what its hardware keeps (a
-/// window, a register table, a partly filled issue group): its state does
-/// not grow with the trace.
+/// window, the ready cycles of recent events, a partly filled issue
+/// group): its state does not grow with the trace.
 pub trait CycleSim {
     /// The next events of the trace. `funcs[i]` is the index of the
     /// function owning `events[i]`; it is empty when the run was started
@@ -329,168 +378,58 @@ pub trait CycleSim {
     fn finish(self: Box<Self>) -> (MachStats, Vec<u64>);
 }
 
-/// The hasher behind [`RegTable`]: one multiply-fold per key. A
-/// [`RegKey`] is a frame serial and a register number, not attacker
-/// input, so SipHash's flooding defence buys nothing here.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FoldHasher(u64);
-
-impl FoldHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        let m = u128::from(self.0 ^ v) * 0x9e37_79b9_7f4a_7c15;
-        self.0 = (m as u64) ^ ((m >> 64) as u64);
-    }
-}
-
-impl Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The register table every timing model keeps: a value per live
-/// [`RegKey`] (the cycle its result is ready, or the trace sequence number
-/// of its in-flight producer).
+/// The ready cycle of each of the last few events, by trace sequence
+/// number: the whole register state of an in-order timing model.
 ///
-/// Every register of every frame gets a key, so an unswept table would
-/// grow with the number of calls executed. A model therefore calls
-/// [`RegTable::sweep`] with a floor below which an entry means the same
-/// as no entry (a ready time already in the past, a producer already
-/// retired). Because a model's time only grows, a swept entry could never
-/// have mattered again, and the sweep is exact.
-///
-/// The table is open-addressed with linear probing over [`FoldHasher`]
-/// homes, at most half full; a sweep rebuilds it from the survivors.
+/// A model sizes the ring to a `reach` past which every producer is
+/// ready. An in-order clock advances at least one cycle per `width`
+/// events, so a producer `width × L` or more events back, `L` the longest
+/// latency, was ready by the time the consumer issues: beyond the ring a
+/// producer reads as ready, exactly as it would inside it.
 #[derive(Debug, Clone)]
-pub struct RegTable {
-    /// `(key, value)` slots, a power of two of them; [`RegTable::FREE`]
-    /// keys mark empty slots.
-    slots: Vec<(RegKey, u64)>,
-    len: usize,
-    sweep_at: usize,
-    /// Survivors of a sweep, kept to reuse its allocation.
-    keep: Vec<(RegKey, u64)>,
+pub struct ReadyRing {
+    /// `ready[s & mask]` for the last `ready.len()` sequence numbers `s`.
+    ready: Vec<u64>,
+    mask: u64,
+    /// Sequence number of the next event.
+    seq: u64,
 }
 
-impl Default for RegTable {
-    fn default() -> Self {
-        RegTable {
-            slots: vec![(RegTable::FREE, 0); 2 * RegTable::MIN_SWEEP],
-            len: 0,
-            sweep_at: RegTable::MIN_SWEEP,
-            keep: Vec::new(),
+impl ReadyRing {
+    /// A ring answering for producers up to at least `reach` events back.
+    pub fn new(reach: u64) -> ReadyRing {
+        let len = reach.max(1).next_power_of_two();
+        ReadyRing { ready: vec![0; len as usize], mask: len - 1, seq: 0 }
+    }
+
+    /// The cycle every producer of the next event, `ev`, is ready by (0
+    /// when it has none inside the ring).
+    #[inline]
+    pub fn operands_ready(&self, ev: &DynInsn) -> u64 {
+        let mut ready = 0;
+        for &d in &ev.srcs {
+            let d = u64::from(d);
+            // 1 ..= len: still in the ring (the next event's slot is
+            // written only after its sources are read).
+            if d.wrapping_sub(1) <= self.mask {
+                ready = ready.max(self.ready[(self.seq.wrapping_sub(d) & self.mask) as usize]);
+            }
         }
+        ready
+    }
+
+    /// Record the next event's ready cycle; the one after it is next.
+    #[inline]
+    pub fn push(&mut self, ready: u64) {
+        self.ready[(self.seq & self.mask) as usize] = ready;
+        self.seq += 1;
     }
 }
 
-impl RegTable {
-    /// The key of an empty slot (no frame serial reaches it).
-    const FREE: RegKey = RegKey::MAX;
-    /// Size below which [`RegTable::sweep`] does nothing.
-    const MIN_SWEEP: usize = 256;
-
-    /// The slot holding `key`, or the free slot where it would go.
-    #[inline]
-    fn slot(&self, key: RegKey) -> usize {
-        let mut h = FoldHasher::default();
-        h.write_u64(key);
-        let mask = self.slots.len() - 1;
-        let mut i = h.finish() as usize & mask;
-        while self.slots[i].0 != key && self.slots[i].0 != RegTable::FREE {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    #[inline]
-    pub fn get(&self, key: RegKey) -> Option<u64> {
-        let (k, v) = self.slots[self.slot(key)];
-        (k == key).then_some(v)
-    }
-
-    #[inline]
-    pub fn insert(&mut self, key: RegKey, value: u64) {
-        debug_assert_ne!(key, RegTable::FREE, "reserved register key");
-        let i = self.slot(key);
-        if self.slots[i].0 == key {
-            self.slots[i].1 = value;
-            return;
-        }
-        self.slots[i] = (key, value);
-        self.len += 1;
-        if 2 * self.len > self.slots.len() {
-            self.grow();
-        }
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        self.keep.extend(self.slots.iter().filter(|s| s.0 != RegTable::FREE));
-        self.rebuild(2 * self.slots.len());
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop every entry whose value is below `floor`, once the table has
-    /// doubled since the last sweep (so the cost is amortized O(1) per
-    /// insert and the table stays within twice its live entries).
-    #[inline]
-    pub fn sweep(&mut self, floor: u64) {
-        if self.len >= self.sweep_at {
-            self.sweep_now(floor);
-        }
-    }
-
-    #[cold]
-    fn sweep_now(&mut self, floor: u64) {
-        self.keep
-            .extend(self.slots.iter().filter(|s| s.0 != RegTable::FREE && s.1 >= floor));
-        self.sweep_at = (2 * self.keep.len()).max(RegTable::MIN_SWEEP);
-        self.rebuild((2 * self.sweep_at).next_power_of_two());
-    }
-
-    /// Refill `cap` slots with the entries in `keep`.
-    fn rebuild(&mut self, cap: usize) {
-        self.slots.clear();
-        self.slots.resize(cap, (RegTable::FREE, 0));
-        self.len = self.keep.len();
-        let keep = std::mem::take(&mut self.keep);
-        for &(key, value) in &keep {
-            let i = self.slot(key);
-            self.slots[i] = (key, value);
-        }
-        self.keep = keep;
-        self.keep.clear();
-    }
+/// The longest latency of any class on `backend`: the furthest ahead a
+/// result can be, the reach of its in-order ready ring.
+pub fn longest_latency(backend: &(impl MachineBackend + ?Sized)) -> u64 {
+    OpClass::ALL.iter().map(|&c| backend.class_latency(c)).max().unwrap_or(0)
 }
 
 /// A minimal concrete backend: a named per-class latency table over a
@@ -536,7 +475,7 @@ impl MachineBackend for TableBackend {
     fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
         Box::new(TableSim {
             backend: self,
-            ready: RegTable::default(),
+            ready: ReadyRing::new(longest_latency(self)),
             bins: vec![0; nfuncs],
             time: 0,
             stalls: 0,
@@ -549,7 +488,7 @@ impl MachineBackend for TableBackend {
 /// cycle, an instruction waits for its operands' producing latencies.
 struct TableSim<'b> {
     backend: &'b TableBackend,
-    ready: RegTable,
+    ready: ReadyRing,
     bins: Vec<u64>,
     time: u64,
     stalls: u64,
@@ -559,19 +498,14 @@ struct TableSim<'b> {
 impl CycleSim for TableSim<'_> {
     fn feed(&mut self, events: &[DynInsn], funcs: &[u32]) {
         for (i, ev) in events.iter().enumerate() {
-            let operands_ready =
-                ev.sources().iter().filter_map(|&r| self.ready.get(r)).max().unwrap_or(0);
-            let issue = self.time.max(operands_ready);
+            let issue = self.time.max(self.ready.operands_ready(ev));
             self.stalls += issue - self.time;
             let before = self.time;
             self.time = issue + 1;
-            if let Some(d) = ev.dst {
-                self.ready.insert(d, issue + self.backend.class_latency(ev.kind.class()));
-            }
+            self.ready.push(issue + self.backend.class_latency(ev.kind.class()));
             if let Some(&f) = funcs.get(i) {
                 self.bins[f as usize] += self.time - before;
             }
-            self.ready.sweep(self.time);
         }
         self.insns += events.len() as u64;
     }
@@ -590,12 +524,8 @@ impl CycleSim for TableSim<'_> {
 mod tests {
     use super::*;
 
-    fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> DynInsn {
-        let mut s = [0u64; 3];
-        for (i, &r) in srcs.iter().take(3).enumerate() {
-            s[i] = r;
-        }
-        DynInsn { kind, dst, srcs: s, n_srcs: srcs.len() as u8, addr: 0 }
+    fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> RegInsn {
+        RegInsn::new(kind, dst, srcs)
     }
 
     #[test]
@@ -628,44 +558,42 @@ mod tests {
     }
 
     #[test]
-    fn reg_table_matches_a_map_and_sweeps_exactly() {
-        let mut table = RegTable::default();
-        let mut model = std::collections::HashMap::new();
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        for step in 0..20_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // Keys as the executor makes them: frame serial and register.
-            let key = ((x % 300) << 24) | ((x >> 40) % 16);
-            table.insert(key, step);
-            model.insert(key, step);
-            if step % 97 == 0 {
-                let floor = step.saturating_sub(500);
-                table.sweep(floor);
-                // What the sweep dropped is below the floor; what it kept
-                // reads back unchanged.
-                for (&k, &v) in &model {
-                    match table.get(k) {
-                        Some(t) => assert_eq!(t, v),
-                        None => assert!(v < floor, "live entry {k:#x} swept"),
-                    }
-                }
-                model.retain(|&k, _| table.get(k).is_some());
-                assert_eq!(table.len(), model.len());
-            }
+    fn rename_names_the_latest_writer() {
+        let t = rename(&[
+            ins(DynKind::Load, Some(7), &[3]),
+            ins(DynKind::IAlu, Some(7), &[7, 7]),
+            ins(DynKind::Store, None, &[7, 3, 8]),
+            ins(DynKind::IAlu, Some(8), &[]),
+            ins(DynKind::IAlu, None, &[8, 7]),
+        ]);
+        let srcs: Vec<[u32; 3]> = t.iter().map(|e| e.srcs).collect();
+        assert_eq!(srcs, [[0, 0, 0], [1, 1, 0], [1, 0, 0], [0, 0, 0], [1, 3, 0]]);
+    }
+
+    #[test]
+    fn ready_ring_reads_producers_within_its_reach() {
+        let mut ring = ReadyRing::new(3);
+        for ready in [10, 20, 30, 40] {
+            ring.push(ready);
         }
-        assert!(table.len() < 4 * RegTable::MIN_SWEEP, "sweeps bound the table");
-        assert!(table.get(RegTable::FREE - 1).is_none());
+        let ev = |srcs| DynInsn { kind: DynKind::IAlu, srcs, addr: 0 };
+        assert_eq!(ring.operands_ready(&ev([1, 0, 0])), 40);
+        assert_eq!(ring.operands_ready(&ev([0, 4, 2])), 30);
+        assert_eq!(
+            ring.operands_ready(&ev([5, 0, 0])),
+            0,
+            "beyond the reach reads as ready"
+        );
+        assert_eq!(ring.operands_ready(&ev([0, 0, 0])), 0);
     }
 
     #[test]
     fn table_backend_stalls_on_use() {
         let b = TableBackend::scalar();
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
-        ];
+        ]);
         let s = b.cycles(&t);
         assert_eq!(s.cycles, 3);
         assert_eq!(s.detail("stall_cycles"), Some(1));
@@ -674,12 +602,12 @@ mod tests {
     #[test]
     fn table_backend_bins_sum_to_total() {
         let b = TableBackend::scalar();
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
             ins(DynKind::FDiv, Some(3), &[]),
             ins(DynKind::FAdd, Some(4), &[3]),
-        ];
+        ]);
         let funcs = vec![0, 0, 1, 1];
         let (stats, bins) = b.cycles_per_func(&t, &funcs, 2);
         assert_eq!(bins.iter().sum::<u64>(), stats.cycles);

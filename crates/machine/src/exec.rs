@@ -8,10 +8,8 @@
 
 use hli_backend::rtl::*;
 use hli_lang::interp::{GLOBAL_BASE, MEM_LIMIT, STACK_BASE};
-use hli_lir::FoldHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
 
 /// Execution failure (faults map to the same conditions the AST
 /// interpreter reports).
@@ -46,11 +44,11 @@ pub struct RunResult {
     pub calls: u64,
 }
 
-// The dynamic-trace vocabulary (`DynKind`, `DynInsn`, `RegKey`) is the
+// The dynamic-trace vocabulary (`DynKind`, `DynInsn`) is the
 // canonical-LIR crate's: the executor emits it, every `MachineBackend`
 // prices it, and re-exporting here keeps `hli_machine::exec::DynInsn`
 // paths working.
-pub use hli_lir::{DynInsn, DynKind, RegKey};
+pub use hli_lir::{DynInsn, DynKind};
 
 /// Dynamic instructions a run may execute before it is stopped as
 /// runaway.
@@ -126,8 +124,10 @@ struct Frame<'p> {
     func: &'p RtlFunc,
     /// Index of `func` in `prog.funcs`.
     func_idx: usize,
-    serial: u64,
     regs: Vec<u64>,
+    /// Per register, one more than the sequence number of the event that
+    /// last wrote it in this frame (0: no event has).
+    writers: Vec<u64>,
     base: i64,
     /// Byte address of the outgoing-args area.
     out_base: i64,
@@ -142,14 +142,53 @@ struct Machine<'p> {
     mem: Vec<u64>,
     sp: i64,
     frames: Vec<Frame<'p>>,
-    next_serial: u64,
+    /// Events emitted so far: the sequence number of the next one.
+    events: u64,
     steps: u64,
     max_steps: u64,
     loads: u64,
     stores: u64,
     calls: u64,
-    label_cache: HashMap<(usize, Label), usize, BuildHasherDefault<FoldHasher>>,
+    /// Per function, the pc of each label (`NO_LABEL` where none is).
+    labels: Vec<Vec<u32>>,
     func_index: HashMap<&'p str, usize>,
+}
+
+/// A label no instruction of its function defines.
+const NO_LABEL: u32 = u32::MAX;
+
+/// Function `f`'s label → pc table. Labels count up from 0 in each
+/// function, so the table is dense; the first definition of a label wins.
+fn label_table(f: &RtlFunc) -> Vec<u32> {
+    let mut pcs = Vec::new();
+    for (pc, insn) in f.insns.iter().enumerate() {
+        if let Op::Label(l) = insn.op {
+            let l = l as usize;
+            if l >= pcs.len() {
+                pcs.resize(l + 1, NO_LABEL);
+            }
+            if pcs[l] == NO_LABEL {
+                pcs[l] = pc as u32;
+            }
+        }
+    }
+    pcs
+}
+
+/// The source registers an address reads: its base register, then its
+/// index register.
+fn addr_regs(m: &MemRef) -> ([Reg; 2], usize) {
+    let mut regs = [0; 2];
+    let mut n = 0;
+    if let BaseAddr::Reg(r) = m.base {
+        regs[n] = r;
+        n += 1;
+    }
+    if let Some(r) = m.index {
+        regs[n] = r;
+        n += 1;
+    }
+    (regs, n)
 }
 
 impl<'p> Machine<'p> {
@@ -160,13 +199,13 @@ impl<'p> Machine<'p> {
             mem: vec![0; (STACK_BASE / 8) as usize],
             sp: STACK_BASE,
             frames: Vec::new(),
-            next_serial: 0,
+            events: 0,
             steps: 0,
             max_steps,
             loads: 0,
             stores: 0,
             calls: 0,
-            label_cache: HashMap::default(),
+            labels: prog.funcs.iter().map(label_table).collect(),
             func_index,
         }
     }
@@ -240,13 +279,11 @@ impl<'p> Machine<'p> {
             }
             self.mem[idx] = 0;
         }
-        let serial = self.next_serial;
-        self.next_serial += 1;
         self.frames.push(Frame {
             func,
             func_idx,
-            serial,
             regs: vec![0; func.num_regs as usize],
+            writers: vec![0; func.num_regs as usize],
             base,
             out_base,
             pc: 0,
@@ -269,10 +306,6 @@ impl<'p> Machine<'p> {
 
     fn set_reg(&mut self, r: Reg, v: u64) {
         self.frame_mut().regs[r as usize] = v;
-    }
-
-    fn key(&self, r: Reg) -> RegKey {
-        (self.frame().serial << 24) | r as u64
     }
 
     /// Resolve a memory reference to a byte address.
@@ -419,36 +452,16 @@ impl<'p> Machine<'p> {
                     let addr = self.addr_of(&m)?;
                     let bits = self.mem_read(addr)?;
                     self.set_reg(d, bits);
-                    let mut srcs = [0u64; 3];
-                    let mut n = 0u8;
-                    if let BaseAddr::Reg(r) = m.base {
-                        srcs[n as usize] = self.key(r);
-                        n += 1;
-                    }
-                    if let Some(r) = m.index {
-                        srcs[n as usize] = self.key(r);
-                        n += 1;
-                    }
-                    let dst = Some(self.key(d));
-                    sink.event(DynInsn { kind: DynKind::Load, dst, srcs, n_srcs: n, addr });
+                    let (regs, n) = addr_regs(&m);
+                    self.emit1(sink, DynKind::Load, Some(d), &regs[..n], addr);
                 }
                 Op::Store(m, s) => {
                     let addr = self.addr_of(&m)?;
                     let bits = self.reg(s);
                     self.mem_write(addr, bits)?;
-                    let mut srcs = [0u64; 3];
-                    let mut n = 0u8;
-                    srcs[n as usize] = self.key(s);
-                    n += 1;
-                    if let BaseAddr::Reg(r) = m.base {
-                        srcs[n as usize] = self.key(r);
-                        n += 1;
-                    }
-                    if let Some(r) = m.index {
-                        srcs[n as usize] = self.key(r);
-                        n += 1;
-                    }
-                    sink.event(DynInsn { kind: DynKind::Store, dst: None, srcs, n_srcs: n, addr });
+                    let (regs, n) = addr_regs(&m);
+                    let srcs = [s, regs[0], regs[1]];
+                    self.emit1(sink, DynKind::Store, None, &srcs[..1 + n], addr);
                 }
                 Op::Call { dst, ref func, ref args } => {
                     let &fi = self
@@ -520,19 +533,11 @@ impl<'p> Machine<'p> {
         })
     }
 
-    fn label_target(&mut self, l: Label) -> Result<usize, ExecError> {
-        let fi = self.frame().func_idx;
-        if let Some(&t) = self.label_cache.get(&(fi, l)) {
-            return Ok(t);
+    fn label_target(&self, l: Label) -> Result<usize, ExecError> {
+        match self.labels[self.frame().func_idx].get(l as usize) {
+            Some(&pc) if pc != NO_LABEL => Ok(pc as usize),
+            _ => Err(self.err(format!("missing label {l}"))),
         }
-        let f = self.frame().func;
-        let t = f
-            .insns
-            .iter()
-            .position(|i| matches!(i.op, Op::Label(x) if x == l))
-            .ok_or_else(|| self.err(format!("missing label {l}")))?;
-        self.label_cache.insert((fi, l), t);
-        Ok(t)
     }
 
     fn ibin(&self, op: IBinOp, x: i64, y: i64) -> Result<i64, ExecError> {
@@ -560,26 +565,34 @@ impl<'p> Machine<'p> {
         })
     }
 
+    /// Hand `sink` the event of the instruction just executed: its
+    /// first three sources name their producers, and it becomes the
+    /// producer of `dst`.
     fn emit1(
-        &self,
+        &mut self,
         sink: &mut impl TraceSink,
         kind: DynKind,
         dst: Option<Reg>,
         srcs: &[Reg],
         addr: i64,
     ) {
-        let mut s = [0u64; 3];
-        let n = srcs.len().min(3);
-        for (i, &r) in srcs.iter().take(3).enumerate() {
-            s[i] = self.key(r);
+        // This event's sequence number plus one, the form `writers`
+        // keeps, so a producer's distance back is the difference. (A run
+        // stops at `MAX_STEPS`, far short of a distance `u32` cannot hold.)
+        let events = self.events + 1;
+        let writers = &mut self.frames.last_mut().expect("active frame").writers;
+        let mut producers = [0; 3];
+        for (p, &r) in producers.iter_mut().zip(srcs) {
+            let w = writers[r as usize];
+            if w != 0 {
+                *p = u32::try_from(events - w).unwrap_or(u32::MAX);
+            }
         }
-        sink.event(DynInsn {
-            kind,
-            dst: dst.map(|d| self.key(d)),
-            srcs: s,
-            n_srcs: n as u8,
-            addr,
-        });
+        if let Some(d) = dst {
+            writers[d as usize] = events;
+        }
+        self.events = events;
+        sink.event(DynInsn { kind, srcs: producers, addr });
     }
 }
 

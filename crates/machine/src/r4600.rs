@@ -7,7 +7,9 @@
 //! has completed; a taken branch costs one bubble.
 
 use crate::exec::{DynInsn, DynKind};
-use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass, RegTable, ScheduleConstraints};
+use hli_lir::{
+    longest_latency, CycleSim, MachStats, MachineBackend, OpClass, ReadyRing, ScheduleConstraints,
+};
 
 /// Latency configuration (cycles until the result is usable).
 #[derive(Debug, Clone, Copy)]
@@ -78,7 +80,9 @@ impl MachineBackend for R4600Config {
     fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
         Box::new(R4600Sim {
             cfg: self,
-            ready: RegTable::default(),
+            // At most one issue a cycle: a producer the longest latency or
+            // more events back is ready.
+            ready: ReadyRing::new(longest_latency(self)),
             bins: vec![0; nfuncs],
             time: 0,
             stats: R4600Stats::default(),
@@ -111,10 +115,10 @@ struct R4600Stats {
 }
 
 /// One run of the in-order pipeline. Its state is the issue clock and the
-/// ready cycle of each register still being produced.
+/// ready cycles of the last few events.
 struct R4600Sim<'c> {
     cfg: &'c R4600Config,
-    ready: RegTable,
+    ready: ReadyRing,
     bins: Vec<u64>,
     time: u64,
     stats: R4600Stats,
@@ -124,9 +128,7 @@ impl CycleSim for R4600Sim<'_> {
     fn feed(&mut self, events: &[DynInsn], funcs: &[u32]) {
         let cfg = self.cfg;
         for (i, ev) in events.iter().enumerate() {
-            let operands_ready =
-                ev.sources().iter().filter_map(|&r| self.ready.get(r)).max().unwrap_or(0);
-            let issue = self.time.max(operands_ready);
+            let issue = self.time.max(self.ready.operands_ready(ev));
             self.stats.stall_cycles += issue - self.time;
             let before = self.time;
             self.time = issue + 1;
@@ -140,18 +142,13 @@ impl CycleSim for R4600Sim<'_> {
                 }
                 _ => {}
             }
-            if let Some(d) = ev.dst {
-                self.ready.insert(d, issue + cfg.latency(ev.kind));
-            }
+            self.ready.push(issue + cfg.latency(ev.kind));
             // Charge the full advance (issue stall + execute + bubbles) to
             // the function that owns this event; the per-function sums
             // then equal the total cycle count exactly.
             if let Some(&f) = funcs.get(i) {
                 self.bins[f as usize] += self.time - before;
             }
-            // A ready cycle already behind the clock can never stall
-            // anything again.
-            self.ready.sweep(self.time);
         }
         self.stats.insns += events.len() as u64;
     }
@@ -170,19 +167,15 @@ impl CycleSim for R4600Sim<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hli_lir::RegKey;
+    use hli_lir::{rename, RegInsn, RegKey};
 
-    fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> DynInsn {
-        let mut s = [0u64; 3];
-        for (i, &r) in srcs.iter().take(3).enumerate() {
-            s[i] = r;
-        }
-        DynInsn { kind, dst, srcs: s, n_srcs: srcs.len() as u8, addr: 0 }
+    fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> RegInsn {
+        RegInsn::new(kind, dst, srcs)
     }
 
     #[test]
     fn independent_insns_issue_every_cycle() {
-        let t: Vec<DynInsn> = (0..10).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect();
+        let t = rename(&(0..10).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect::<Vec<_>>());
         let s = R4600Config::default().cycles(&t);
         assert_eq!(s.cycles, 10);
         assert_eq!(s.detail("stall_cycles"), Some(0));
@@ -190,10 +183,10 @@ mod tests {
 
     #[test]
     fn load_use_stalls() {
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
-        ];
+        ]);
         let s = R4600Config::default().cycles(&t);
         // Load issues at 0, ready at 2; consumer stalls one cycle.
         assert_eq!(s.detail("stall_cycles"), Some(1));
@@ -202,11 +195,11 @@ mod tests {
 
     #[test]
     fn scheduling_distance_hides_latency() {
-        let hidden = vec![
+        let hidden = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(3), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
-        ];
+        ]);
         let s = R4600Config::default().cycles(&hidden);
         assert_eq!(s.detail("stall_cycles"), Some(0), "filler covers the load delay");
         assert_eq!(s.cycles, 3);
@@ -214,20 +207,20 @@ mod tests {
 
     #[test]
     fn fdiv_chain_is_slow() {
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::FDiv, Some(1), &[]),
             ins(DynKind::FAdd, Some(2), &[1]),
-        ];
+        ]);
         let s = R4600Config::default().cycles(&t);
         assert!(s.cycles > 30);
     }
 
     #[test]
     fn taken_branches_cost_bubbles() {
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::Branch { taken: true }, None, &[]),
             ins(DynKind::Branch { taken: false }, None, &[]),
-        ];
+        ]);
         let s = R4600Config::default().cycles(&t);
         assert_eq!(s.detail("branch_bubbles"), Some(1));
         assert_eq!(s.cycles, 3);
@@ -235,14 +228,14 @@ mod tests {
 
     #[test]
     fn per_func_bins_sum_to_total() {
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
             ins(DynKind::Call, None, &[]),
             ins(DynKind::FDiv, Some(3), &[]),
             ins(DynKind::FAdd, Some(4), &[3]),
             ins(DynKind::Ret, None, &[]),
-        ];
+        ]);
         let funcs = vec![0, 0, 0, 1, 1, 1];
         let cfg = R4600Config::default();
         let (stats, bins) = cfg.cycles_per_func(&t, &funcs, 2);

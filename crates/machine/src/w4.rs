@@ -19,7 +19,9 @@
 //! charges).
 
 use crate::exec::{DynInsn, DynKind};
-use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass, RegTable, ScheduleConstraints};
+use hli_lir::{
+    longest_latency, CycleSim, MachStats, MachineBackend, OpClass, ReadyRing, ScheduleConstraints,
+};
 
 /// Latency/shape configuration for the wide in-order core.
 #[derive(Debug, Clone, Copy)]
@@ -72,10 +74,10 @@ struct W4Stats {
 }
 
 /// One run of the wide in-order core: the current issue group and the
-/// ready cycle of each register still being produced.
+/// ready cycles of the last few events.
 struct W4Sim<'c> {
     cfg: &'c W4Config,
-    ready: RegTable,
+    ready: ReadyRing,
     bins: Vec<u64>,
     /// The cycle the current issue group occupies.
     time: u64,
@@ -96,8 +98,7 @@ impl CycleSim for W4Sim<'_> {
                 self.time += 1;
                 self.slots = 0;
             }
-            let operands_ready =
-                ev.sources().iter().filter_map(|&r| self.ready.get(r)).max().unwrap_or(0);
+            let operands_ready = self.ready.operands_ready(ev);
             if operands_ready > self.time {
                 // Head-of-line hazard: the whole machine waits (no
                 // reordering), wasting the rest of this group and every
@@ -109,9 +110,7 @@ impl CycleSim for W4Sim<'_> {
                 self.slots = 0;
             }
             self.slots += 1;
-            if let Some(d) = ev.dst {
-                self.ready.insert(d, self.time + cfg.class_latency(ev.kind.class()));
-            }
+            self.ready.push(self.time + cfg.class_latency(ev.kind.class()));
             match ev.kind {
                 DynKind::Branch { taken: true } => {
                     self.stats.idle_slots += (width - self.slots) as u64;
@@ -132,9 +131,6 @@ impl CycleSim for W4Sim<'_> {
                 self.bins[f as usize] += self.time - before;
                 self.last_func = Some(f);
             }
-            // A ready cycle already behind the clock can never stall
-            // anything again.
-            self.ready.sweep(self.time);
         }
         self.stats.insns += events.len() as u64;
     }
@@ -179,9 +175,12 @@ impl MachineBackend for W4Config {
     }
 
     fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
+        // At least one cycle per `width` events: a producer `width`
+        // longest latencies back is ready.
+        let reach = self.width.max(1) as u64 * longest_latency(self);
         Box::new(W4Sim {
             cfg: self,
-            ready: RegTable::default(),
+            ready: ReadyRing::new(reach),
             bins: vec![0; nfuncs],
             time: 0,
             slots: 0,
@@ -207,19 +206,15 @@ impl From<W4Stats> for MachStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hli_lir::RegKey;
+    use hli_lir::{rename, RegInsn, RegKey};
 
-    fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> DynInsn {
-        let mut s = [0u64; 3];
-        for (i, &r) in srcs.iter().take(3).enumerate() {
-            s[i] = r;
-        }
-        DynInsn { kind, dst, srcs: s, n_srcs: srcs.len() as u8, addr: 0 }
+    fn ins(kind: DynKind, dst: Option<RegKey>, srcs: &[RegKey]) -> RegInsn {
+        RegInsn::new(kind, dst, srcs)
     }
 
     #[test]
     fn independent_insns_pack_four_wide() {
-        let t: Vec<DynInsn> = (0..16).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect();
+        let t = rename(&(0..16).map(|i| ins(DynKind::IAlu, Some(i), &[])).collect::<Vec<_>>());
         let s = W4Config::default().cycles(&t);
         assert_eq!(s.cycles, 4, "16 independent ops in 4 groups");
         assert_eq!(s.detail("stall_cycles"), Some(0));
@@ -232,7 +227,7 @@ mod tests {
         for i in 1..8u64 {
             t.push(ins(DynKind::IAlu, Some(i), &[i - 1]));
         }
-        let s = W4Config::default().cycles(&t);
+        let s = W4Config::default().cycles(&rename(&t));
         assert_eq!(s.cycles, 8, "one issue per cycle down a chain");
         assert!(
             s.detail("idle_slots").unwrap() >= 7 * 3,
@@ -244,30 +239,30 @@ mod tests {
     fn head_of_line_load_blocks_everything() {
         // Independent work *behind* the load's consumer cannot pass it:
         // the machine is in-order, so the whole group waits.
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
             ins(DynKind::IAlu, Some(3), &[]),
-        ];
+        ]);
         let s = W4Config::default().cycles(&t);
         assert!(s.detail("stall_cycles").unwrap() >= W4Config::DEFAULT.load - 1);
         // Scheduling the independent op between load and use hides it.
-        let sched = vec![
+        let sched = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(3), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
-        ];
+        ]);
         let s2 = W4Config::default().cycles(&sched);
         assert!(s2.cycles <= s.cycles);
     }
 
     #[test]
     fn taken_branch_ends_the_group() {
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::IAlu, Some(1), &[]),
             ins(DynKind::Branch { taken: true }, None, &[]),
             ins(DynKind::IAlu, Some(2), &[]),
-        ];
+        ]);
         let s = W4Config::default().cycles(&t);
         // Group 1 (alu + branch) at cycle 0, bubble, then the next group.
         assert_eq!(s.cycles, 1 + 1 + W4Config::DEFAULT.taken_branch_bubble + 1 - 1);
@@ -279,14 +274,14 @@ mod tests {
 
     #[test]
     fn per_func_bins_sum_to_total() {
-        let t = vec![
+        let t = rename(&[
             ins(DynKind::Load, Some(1), &[]),
             ins(DynKind::IAlu, Some(2), &[1]),
             ins(DynKind::Call, None, &[]),
             ins(DynKind::FDiv, Some(3), &[]),
             ins(DynKind::FAdd, Some(4), &[3]),
             ins(DynKind::Ret, None, &[]),
-        ];
+        ]);
         let funcs = vec![0, 0, 0, 1, 1, 1];
         let cfg = W4Config::default();
         let (stats, bins) = cfg.cycles_per_func(&t, &funcs, 2);

@@ -143,15 +143,10 @@ fn in_order_simulators_behave_at_the_advertised_latencies() {
         DynKind::FDiv,
     ];
     for kind in producer_kinds {
+        // The consumer reads the producer just before it.
         let t = vec![
-            DynInsn { kind, dst: Some(1), srcs: [0; 3], n_srcs: 0, addr: 0 },
-            DynInsn {
-                kind: DynKind::IAlu,
-                dst: Some(2),
-                srcs: [1, 0, 0],
-                n_srcs: 1,
-                addr: 0,
-            },
+            DynInsn { kind, srcs: [0; 3], addr: 0 },
+            DynInsn { kind: DynKind::IAlu, srcs: [1, 0, 0], addr: 0 },
         ];
         let r4600 = R4600Config::default();
         let s = r4600.cycles(&t);

@@ -3,14 +3,20 @@
 //!
 //! The modules `r10000_ref`, `r4600_ref` and `w4_ref` hold the simulator
 //! loops the streaming models replaced, verbatim apart from their imports:
-//! the R10000 rescans its whole window every cycle and renames through
-//! hashed maps, the in-order models keep one ready-cycle entry per
+//! the R10000 steps every cycle and rescans its whole window, and renames
+//! through hashed maps; the in-order models keep one ready-cycle entry per
 //! register ever written. They are slow and unbounded, and exactly what
 //! the reproduction's numbers were measured with, so every model must
 //! agree with them on every statistic, every per-function cycle bin and
 //! the whole scoped metrics snapshot (`machine.<name>.*` counters, the
 //! `ipc_milli` gauge, the `window_occupancy` histogram), whether a trace
 //! is fed whole or in chunks.
+//!
+//! The models read traces whose sources name their producers; the
+//! reference loops read registers. They get the same traces, with each
+//! event writing the register named by its own sequence number and
+//! reading its producers' (`by_sequence`), so their renaming is the
+//! identity.
 //!
 //! The short seeded traces run in every test pass. The corpus traces
 //! (real scheduled builds of generated programs) are `#[ignore]`d here
@@ -23,7 +29,7 @@
 use hli_backend::ddg::DepMode;
 use hli_backend::lower::lower_program;
 use hli_backend::sched::schedule_program;
-use hli_lir::RegKey;
+use hli_lir::{rename, RegInsn, RegKey};
 use hli_machine::{
     execute_with_func_trace, DynInsn, DynKind, MachStats, MachineBackend, R10000Config,
     R4600Config, W4Config,
@@ -52,7 +58,7 @@ impl OldHelpers for R10000Config {
 
 mod r10000_ref {
     use super::OldHelpers;
-    use hli_lir::{DynInsn, DynKind, MachStats, RegKey};
+    use hli_lir::{DynKind, MachStats, RegInsn as DynInsn, RegKey};
     use hli_machine::R10000Config;
     use std::collections::HashMap;
     use std::collections::VecDeque;
@@ -290,7 +296,7 @@ mod r10000_ref {
 
 mod r4600_ref {
     use super::OldHelpers;
-    use hli_lir::{DynInsn, DynKind, MachStats, RegKey};
+    use hli_lir::{DynKind, MachStats, RegInsn as DynInsn, RegKey};
     use hli_machine::R4600Config;
     use std::collections::HashMap;
 
@@ -378,7 +384,7 @@ mod r4600_ref {
 }
 
 mod w4_ref {
-    use hli_lir::{DynInsn, DynKind, MachStats, MachineBackend, RegKey};
+    use hli_lir::{DynKind, MachStats, MachineBackend, RegInsn as DynInsn, RegKey};
     use hli_machine::W4Config;
     use std::collections::HashMap;
 
@@ -495,13 +501,40 @@ mod w4_ref {
 struct Trace {
     name: String,
     events: Vec<DynInsn>,
+    /// `events` as the reference loops read them.
+    named: Vec<RegInsn>,
     funcs: Vec<u32>,
     nfuncs: usize,
 }
 
+impl Trace {
+    fn new(name: String, events: Vec<DynInsn>, funcs: Vec<u32>, nfuncs: usize) -> Trace {
+        let named = by_sequence(&events);
+        Trace { name, events, named, funcs, nfuncs }
+    }
+}
+
+/// Name the registers of a producer-named trace by sequence number: each
+/// event writes its own, and each source reads its producer's.
+fn by_sequence(events: &[DynInsn]) -> Vec<RegInsn> {
+    let name = |(seq, ev): (usize, &DynInsn)| {
+        let srcs: Vec<RegKey> = ev
+            .srcs
+            .iter()
+            .filter(|&&d| d != 0)
+            .map(|&d| (seq - d as usize) as RegKey)
+            .collect();
+        RegInsn {
+            addr: ev.addr,
+            ..RegInsn::new(ev.kind, Some(seq as RegKey), &srcs)
+        }
+    };
+    events.iter().enumerate().map(name).collect()
+}
+
 /// A reference loop: the trace and, when attributing, the owning
 /// function of each event with the bins to charge.
-type Reference<'a> = Box<dyn Fn(&[DynInsn], Option<(&[u32], &mut [u64])>) -> MachStats + 'a>;
+type Reference<'a> = Box<dyn Fn(&[RegInsn], Option<(&[u32], &mut [u64])>) -> MachStats + 'a>;
 
 /// A model under test and its reference loop.
 struct Pair<'a> {
@@ -540,10 +573,13 @@ fn pairs<'a>(
     out
 }
 
-/// The R10000 configurations compared: the default, a small window, a
-/// large window with two load/store units (the only one here where a
-/// load can issue beside a store, so `forwards` is non-zero) and a
-/// narrow core with one integer unit.
+/// The R10000 configurations compared: the default; a small window; a
+/// large window with two load/store units (where a load can issue beside
+/// a store, so `forwards` is non-zero); a narrow core with one integer
+/// unit; a scalar core whose window of 3 is smaller than its
+/// power-of-two instruction ring; and a window of 96 with a 70-cycle
+/// divide, past a 64-entry instruction ring and with a longer horizon of
+/// cycles in flight.
 fn r10000_configs() -> Vec<R10000Config> {
     let d = R10000Config::DEFAULT;
     vec![
@@ -551,15 +587,23 @@ fn r10000_configs() -> Vec<R10000Config> {
         R10000Config { window: 8, ..d },
         R10000Config { window: 48, ls_units: 2, ..d },
         R10000Config { width: 2, int_units: 1, ..d },
+        R10000Config { width: 1, window: 3, ..d },
+        R10000Config { window: 96, ls_units: 2, idiv: 70, ..d },
     ]
 }
 
+/// The in-order configurations: the defaults, an R4600 whose 100-cycle
+/// divide needs a ready ring past 64 events, and `w4` at widths 2 and 8.
 fn in_order_configs() -> (Vec<R4600Config>, Vec<W4Config>) {
     (
-        vec![R4600Config::DEFAULT],
+        vec![
+            R4600Config::DEFAULT,
+            R4600Config { idiv: 100, ..R4600Config::DEFAULT },
+        ],
         vec![
             W4Config::DEFAULT,
             W4Config { width: 2, ..W4Config::DEFAULT },
+            W4Config { width: 8, ..W4Config::DEFAULT },
         ],
     )
 }
@@ -593,7 +637,7 @@ fn check(pair: &Pair<'_>, t: &Trace, chunk_seed: u64) -> Option<u64> {
     let what = format!("{} on {}", pair.name, t.name);
     let ((want, want_bins), want_snap) = scoped(|| {
         let mut bins = vec![0u64; t.nfuncs];
-        let stats = (pair.reference)(&t.events, Some((&t.funcs, &mut bins)));
+        let stats = (pair.reference)(&t.named, Some((&t.funcs, &mut bins)));
         (stats, bins)
     });
     let (got, got_snap) = scoped(|| pair.model.cycles_per_func(&t.events, &t.funcs, t.nfuncs));
@@ -616,7 +660,7 @@ fn check(pair: &Pair<'_>, t: &Trace, chunk_seed: u64) -> Option<u64> {
     assert_eq!(chunked_snap, want_snap, "chunked feed metrics: {what}");
 
     let (plain, plain_snap) = scoped(|| pair.model.cycles(&t.events));
-    let (want_plain, want_plain_snap) = scoped(|| (pair.reference)(&t.events, None));
+    let (want_plain, want_plain_snap) = scoped(|| (pair.reference)(&t.named, None));
     assert_eq!(plain, want_plain, "unattributed stats: {what}");
     assert_eq!(plain_snap, want_plain_snap, "unattributed metrics: {what}");
     want.detail("forwards")
@@ -644,12 +688,7 @@ fn synthetic(seed: u64, len: usize) -> Trace {
     ];
     let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     let (mut frame, mut func, mut last): (u64, u32, RegKey) = (0, 0, 0);
-    let mut t = Trace {
-        name: format!("synthetic seed {seed}"),
-        events: Vec::new(),
-        funcs: Vec::new(),
-        nfuncs: NFUNCS as usize,
-    };
+    let (mut events, mut funcs) = (Vec::new(), Vec::new());
     for _ in 0..len {
         if rng.below(30) == 0 {
             frame = rng.below(4);
@@ -681,11 +720,15 @@ fn synthetic(seed: u64, len: usize) -> Trace {
             DynKind::Load | DynKind::Store => 0x1000 + 8 * rng.below(4) as i64,
             _ => 0,
         };
-        t.events
-            .push(DynInsn { kind, dst, srcs, n_srcs: n_srcs.max(u8::from(chain)), addr });
-        t.funcs.push(func);
+        events.push(RegInsn { kind, dst, srcs, n_srcs: n_srcs.max(u8::from(chain)), addr });
+        funcs.push(func);
     }
-    t
+    Trace::new(
+        format!("synthetic seed {seed}"),
+        rename(&events),
+        funcs,
+        NFUNCS as usize,
+    )
 }
 
 #[test]
@@ -700,12 +743,7 @@ fn models_match_their_references_on_seeded_traces() {
         }
     }
     assert!(forwards > 0, "no trace exercised store-to-load forwarding");
-    let empty = Trace {
-        name: "empty".into(),
-        events: Vec::new(),
-        funcs: Vec::new(),
-        nfuncs: 2,
-    };
+    let empty = Trace::new("empty".into(), Vec::new(), Vec::new(), 2);
     for pair in pairs(&r10000, &r4600, &w4) {
         check(&pair, &empty, 7);
     }
@@ -725,7 +763,7 @@ fn corpus_traces() -> Vec<Trace> {
                 let (build, _) = schedule_program(&rtl, &hli, mode, &R4600Config::DEFAULT);
                 let (_, events, funcs) = execute_with_func_trace(&build).expect("build runs");
                 let name = format!("{} {mode:?}", b.name);
-                out.push(Trace { name, events, funcs, nfuncs: build.funcs.len() });
+                out.push(Trace::new(name, events, funcs, build.funcs.len()));
             }
         }
     }
