@@ -31,10 +31,10 @@
 //!
 //! Each work item resolves its function's HLI unit once, before the first
 //! pass, and [`vet_unit`] verifies its tables once — borrowed from an
-//! in-memory file, or decoded once from an `HLI\x03` image unit. One
-//! query index is built over exactly the tables that were verified, and
-//! every pass asks it. A unit failing [`hli_core::verify`] — or, for an
-//! image, its structural validation ([`image_entry`]) — is
+//! in-memory file, or decoded once from an image unit. One query index is
+//! built over exactly the tables that were verified, and every pass asks
+//! it. A unit failing [`hli_core::verify`] — or, for an image, failing to
+//! decode ([`image_entry`]) — is
 //! **quarantined**: the function compiles with HLI disabled (the pure
 //! GCC-dependence conservative path — the paper's baseline) instead of
 //! aborting the compile, with `backend.quarantine.*` counters and a
@@ -95,13 +95,13 @@ fn record_blocked(pass: &str, function: &str, region: Option<u32>, reason: &str)
 /// The import trust boundary (Section 3.2.3's hazard, made checkable):
 /// verify a unit's tables before the back-end trusts any answer derived
 /// from them, and hand on exactly the tables that were verified —
-/// borrowed from an in-memory entry, decoded once from an image unit
-/// ([`EntryRef::tables`]). On failure records a quarantine
+/// borrowed from an in-memory entry, or the ones decoded from an image
+/// unit ([`EntryRef::into_tables`]). On failure records a quarantine
 /// ([`record_quarantine`]) and returns the recorded reason; the caller
 /// must fall back to the pure GCC-dependence path — the paper's no-HLI
 /// baseline — for that unit.
 pub fn vet_unit<'h>(function: &str, entry: EntryRef<'h>) -> Result<Cow<'h, HliEntry>, String> {
-    let tables = entry.tables();
+    let tables = entry.into_tables();
     let errs = tables.verify();
     let Some(first) = errs.first() else {
         return Ok(tables);
@@ -111,13 +111,13 @@ pub fn vet_unit<'h>(function: &str, entry: EntryRef<'h>) -> Result<Cow<'h, HliEn
     Err(why)
 }
 
-/// Resolve `function`'s unit in an `HLI\x03` image — the lookup the
-/// image gives [`schedule_program_passes`]. A unit whose bytes fail the
-/// image's structural validation is quarantined ([`record_quarantine`],
-/// one error) and resolves to `None`, the conservative no-HLI path, so a
-/// corrupt unit is counted rather than silently read as "no HLI". A
-/// function the image has no unit for resolves to `None` unrecorded.
-pub fn image_entry<'a>(img: &'a HliImage, function: &str) -> Option<EntryRef<'a>> {
+/// Resolve `function`'s unit in an image — the lookup the image gives
+/// [`schedule_program_passes`]. A unit whose body fails to decode is
+/// quarantined ([`record_quarantine`], one error) and resolves to `None`,
+/// the conservative no-HLI path, so a corrupt unit is counted rather than
+/// silently read as "no HLI". A function the image has no unit for
+/// resolves to `None` unrecorded.
+pub fn image_entry(img: &HliImage, function: &str) -> Option<EntryRef<'static>> {
     img.get_ref(function).unwrap_or_else(|e| {
         record_quarantine(function, None, 1, &e.to_string());
         None
@@ -140,8 +140,8 @@ pub struct PassSpec<'c> {
 ///
 /// `lookup` resolves a function's HLI entry. It is called once per
 /// function, inside that function's work item and before its first pass,
-/// so it runs on pool threads and must be `Sync`. An `HLI\x03`
-/// [`HliImage`] qualifies through [`image_entry`]; an in-memory
+/// so it runs on pool threads and must be `Sync`. An [`HliImage`]
+/// qualifies through [`image_entry`]; an in-memory
 /// [`hli_core::HliFile`] through `|n| file.entry(n).map(EntryRef::Owned)`.
 pub fn schedule_program_passes<'h>(
     prog: &RtlProgram,
@@ -310,10 +310,9 @@ mod tests {
 
     /// Like [`run_at`], but with `f2`'s unit corrupted (an LCDD entry in
     /// the non-loop unit region) so the trust boundary must quarantine it.
-    /// With `via_image`, the units are served from an `HLI\x03` image of
-    /// the corrupted file: the damage is semantic, so the unit passes
-    /// structural validation and `vet_unit` must catch it in the tables
-    /// it decodes.
+    /// With `via_image`, the units are served from an image of the
+    /// corrupted file: the damage is semantic, so the unit decodes and
+    /// `vet_unit` must catch it in the decoded tables.
     fn run_quarantined_at(
         jobs: usize,
         prov: bool,
@@ -335,7 +334,7 @@ mod tests {
         );
         let prog = lower_program(&p, &s);
         if via_image {
-            let bytes = hli_core::encode_file_v3(&hli, SerializeOpts::default());
+            let bytes = hli_core::encode_image(&hli, SerializeOpts::default());
             let img = HliImage::open(bytes).unwrap();
             assert!(img.get_ref("f2").unwrap().is_some(), "the damage must be semantic only");
             drive(&prog, &|n| image_entry(&img, n), jobs, prov)
@@ -412,32 +411,30 @@ mod tests {
         }
     }
 
-    /// Claim more line records for `unit`'s body than it holds (body
-    /// header word 2 is the line count), so the image's structural
-    /// validation rejects exactly that unit.
-    fn corrupt_unit_body(bytes: &mut [u8], unit: &str) {
-        let word = |b: &[u8], w: usize| u32::from_le_bytes(b[w * 4..w * 4 + 4].try_into().unwrap());
-        for i in 0..word(bytes, 1) as usize {
-            let rec = 2 + 4 * i;
-            let (name_off, name_len) = (word(bytes, rec) as usize, word(bytes, rec + 1) as usize);
-            if &bytes[name_off..name_off + name_len] == unit.as_bytes() {
-                let at = (word(bytes, rec + 2) as usize + 2) * 4;
-                bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-                return;
-            }
-        }
-        panic!("no unit `{unit}` in the image");
+    /// Set the continuation bit on the last byte of `unit`'s compact body
+    /// in the image `bytes`. That byte ends the body's last varint, so the
+    /// decoder runs off the end of exactly that body.
+    fn corrupt_unit_body(bytes: &mut [u8], unit: &hli_core::HliEntry) {
+        let body = hli_core::serialize::encode_entry(unit, SerializeOpts::default());
+        let at = bytes
+            .windows(body.len())
+            .position(|w| w == body)
+            .unwrap_or_else(|| panic!("no body of `{}` in the image", unit.unit_name));
+        bytes[at + body.len() - 1] |= 0x80;
     }
 
-    /// Run the two-pass driver at `jobs` over an `HLI\x03` image of `SRC`
-    /// whose `f2` body fails structural validation.
+    /// Run the two-pass driver at `jobs` over an image of `SRC` whose `f2`
+    /// body fails to decode.
     fn run_corrupt_image_at(jobs: usize) -> (Vec<(RtlProgram, QueryStats)>, String, String) {
         let (p, s) = compile_to_ast(SRC).unwrap();
         let hli = generate_hli(&p, &s);
-        let mut bytes = hli_core::encode_file_v3(&hli, SerializeOpts::default());
-        corrupt_unit_body(&mut bytes, "f2");
+        let mut bytes = hli_core::encode_image(&hli, SerializeOpts::default());
+        corrupt_unit_body(&mut bytes, hli.entry("f2").unwrap());
         let img = HliImage::open(bytes).unwrap();
-        assert!(img.get_ref("f2").is_err(), "corruption must fail structural validation");
+        assert!(img.get_ref("f2").is_err(), "corruption must fail decoding");
+        for intact in ["f1", "f3", "main"] {
+            assert!(img.get_ref(intact).unwrap().is_some(), "`{intact}` must stay intact");
+        }
         let prog = lower_program(&p, &s);
         drive(&prog, &|n| image_entry(&img, n), jobs, true)
     }

@@ -26,12 +26,13 @@
 //!
 //! On top of the data model this crate provides:
 //!
-//! * [`serialize`] — the compact `HLI\x01` encoding whose size Table 1 of
-//!   the paper reports, with its round-trip reference decoder;
-//! * [`image`] — the word-aligned `HLI\x03` image the back end imports
-//!   from: opening it reads only the directory, and each program unit is
-//!   validated and decoded into an [`HliEntry`] when the back end first
-//!   asks for it (the paper's §3.2.1 on-demand import);
+//! * [`serialize`] — the compact encoding, the one HLI codec: Table 1 of
+//!   the paper reports its size (`HLI\x01` files), the serve cache key
+//!   hashes its per-unit entries, and the back end imports them;
+//! * [`image`] — the `HLI\x04` image the back end imports from: a
+//!   directory over one compact entry per unit. Opening it reads only the
+//!   directory, and each program unit is decoded into an [`HliEntry`]
+//!   when the back end asks for it (the paper's §3.2.1 on-demand import);
 //! * [`query`] — the *query function* interface of Section 3.2.2 (the five
 //!   basic queries: equivalent access, alias, LCDD, call REF/MOD, region
 //!   info), backed by a prebuilt index so back-end passes pay hash-lookup
@@ -61,7 +62,7 @@ pub mod textdump;
 pub mod verify;
 
 pub use ids::{ItemId, RegionId};
-pub use image::{encode_file_v3, EntryRef, HliEntryView, HliImage};
+pub use image::{encode_image, EntryRef, HliImage};
 pub use query::{CallAcc, EquivAcc, HliQuery, QueryCache};
 pub use tables::{
     AliasEntry, CallRef, CallRefMod, DepKind, Distance, EquivClass, EquivKind, HliEntry, HliFile,

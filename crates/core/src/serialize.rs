@@ -7,15 +7,17 @@
 //! excluded unless [`SerializeOpts::include_names`] is set (the harness
 //! measures the compact form).
 //!
-//! The compact form has two jobs: it is Table 1's size meter, and
-//! [`decode_file`] is the round-trip reference the tests check the format
-//! against. The back end does not import it; it reads the word-aligned
-//! `HLI\x03` image of [`crate::image`] one unit at a time.
+//! The compact form is the one HLI encoding. A whole file
+//! ([`encode_file`] / [`decode_file`]) is Table 1's size meter and the
+//! round-trip reference; one unit's entry ([`encode_entry`]) is what the
+//! serve cache key hashes and, inside an `HLI\x04` image
+//! ([`crate::image`]), what the back end imports one unit at a time.
 //!
 //! Byte sizes crossing this boundary are mirrored into the metrics
 //! registry (`hli.serialize.bytes` / `hli.deserialize.bytes`), making the
 //! paper's §4 HLI-size claim a measured metric. `hli.serialize.*` counts
-//! only this compact form; the image is metered under `hli.image.*`.
+//! only the calls above: an image encodes its bodies unmetered and is
+//! counted under `hli.image.*`.
 
 use crate::ids::{ItemId, RegionId};
 use crate::tables::*;
@@ -77,7 +79,7 @@ pub fn encode_entry(e: &HliEntry, opts: SerializeOpts) -> Vec<u8> {
     b
 }
 
-fn encode_entry_into(e: &HliEntry, opts: SerializeOpts, b: &mut Vec<u8>) {
+pub(crate) fn encode_entry_into(e: &HliEntry, opts: SerializeOpts, b: &mut Vec<u8>) {
     put_str(b, &e.unit_name);
     put_varint(b, e.next_id as u64);
     // Line table.
@@ -221,7 +223,7 @@ pub fn decode_file(buf: &[u8], opts: SerializeOpts) -> Result<HliFile, DecodeErr
     Ok(HliFile { entries })
 }
 
-fn decode_entry(b: &mut &[u8], opts: SerializeOpts) -> Result<HliEntry, DecodeError> {
+pub(crate) fn decode_entry(b: &mut &[u8], opts: SerializeOpts) -> Result<HliEntry, DecodeError> {
     let unit_name = get_str(b)?;
     let next_id = get_u32(b)?;
     let mut line_table = LineTable::default();
@@ -353,7 +355,7 @@ fn decode_entry(b: &mut &[u8], opts: SerializeOpts) -> Result<HliEntry, DecodeEr
     Ok(HliEntry { unit_name, line_table, regions, next_id, generation: 0 })
 }
 
-fn put_varint(b: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(b: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -394,12 +396,12 @@ fn get_u32(b: &mut &[u8]) -> Result<u32, DecodeError> {
 
 /// Decode a varint used as an in-memory count or length, rejecting values
 /// that would wrap `usize` on narrower targets.
-fn get_len(b: &mut &[u8]) -> Result<usize, DecodeError> {
+pub(crate) fn get_len(b: &mut &[u8]) -> Result<usize, DecodeError> {
     let v = get_varint(b)?;
     usize::try_from(v).map_err(|_| DecodeError(format!("varint {v} out of usize range")))
 }
 
-fn get_u8(b: &mut &[u8]) -> Result<u8, DecodeError> {
+pub(crate) fn get_u8(b: &mut &[u8]) -> Result<u8, DecodeError> {
     let (&first, rest) =
         b.split_first().ok_or_else(|| DecodeError("unexpected end of input".into()))?;
     *b = rest;
@@ -411,7 +413,7 @@ fn put_str(b: &mut Vec<u8>, s: &str) {
     b.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(b: &mut &[u8]) -> Result<String, DecodeError> {
+pub(crate) fn get_str(b: &mut &[u8]) -> Result<String, DecodeError> {
     let len = get_len(b)?;
     if b.len() < len {
         return Err(DecodeError("truncated string".into()));

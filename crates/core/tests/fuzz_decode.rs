@@ -3,8 +3,8 @@
 //! come from a seeded xorshift64 stream, so every run checks the same
 //! cases deterministically.
 
-use hli_core::serialize::{decode_file, encode_file, SerializeOpts};
-use hli_core::{encode_file_v3, HliImage};
+use hli_core::serialize::{decode_file, encode_entry, encode_file, SerializeOpts};
+use hli_core::{encode_image, HliImage};
 
 /// xorshift64 — tiny deterministic PRNG for test-input generation.
 struct Rng(u64);
@@ -57,15 +57,19 @@ fn reader_open_never_panics() {
     for round in 0..512 {
         let mut bytes = rng.bytes(256);
         // Cycle the rounds through the image and compact magics so the
-        // directory parser and the bad-magic rejection both run.
-        match round % 3 {
-            0 => drop(bytes.splice(0..0, *b"HLI\x03")),
-            1 => drop(bytes.splice(0..0, *b"HLI\x01")),
+        // directory parser and the bad-magic rejection both run; half the
+        // image rounds carry a valid flags byte.
+        match round % 4 {
+            0 => drop(bytes.splice(0..0, *b"HLI\x04\x00")),
+            1 => drop(bytes.splice(0..0, *b"HLI\x04")),
+            2 => drop(bytes.splice(0..0, *b"HLI\x01")),
             _ => (),
         };
         if let Ok(img) = HliImage::open(bytes) {
             for unit in img.units().map(str::to_owned).collect::<Vec<_>>() {
-                let _ = img.get_ref(&unit);
+                if let Ok(Some(e)) = img.get_ref(&unit) {
+                    let _ = e.tables().verify();
+                }
             }
         }
     }
@@ -97,16 +101,14 @@ fn truncations_of_valid_files_fail_cleanly() {
         for cut in 0..v1.len() {
             assert!(decode_file(&v1[..cut], opts).is_err(), "truncated at {cut}");
         }
-        let v3 = encode_file_v3(&hli, opts);
-        for cut in 0..v3.len() {
-            let slice = v3[..cut].to_vec();
-            if let Ok(img) = HliImage::open(slice) {
-                // The frame may parse; resolving any unit of a truncated
-                // image must error, never panic.
-                for unit in img.units().map(str::to_owned).collect::<Vec<_>>() {
-                    let _ = img.get_ref(&unit);
-                }
-            }
+        // The image's body lengths must add up to the rest of the file,
+        // so every truncation fails at open.
+        let image = encode_image(&hli, opts);
+        for cut in 0..image.len() {
+            assert!(
+                HliImage::open(image[..cut].to_vec()).is_err(),
+                "image truncated at {cut}"
+            );
         }
     }
 }
@@ -135,21 +137,48 @@ fn trailing_garbage_after_valid_file_rejected() {
     }
 }
 
+/// LEB128, as the image directory writes its count and lengths.
+fn put_varint(out: &mut Vec<u8>, mut v: usize) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The bytes Table 1 counts, the serve key hashes and the back end
+/// imports are one encoding: the image is its directory followed by
+/// `encode_entry` of each unit, and each unit decodes to the entry the
+/// compact file decodes to.
 #[test]
-fn v1_and_v3_images_agree_unit_by_unit() {
+fn compact_file_and_image_agree_unit_by_unit() {
     let hli = sample_hli();
-    let opts = SerializeOpts { include_names: true };
-    let v1 = decode_file(&encode_file(&hli, opts), opts).unwrap();
-    let v3 = HliImage::open(encode_file_v3(&hli, opts)).unwrap();
-    assert_eq!(v1.entries.len(), v3.len());
-    let names: Vec<&str> = v1.entries.iter().map(|e| e.unit_name.as_str()).collect();
-    assert_eq!(names, v3.units().collect::<Vec<_>>());
-    for unit in &v1.entries {
-        let view = v3.get_ref(&unit.unit_name).unwrap().unwrap();
-        assert!(
-            view.materialize() == *unit,
-            "unit `{}` differs between v1 and v3",
-            unit.unit_name
-        );
+    for opts in [
+        SerializeOpts::default(),
+        SerializeOpts { include_names: true },
+    ] {
+        let bodies: Vec<Vec<u8>> = hli.entries.iter().map(|e| encode_entry(e, opts)).collect();
+        let mut want = b"HLI\x04".to_vec();
+        want.push(u8::from(opts.include_names));
+        put_varint(&mut want, bodies.len());
+        for body in &bodies {
+            put_varint(&mut want, body.len());
+        }
+        want.extend(bodies.concat());
+        let bytes = encode_image(&hli, opts);
+        assert!(bytes == want, "the image bodies are not the compact entries");
+
+        let file = decode_file(&encode_file(&hli, opts), opts).unwrap();
+        let img = HliImage::open(bytes).unwrap();
+        let names: Vec<&str> = file.entries.iter().map(|e| e.unit_name.as_str()).collect();
+        assert_eq!(names, img.units().collect::<Vec<_>>());
+        for unit in &file.entries {
+            let decoded = img.get_ref(&unit.unit_name).unwrap().unwrap();
+            assert!(
+                decoded.tables() == unit,
+                "unit `{}` differs between the compact file and the image",
+                unit.unit_name
+            );
+        }
     }
 }

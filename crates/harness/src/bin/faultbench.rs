@@ -8,11 +8,11 @@
 //! binary stress-tests that contract at two layers:
 //!
 //! * **byte level** — seeded bit flips, byte substitutions, truncations
-//!   and zeroed windows on the `HLI\x03` image of every suite benchmark
-//!   (the one form the back end imports), pushed through the real import
-//!   and two-pass scheduling pipeline under `catch_unwind`: structural
-//!   validation at first access, semantic verify on the
-//!   transiently-materialized entry;
+//!   and zeroed windows on the image of every suite benchmark (the one
+//!   form the back end imports), pushed through the real import and
+//!   two-pass scheduling pipeline under `catch_unwind`: the frame checks
+//!   at open, each unit's compact decode, semantic verify on the decoded
+//!   entry;
 //! * **table level** — semantic mutations on *decoded* tables (flip an
 //!   LCDD entry's direction, drop an alias edge, re-home an item into a
 //!   different equivalence class), checking that the verifier rejects
@@ -31,9 +31,9 @@
 //!   `clean.combined ≤ mut.combined ≤ clean.gcc` degradation envelope,
 //!   or whose compiled output disagrees with the AST-interpreter oracle.
 //!
-//! Verify-clean byte mutants get the table-level stance: the fixed-word
-//! image layout turns random byte damage into well-formed *semantic*
-//! mutations no static verifier can reject, so oracle-detected ones are
+//! Verify-clean byte mutants get the table-level stance: damage to one
+//! varint of a compact body can decode as a well-formed *semantic*
+//! mutation no static verifier can reject, so oracle-detected ones are
 //! counted, not failed — see [`ByteClass::Caught`].
 //!
 //! Table-level mutations that stay well-formed are *semantically wrong
@@ -70,7 +70,7 @@ use hli_backend::lower::lower_program;
 use hli_backend::rtl::RtlProgram;
 use hli_core::image::EntryRef;
 use hli_core::serialize::SerializeOpts;
-use hli_core::{encode_file_v3, HliFile, HliImage, MemberRef};
+use hli_core::{encode_image, HliFile, HliImage, MemberRef};
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 use hli_obs::{metrics, provenance, MetricsRegistry, ProvenanceSink};
@@ -127,10 +127,10 @@ fn prepare() -> Vec<Prep> {
             if let Some((unit, err)) = hli_core::verify_file(&hli).first() {
                 die(&b.name, &format!("clean HLI invalid for `{unit}`: {err}"));
             }
-            let image = encode_file_v3(&hli, SerializeOpts::default());
+            let image = encode_image(&hli, SerializeOpts::default());
             let img = HliImage::open(image.clone()).unwrap_or_else(|e| die(&b.name, &e.0));
             let entries = img.units().map(|n| match img.get_ref(n) {
-                Ok(Some(e)) => e.materialize(),
+                Ok(Some(e)) => e.into_tables().into_owned(),
                 _ => die(&b.name, &format!("clean image cannot serve `{n}`")),
             });
             let clean = HliFile { entries: entries.collect() };
@@ -196,9 +196,9 @@ enum ByteClass {
     /// Decoded to *different* tables that still pass the verifier.
     Variant,
     /// A verify-clean variant whose compiled output the differential
-    /// executor caught. The fixed-word image layout lets a random byte
-    /// flip land as a *semantic* table mutation (one field cleanly
-    /// rewritten, everything still well-formed) — the same
+    /// executor caught. A random byte flip inside one varint of a compact
+    /// body can land as a *semantic* table mutation (one id or count
+    /// cleanly rewritten, everything still well-formed) — the same
     /// wrong-but-trusted class the table-level campaign reports via
     /// [`TableClass::Detected`] rather than hard-fails, because no
     /// static verifier can reject it.
@@ -243,9 +243,9 @@ fn run_byte_mutant(p: &Prep, bytes: Vec<u8>) -> Result<ByteClass, String> {
     let reg = Arc::new(MetricsRegistry::new());
     let _m = metrics::scoped(reg.clone());
 
-    // Open the mutated image; units are validated on first access. A unit
-    // that fails validation is quarantined by the scheduling lookup,
-    // exactly as `hlicc` and the harness treat it.
+    // Open the mutated image; each unit is decoded when it is asked for.
+    // A unit that fails to decode is quarantined by the scheduling
+    // lookup, exactly as `hlicc` and the harness treat it.
     let Ok(img) = HliImage::open(bytes) else {
         return Ok(ByteClass::Rejected);
     };
@@ -260,7 +260,7 @@ fn run_byte_mutant(p: &Prep, bytes: Vec<u8>) -> Result<ByteClass, String> {
         && p.clean
             .entries
             .iter()
-            .all(|clean| served(&clean.unit_name).is_some_and(|e| e.materialize() == *clean));
+            .all(|clean| served(&clean.unit_name).is_some_and(|e| e.tables() == clean));
 
     let (gcc_prog, hli_prog, stats) = schedule(&p.rtl, &|n| image_entry(&img, n));
     let quarantined = reg.snapshot().counter("backend.quarantine.units");

@@ -38,7 +38,7 @@ use hli_backend::rtl::dump_func;
 use hli_backend::sched::schedule_function;
 use hli_backend::unroll::unroll_function;
 use hli_core::serialize::SerializeOpts;
-use hli_core::{encode_file_v3, HliImage, HliQuery};
+use hli_core::{encode_image, HliImage, HliQuery};
 use hli_frontend::generate_hli;
 use hli_lang::compile_to_ast;
 use hli_machine::MachineBackend;
@@ -65,7 +65,7 @@ fn front(input: &str, out: &str) -> String {
     if let Some((unit, err)) = errs.first() {
         fail(&format!("internal: invalid HLI for `{unit}`: {err}"));
     }
-    let bytes = encode_file_v3(&hli, OPTS);
+    let bytes = encode_image(&hli, OPTS);
     std::fs::write(out, &bytes).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
     format!("{input}: {} unit(s), {} bytes of HLI", hli.entries.len(), bytes.len())
 }
@@ -106,8 +106,8 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
         lower_with_loops(&prog, &sema)
     };
     // On-demand import (§3.2.1): opening the image parses only its
-    // directory; each function's unit is validated and decoded when its
-    // work item asks for it.
+    // directory; each function's unit is decoded when its work item asks
+    // for it.
     let image = HliImage::open_file(std::path::Path::new(hli_path));
     if temporary {
         let _ = std::fs::remove_file(hli_path);
@@ -131,12 +131,12 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
         hli_obs::capture(prov_on, || -> Result<FuncOut, String> {
             let _s = hli_obs::span(format!("backend.func.{}", f.name));
             let mut messages = Vec::new();
-            // Trust boundary (§3.2.3): a unit that fails the image's
-            // structural validation or semantic verification is
-            // *quarantined* — this function compiles on the pure
-            // GCC-dependence path instead of aborting the whole build.
-            // A unit that passes is the decoded copy `vet_unit` verified,
-            // which CSE/LICM/unroll maintenance then rewrites in place.
+            // Trust boundary (§3.2.3): a unit that fails to decode or
+            // fails semantic verification is *quarantined* — this
+            // function compiles on the pure GCC-dependence path instead
+            // of aborting the whole build. A unit that passes is the
+            // decoded copy `vet_unit` verified, which CSE/LICM/unroll
+            // maintenance then rewrites in place.
             let vetted = match image.get_ref(&f.name) {
                 _ if !flags.use_hli => None,
                 Ok(e) => e.map(|e| vet_unit(&f.name, e)),
@@ -271,10 +271,10 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
     // With --time, time on exactly the models the scheduler assumed (the
     // first one supplied its latency table) — no hardcoded config pair.
     let machs: &[&dyn MachineBackend] = if flags.time { &flags.machines } else { &[] };
-    let _exec_span = hli_obs::span("machine.execute");
+    let _time_span = hli_obs::span("machine.time");
     let (res, times) = hli_machine::time_on(&out, machs)
         .unwrap_or_else(|e| fail(&format!("execution fault: {e}")));
-    drop(_exec_span);
+    drop(_time_span);
     println!(
         "program result: {} ({} dynamic instructions, {} loads, {} stores)",
         res.ret, res.dyn_insns, res.loads, res.stores

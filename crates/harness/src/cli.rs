@@ -92,7 +92,6 @@ impl ObsArgs {
             // jobs-determinism gates only compare scoped snapshots, which
             // never pass through this global-emit path).
             hli_obs::mem::stamp_rss(&mut snap);
-            hli_obs::alloc_count::stamp_alloc(&mut snap);
         }
         self.emit_snapshot(&snap);
     }

@@ -21,7 +21,7 @@ use hli_backend::ddg::{DepMode, QueryStats};
 use hli_backend::driver::{image_entry, schedule_program_passes, PassSpec};
 use hli_backend::lower::lower_program;
 use hli_core::serialize::{encode_file, SerializeOpts};
-use hli_core::{encode_file_v3, HliImage};
+use hli_core::{encode_image, HliImage};
 use hli_frontend::{generate_hli_with, FrontendOptions};
 use hli_lang::compile_to_ast;
 use hli_machine::{backend_by_name, MachineBackend};
@@ -193,14 +193,14 @@ fn run_pipeline(
         encode_file(&hli, SerializeOpts::default()).len()
     };
 
-    // Back-end import: hand the HLI over as the `HLI\x03` image a
+    // Back-end import: hand the HLI over as the image a
     // separately-invoked back-end receives (Section 3.2.1). Opening it
-    // reads only the directory; each function's unit is validated and
-    // decoded when its work item asks for it. A unit that fails
-    // validation is quarantined by the lookup.
+    // reads only the directory; each function's unit is decoded when its
+    // work item asks for it. A unit that fails to decode is quarantined
+    // by the lookup.
     let image = {
         let _s = hli_obs::span("harness.import_hli");
-        let bytes = encode_file_v3(&hli, SerializeOpts::default());
+        let bytes = encode_image(&hli, SerializeOpts::default());
         HliImage::open(bytes).map_err(|e| format!("{}: HLI import: {e}", b.name))?
     };
     let lookup = |name: &str| image_entry(&image, name);

@@ -1,6 +1,7 @@
 //! `hlicc build` runs the front end into a temporary `.hli` file and the
 //! back end out of it; the file must not outlive the run, and nothing
-//! the run prints may depend on its name.
+//! the run prints may depend on its name. `hlicc back` refuses a file in
+//! another format by its magic.
 
 use std::process::Command;
 
@@ -49,4 +50,22 @@ fn build_removes_its_temporary_hli_file() {
         "two identical builds must print the same bytes"
     );
     assert!(left.is_empty(), "hlicc build left files behind: {left:?}");
+}
+
+#[test]
+fn back_refuses_an_old_image_by_its_magic() {
+    let base = std::env::temp_dir().join(format!("hlicc_old_magic_{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let (src, hli) = (base.join("sample.c"), base.join("sample.hli"));
+    std::fs::write(&src, SAMPLE).unwrap();
+    // The head of an image from the word-aligned layout: magic, one unit.
+    std::fs::write(&hli, b"HLI\x03\x01\x00\x00\x00").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hlicc"))
+        .args(["back", src.to_str().unwrap(), hli.to_str().unwrap()])
+        .output()
+        .expect("hlicc runs");
+    let _ = std::fs::remove_dir_all(&base);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("bad magic"), "{stderr}");
 }

@@ -13,7 +13,7 @@ use hli_backend::lower::lower_program;
 use hli_backend::rtl::RtlProgram;
 use hli_core::image::EntryRef;
 use hli_core::serialize::SerializeOpts;
-use hli_core::{encode_file_v3, HliImage};
+use hli_core::{encode_image, HliImage};
 use hli_harness::attr::rollup;
 use hli_harness::{default_machines, run_benchmarks_jobs_on, BenchReport};
 use hli_machine::MachineBackend;
@@ -203,7 +203,7 @@ fn semantic_counters(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
 /// `jobs`, resolving each function's unit
 /// either from the in-memory `HliFile` (the `EntryRef::Owned` lookup the
 /// serve daemon and hlibench use) or, with `image`, from the file's
-/// `HLI\x03` image. Runs under fresh scoped observability state and
+/// image. Runs under fresh scoped observability state and
 /// returns the scheduled programs with their stats, the metrics snapshot
 /// and the provenance JSONL.
 fn driver_obs_at(
@@ -229,7 +229,7 @@ fn driver_obs_at(
                 PassSpec { mode: DepMode::Combined, caches: None },
             ];
             out.extend(if image {
-                let img = HliImage::open(encode_file_v3(&hli, SerializeOpts::default())).unwrap();
+                let img = HliImage::open(encode_image(&hli, SerializeOpts::default())).unwrap();
                 schedule_program_passes(&rtl, &|n| image_entry(&img, n), &passes, mach, jobs)
             } else {
                 let owned = |n: &str| hli.entry(n).map(EntryRef::Owned);
@@ -241,7 +241,7 @@ fn driver_obs_at(
 }
 
 /// The image-vs-in-memory parity gate: serving each function's unit from
-/// the file's `HLI\x03` image (validated, then decoded by `vet_unit`)
+/// the file's image (decoded, then verified by `vet_unit`)
 /// instead of lending it from the in-memory `HliFile` changes *cost only,
 /// never answers*. The scheduled programs, every query/backend counter and
 /// the full provenance JSONL are byte-identical between the two lookups,
@@ -253,7 +253,7 @@ fn image_lookup_answers_are_byte_identical_to_in_memory_file() {
         let (imaged, image_snap, image_prov) = driver_obs_at(jobs, true);
         assert!(
             image_snap.counter("hli.image.units_validated") > 0,
-            "the image run must actually validate its units"
+            "the image run must actually decode its units"
         );
         assert!(
             owned == imaged,

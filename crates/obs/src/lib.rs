@@ -7,9 +7,9 @@
 //! ad-hoc structs per pass:
 //!
 //! * [`trace`] — a span/phase tracer: RAII guards around named phases with
-//!   wall-clock timing, nested into a trace tree, exportable as indented
-//!   text and as Chrome `trace_event` JSON (loadable in `chrome://tracing`
-//!   or `ui.perfetto.dev`);
+//!   wall-clock timing, nested into a trace tree, exportable as Chrome
+//!   `trace_event` JSON (loadable in `chrome://tracing` or
+//!   `ui.perfetto.dev`);
 //! * [`metrics`] — a registry of cheap atomic counters, gauges and
 //!   power-of-two histograms keyed by dotted string names
 //!   (`frontend.*`, `backend.ddg.*`, `machine.*`, `hli.query.*`), with a
@@ -38,7 +38,6 @@
 //! scope owner then merges its snapshot into the global registry with
 //! [`metrics::MetricsRegistry::absorb`].
 
-pub mod alloc_count;
 pub mod json;
 pub mod mem;
 pub mod metrics;

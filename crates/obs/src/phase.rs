@@ -65,17 +65,6 @@ pub fn total_ns(snap: &MetricsSnapshot, stage: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// [`total_ns`] summed over every stage whose name starts with `prefix`
-/// (e.g. `"hli."` covers `hli.encode`, `hli.decode`, `hli.image.open`).
-pub fn total_ns_prefix(snap: &MetricsSnapshot, prefix: &str) -> u64 {
-    let full = format!("obs.phase.{prefix}");
-    snap.histograms
-        .iter()
-        .filter(|(k, _)| k.starts_with(&full) && k.ends_with(".ns"))
-        .map(|(_, h)| h.sum)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,21 +93,5 @@ mod tests {
             "phase timers must not leak wall-clock into scoped snapshots"
         );
         assert!(global().snapshot().histograms.contains_key("obs.phase.test.phase_scoped.ns"));
-    }
-
-    #[test]
-    fn prefix_totals_sum_stages() {
-        {
-            let _a = timed("test.pfx.a");
-        }
-        {
-            let _b = timed("test.pfx.b");
-        }
-        let snap = global().snapshot();
-        assert_eq!(
-            total_ns_prefix(&snap, "test.pfx."),
-            total_ns(&snap, "test.pfx.a") + total_ns(&snap, "test.pfx.b")
-        );
-        assert_eq!(total_ns_prefix(&snap, "test.nosuch."), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Span/phase tracer: RAII guards around named phases, nested into a
-//! trace tree, exportable as indented text and as Chrome `trace_event`
-//! JSON (loadable in `chrome://tracing` / `ui.perfetto.dev`).
+//! trace tree, exportable as Chrome `trace_event` JSON (loadable in
+//! `chrome://tracing` / `ui.perfetto.dev`).
 //!
 //! Each thread keeps its own open-span stack in a thread-local, so nesting
 //! is tracked without locks; completed spans are appended to the tracer's
@@ -209,34 +209,6 @@ impl Tracer {
         self.spans.lock().unwrap().clone()
     }
 
-    /// Discard all recorded spans (keeps the epoch).
-    pub fn clear(&self) {
-        self.spans.lock().unwrap().clear();
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
-    /// Indented text rendering, spans sorted by start time.
-    pub fn to_text(&self) -> String {
-        let mut spans = self.finished_spans();
-        spans.sort_by_key(|s| (s.tid, s.start_ns));
-        let mut out = String::new();
-        for s in &spans {
-            let _ = writeln!(
-                out,
-                "{:indent$}{} {:.3} ms",
-                "",
-                s.name,
-                s.dur_ns as f64 / 1e6,
-                indent = (s.depth as usize) * 2
-            );
-        }
-        let d = self.dropped();
-        if d != 0 {
-            let _ = writeln!(out, "({d} spans dropped past cap)");
-        }
-        out
-    }
-
     /// Chrome `trace_event` JSON: an object with a `traceEvents` array of
     /// complete (`"ph":"X"`) events; `ts`/`dur` are microseconds as the
     /// format requires.
@@ -429,7 +401,6 @@ mod tests {
         }
         assert_eq!(t.finished_spans().len(), 2);
         assert_eq!(t.dropped(), 3);
-        assert!(t.to_text().contains("3 spans dropped"));
     }
 
     #[test]

@@ -86,7 +86,8 @@ impl CacheKey {
 /// and an image unit's generation is 0.
 pub fn hli_component(entry: &EntryRef<'_>) -> (Vec<u8>, u64) {
     const OPTS: SerializeOpts = SerializeOpts { include_names: false };
-    (encode_entry(&entry.tables(), OPTS), entry.generation())
+    let tables = entry.tables();
+    (encode_entry(tables, OPTS), tables.generation)
 }
 
 /// Derive one function's cache key. `body_dump` is the

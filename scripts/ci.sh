@@ -71,6 +71,18 @@ done
 cmp target/ci-fig45-back-j1.txt target/ci-fig45-back-j4.txt
 cmp target/ci-fig45-back-j1.jsonl target/ci-fig45-back-j4.jsonl
 
+echo "== a truncated .hli file is refused (hlicc back exits 1 naming the decode"
+echo "   error, not 101 from a panic)"
+head -c "$(( $(wc -c < target/ci-fig45.hli) / 2 ))" target/ci-fig45.hli > target/ci-fig45-cut.hli
+status=0
+target/release/hlicc back tests/fixtures/fig45.c target/ci-fig45-cut.hli \
+  > /dev/null 2> target/ci-fig45-cut.err || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "HLI decode error" target/ci-fig45-cut.err; then
+  echo "FAIL: hlicc back on a truncated .hli exited $status:"
+  cat target/ci-fig45-cut.err
+  exit 1
+fi
+
 echo "== counters do not depend on the provenance sink (every counter of a plain"
 echo "   run reappears unchanged in the same run with --provenance-out)"
 target/release/table2 12 2 --stats json --provenance-out target/ci-table2.jsonl \
@@ -82,7 +94,7 @@ target/release/obsdiff target/ci-fig45-plain-stats.json target/ci-fig45-stats.js
   --allow-new > /dev/null
 
 echo "== faultbench smoke (seeded mutation campaign: no panics, no unsound"
-echo "   HLI-justified decisions under corrupted HLI\\x03 images or tables)"
+echo "   HLI-justified decisions under corrupted .hli images or tables)"
 target/release/faultbench 1500 --table 150 > /dev/null
 
 echo "== quarantine determinism (counters + provenance byte-identical across --jobs)"
