@@ -6,7 +6,7 @@
 //! blocks — moving memory references across calls (with REF/MOD evidence)
 //! is one of the paper's headline uses.
 
-use crate::rtl::{Insn, Op, RtlFunc};
+use crate::rtl::{Op, RtlFunc};
 
 /// A basic block: a contiguous index range of a function's instruction
 /// vector, plus how it ends.
@@ -62,11 +62,6 @@ pub fn blocks(f: &RtlFunc) -> Vec<Block> {
 /// the terminating control transfer (which stays last).
 pub fn schedulable(f: &RtlFunc, b: &Block) -> Vec<usize> {
     b.range().filter(|&i| !f.insns[i].op.is_control()).collect()
-}
-
-/// Instructions of a block, for inspection.
-pub fn block_insns<'a>(f: &'a RtlFunc, b: &Block) -> &'a [Insn] {
-    &f.insns[b.range()]
 }
 
 #[cfg(test)]

@@ -34,13 +34,6 @@ pub struct Ddg {
     pub span: u64,
 }
 
-impl Ddg {
-    /// Total edge count.
-    pub fn edge_count(&self) -> usize {
-        self.preds.iter().map(|p| p.len()).sum()
-    }
-}
-
 /// Build the dependence graph of one block, asking `disamb` every memory and
 /// call question (it accumulates Table 2's counters).
 pub fn build_block_ddg(f: &RtlFunc, block: &Block, disamb: &mut MemDisambiguator<'_>) -> Ddg {

@@ -150,7 +150,7 @@ pub fn schedule_program_passes<'h>(
     mach: &dyn MachineBackend,
     jobs: usize,
 ) -> Vec<(RtlProgram, QueryStats)> {
-    let _t = hli_obs::phase::timed("backend.schedule");
+    let _s = hli_obs::span("backend.schedule");
     // Probed on the caller's thread: workers cannot see a thread-scoped
     // sink/tracer, and the verdict must not depend on item placement.
     let obs_cfg = hli_obs::CaptureCfg::from_env();

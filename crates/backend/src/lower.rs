@@ -38,6 +38,7 @@ pub fn lower_with_loops(
     prog: &Program,
     sema: &Sema,
 ) -> (RtlProgram, HashMap<String, Vec<LoopMeta>>) {
+    let _s = hli_obs::span("backend.lower");
     let mut global_addr = HashMap::new();
     let mut global_init = Vec::new();
     let mut addr = GLOBAL_BASE;

@@ -254,11 +254,6 @@ impl RtlFunc {
             })
             .collect()
     }
-
-    /// Count of memory-reference instructions (loads + stores).
-    pub fn mem_ref_count(&self) -> usize {
-        self.insns.iter().filter(|i| i.op.mem_ref().is_some()).count()
-    }
 }
 
 /// A lowered program: functions plus the global data layout (shared with

@@ -116,7 +116,6 @@ fn bench_frontend_precision() {
 }
 
 fn main() {
-    hli_bench::quiesce_observability();
     bench_cse_refmod();
     bench_licm();
     bench_unroll_factors();

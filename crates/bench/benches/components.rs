@@ -69,7 +69,6 @@ fn bench_lowering() {
 }
 
 fn main() {
-    hli_bench::quiesce_observability();
     bench_parse_and_sema();
     bench_analyses();
     bench_deptest();

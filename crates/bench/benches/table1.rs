@@ -38,7 +38,6 @@ fn bench_full_frontend() {
 }
 
 fn main() {
-    hli_bench::quiesce_observability();
     bench_hli_generation();
     bench_serialization();
     bench_full_frontend();

@@ -55,7 +55,6 @@ fn bench_machines() {
 }
 
 fn main() {
-    hli_bench::quiesce_observability();
     bench_schedule_modes();
     bench_mapping();
     bench_machines();

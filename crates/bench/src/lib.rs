@@ -42,12 +42,6 @@ pub fn prepare(name: &'static str, scale: hli_suite::Scale) -> Prepared {
     Prepared { name, prog, sema, hli, rtl }
 }
 
-/// Mute the observability layer for timing runs: spans off, so benches
-/// measure the pipeline, not the instrumentation.
-pub fn quiesce_observability() {
-    hli_obs::trace::global().set_enabled(false);
-}
-
 /// Minimum measurement window per bench.
 const TARGET: Duration = Duration::from_millis(200);
 

@@ -50,7 +50,7 @@ const NAME_HINTS: u8 = 1;
 /// Serialize a whole HLI file as an `HLI\x04` image: a directory of body
 /// lengths over one compact entry per unit, opened by [`HliImage`].
 pub fn encode_image(file: &HliFile, opts: SerializeOpts) -> Vec<u8> {
-    let _t = hli_obs::phase::timed("hli.image.encode");
+    let _s = hli_obs::span("hli.image.encode");
     let mut bodies = Vec::new();
     let mut lens = Vec::with_capacity(file.entries.len());
     for e in &file.entries {
@@ -117,7 +117,7 @@ impl HliImage {
     /// here; a body is decoded when [`get_ref`](Self::get_ref) asks for
     /// its unit.
     pub fn open(data: Vec<u8>) -> Result<Self, DecodeError> {
-        let _t = hli_obs::phase::timed("hli.image.open");
+        let _s = hli_obs::span("hli.image.open");
         let r = hli_obs::metrics::cur();
         // The magic first, so a file in another format (such as one an
         // older `hlicc front` wrote) is named as such.

@@ -59,7 +59,7 @@ pub(crate) fn count_decoded(n: usize) {
 
 /// Serialize a whole HLI file.
 pub fn encode_file(file: &HliFile, opts: SerializeOpts) -> Vec<u8> {
-    let _t = hli_obs::phase::timed("hli.encode");
+    let _s = hli_obs::span("hli.encode");
     let mut b = Vec::new();
     b.extend_from_slice(&MAGIC);
     put_varint(&mut b, file.entries.len() as u64);
@@ -204,7 +204,7 @@ fn read_magic(b: &mut &[u8]) -> Result<[u8; 4], DecodeError> {
 
 /// Deserialize a whole HLI file.
 pub fn decode_file(buf: &[u8], opts: SerializeOpts) -> Result<HliFile, DecodeError> {
-    let _t = hli_obs::phase::timed("hli.decode");
+    let _s = hli_obs::span("hli.decode");
     let total = buf.len();
     let mut buf = buf;
     let b = &mut buf;

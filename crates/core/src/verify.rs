@@ -158,6 +158,7 @@ impl HliEntry {
 /// that unit names are unique (the key of an image's directory).
 /// Each violation is paired with the offending unit's name.
 pub fn verify_file(file: &HliFile) -> Vec<(String, VerifyError)> {
+    let _s = hli_obs::span("hli.verify");
     let mut out = Vec::new();
     let mut seen: HashSet<&str> = HashSet::new();
     for e in &file.entries {

@@ -57,8 +57,7 @@ pub fn generate_hli(prog: &Program, sema: &Sema) -> HliFile {
 
 /// [`generate_hli`] with explicit precision options.
 pub fn generate_hli_with(prog: &Program, sema: &Sema, opts: FrontendOptions) -> HliFile {
-    let _phase = hli_obs::span("frontend.generate_hli");
-    let _t = hli_obs::phase::timed("frontend.generate");
+    let _phase = hli_obs::span("frontend.generate");
     let pts = {
         let _s = hli_obs::span("frontend.pointsto");
         if opts.pointer_analysis {

@@ -24,7 +24,7 @@
 //!
 //! Every subcommand also accepts the observability flags:
 //! `--stats [text|json]` prints the metrics registry after the normal
-//! output, `--trace-out <file.json>` writes the phase trace as Chrome
+//! output, `--trace-out <file.json>` writes every span as Chrome
 //! `trace_event` JSON, and `--provenance-out <file.jsonl>` records every
 //! HLI-justified optimization decision as one JSON object per line.
 
@@ -101,10 +101,7 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
     let _phase = hli_obs::span("hlicc.back");
     let src = read_source(input);
     let (prog, sema) = compile_to_ast(&src).unwrap_or_else(|e| fail(&e));
-    let (rtl, loops) = {
-        let _s = hli_obs::span("backend.lower");
-        lower_with_loops(&prog, &sema)
-    };
+    let (rtl, loops) = lower_with_loops(&prog, &sema);
     // On-demand import (§3.2.1): opening the image parses only its
     // directory; each function's unit is decoded when its work item asks
     // for it.
@@ -129,7 +126,7 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
     let prov_on = hli_obs::provenance::active().is_some();
     let results = hli_pool::run(flags.jobs, &rtl.funcs, |_w, f| {
         hli_obs::capture(prov_on, || -> Result<FuncOut, String> {
-            let _s = hli_obs::span(format!("backend.func.{}", f.name));
+            let _s = hli_obs::span("backend.func");
             let mut messages = Vec::new();
             // Trust boundary (§3.2.3): a unit that fails to decode or
             // fails semantic verification is *quarantined* — this
@@ -271,10 +268,8 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
     // With --time, time on exactly the models the scheduler assumed (the
     // first one supplied its latency table) — no hardcoded config pair.
     let machs: &[&dyn MachineBackend] = if flags.time { &flags.machines } else { &[] };
-    let _time_span = hli_obs::span("machine.time");
     let (res, times) = hli_machine::time_on(&out, machs)
         .unwrap_or_else(|e| fail(&format!("execution fault: {e}")));
-    drop(_time_span);
     println!(
         "program result: {} ({} dynamic instructions, {} loads, {} stores)",
         res.ret, res.dyn_insns, res.loads, res.stores

@@ -3,8 +3,10 @@
 //!
 //! * `--stats [text|json]` — after the normal output, print the metrics
 //!   registry (everything the instrumented crates counted during the run);
-//! * `--trace-out <file.json>` — write the phase trace as Chrome
-//!   `trace_event` JSON (loadable in `chrome://tracing` / Perfetto);
+//! * `--trace-out <file.json>` — keep every closed span as a trace event
+//!   and write them as Chrome `trace_event` JSON (loadable in
+//!   `chrome://tracing` / Perfetto). Without the flag the global tracer
+//!   keeps no events; the `obs.phase.*` stage times are kept either way;
 //! * `--provenance-out <file.jsonl>` — enable the decision-provenance sink
 //!   and write every [`hli_obs::DecisionRecord`] the optimizers emitted as
 //!   one JSON object per line.
@@ -32,9 +34,10 @@ pub struct ObsArgs {
 impl ObsArgs {
     /// Remove `--stats [text|json]`, `--trace-out <file>` and
     /// `--provenance-out <file>` from `args` (leaving the binary's own
-    /// arguments untouched) and return them. Seeing `--provenance-out`
-    /// enables the global decision sink, so the passes that run afterwards
-    /// record; without the flag they take the disabled fast path.
+    /// arguments untouched) and return them. Seeing `--trace-out` enables
+    /// the global tracer, and `--provenance-out` the global decision sink,
+    /// so the stages that run afterwards record; without the flags they
+    /// keep nothing.
     pub fn extract(args: &mut Vec<String>) -> Result<ObsArgs, String> {
         let mut obs = ObsArgs::default();
         let mut i = 0;
@@ -61,6 +64,7 @@ impl ObsArgs {
                         return Err("--trace-out needs a file path".into());
                     }
                     obs.trace_out = Some(args.remove(i));
+                    hli_obs::trace::global().set_enabled(true);
                 }
                 "--provenance-out" => {
                     args.remove(i);
@@ -154,6 +158,13 @@ mod tests {
         assert_eq!(obs.stats, Some(StatsFormat::Json));
         assert_eq!(obs.trace_out.as_deref(), Some("t.json"));
         assert_eq!(args, v(&["64", "12"]));
+        assert!(
+            hli_obs::trace::global().is_enabled(),
+            "--trace-out enables the global tracer"
+        );
+        // Put the global tracer back the way the process started.
+        hli_obs::trace::global().set_enabled(false);
+        hli_obs::trace::global().drain_spans();
     }
 
     #[test]

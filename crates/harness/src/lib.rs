@@ -160,23 +160,22 @@ pub fn run_benchmark_on(
 }
 
 /// The measurement pipeline proper, writing to whatever registry is
-/// current. Phase spans land on the global tracer.
+/// current. The whole run is the span `harness.run`; every stage below it
+/// opens its own span where it is implemented.
 fn run_pipeline(
     b: &Benchmark,
     opts: FrontendOptions,
     machines: &[&'static dyn MachineBackend],
 ) -> Result<BenchReport, String> {
-    let _run = hli_obs::span(format!("bench.{}", b.name));
+    let _run = hli_obs::span("harness.run");
     let (prog, sema) = {
-        let _s = hli_obs::span("harness.compile");
-        let _t = hli_obs::phase::timed("frontend.parse");
+        let _s = hli_obs::span("frontend.parse");
         compile_to_ast(&b.source).map_err(|e| format!("{}: {e}", b.name))?
     };
 
     // Reference semantics.
     let oracle = {
         let _s = hli_obs::span("harness.oracle");
-        let _t = hli_obs::phase::timed("harness.oracle");
         hli_lang::interp::run_program(&prog, &sema)
             .map_err(|e| format!("{}: interpreter: {e}", b.name))?
     };
@@ -188,21 +187,15 @@ fn run_pipeline(
         return Err(format!("{}: invalid HLI for `{unit}`: {err}", b.name));
     }
     // Table 1's size meter is the compact encoding.
-    let hli_bytes = {
-        let _s = hli_obs::span("harness.encode_hli");
-        encode_file(&hli, SerializeOpts::default()).len()
-    };
+    let hli_bytes = encode_file(&hli, SerializeOpts::default()).len();
 
     // Back-end import: hand the HLI over as the image a
     // separately-invoked back-end receives (Section 3.2.1). Opening it
     // reads only the directory; each function's unit is decoded when its
     // work item asks for it. A unit that fails to decode is quarantined
     // by the lookup.
-    let image = {
-        let _s = hli_obs::span("harness.import_hli");
-        let bytes = encode_image(&hli, SerializeOpts::default());
-        HliImage::open(bytes).map_err(|e| format!("{}: HLI import: {e}", b.name))?
-    };
+    let image = HliImage::open(encode_image(&hli, SerializeOpts::default()))
+        .map_err(|e| format!("{}: HLI import: {e}", b.name))?;
     let lookup = |name: &str| image_entry(&image, name);
 
     // Back-end: lower once, schedule twice (the two compiler builds) via
@@ -211,16 +204,12 @@ fn run_pipeline(
     // benchmarks out across the pool, so the per-benchmark driver stays
     // sequential (`jobs = 1`); `hlicc back` is the per-function parallel
     // entry.
-    let rtl = {
-        let _s = hli_obs::span("backend.lower");
-        lower_program(&prog, &sema)
-    };
+    let rtl = lower_program(&prog, &sema);
     // The first selected machine is the scheduler's latency source — the
     // same table the simulator below prices the resulting trace with.
     let mach0 = *machines
         .first()
         .ok_or_else(|| format!("{}: no machine models selected", b.name))?;
-    let _sched_span = hli_obs::span("backend.schedule");
     let passes = [
         PassSpec { mode: DepMode::GccOnly, caches: None },
         PassSpec { mode: DepMode::Combined, caches: None },
@@ -228,19 +217,16 @@ fn run_pipeline(
     let mut builds = schedule_program_passes(&rtl, &lookup, &passes, mach0, 1).into_iter();
     let (gcc_build, _) = builds.next().expect("GccOnly pass result");
     let (hli_build, stats) = builds.next().expect("Combined pass result");
-    drop(_sched_span);
 
     // Machines: run each build once, streaming its events through every
     // selected model, and attribute simulated cycles to functions. The
     // attribution counters join `DecisionRecord.function` to measured
     // cycle deltas in `obsreport`; being simulated quantities they are
     // deterministic and identical across `--jobs` values.
-    let _mach_span = hli_obs::span("machine.time");
     let (gcc_res, gcc_times) = hli_machine::time_on(&gcc_build, machines)
         .map_err(|e| format!("{}: gcc build: {e}", b.name))?;
     let (hli_res, hli_times) = hli_machine::time_on(&hli_build, machines)
         .map_err(|e| format!("{}: hli build: {e}", b.name))?;
-    drop(_mach_span);
 
     let validated = gcc_res.ret == oracle.ret
         && hli_res.ret == oracle.ret

@@ -7,7 +7,6 @@ use crate::cli::ObsArgs;
 use crate::{default_machines, run_benchmarks_jobs_on, BenchReport};
 use hli_backend::ddg::QueryStats;
 use hli_machine::{backend_by_name, MachineBackend};
-use hli_obs::MetricsSnapshot;
 use hli_suite::Scale;
 
 /// Everything the suite-level binaries parse from their command line.
@@ -131,15 +130,6 @@ pub fn total_query_stats(reports: &[BenchReport]) -> QueryStats {
         total.add(&r.stats);
     }
     total
-}
-
-/// Merge every report's per-run metrics snapshot into one suite-wide view.
-pub fn merged_metrics(reports: &[BenchReport]) -> MetricsSnapshot {
-    let mut merged = MetricsSnapshot::default();
-    for r in reports {
-        merged.merge(&r.metrics);
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -298,9 +288,5 @@ mod tests {
         let total = total_query_stats(&reports);
         let manual: u64 = reports.iter().map(|r| r.stats.total_tests).sum();
         assert_eq!(total.total_tests, manual);
-        let merged = merged_metrics(&reports);
-        let manual_ddg: u64 =
-            reports.iter().map(|r| r.metrics.counter("backend.ddg.total_tests")).sum();
-        assert_eq!(merged.counter("backend.ddg.total_tests"), manual_ddg);
     }
 }

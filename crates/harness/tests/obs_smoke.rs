@@ -1,6 +1,7 @@
 //! End-to-end smoke test for the observability surface: drive the real
 //! `hlicc` binary with `--stats json --trace-out` and check that every
-//! pipeline layer shows up in the emitted JSON.
+//! pipeline layer shows up in the emitted JSON, and that the trace and the
+//! `obs.phase.*` histograms are one record of the same spans.
 
 use hli_obs::json::{parse, Json};
 use std::process::Command;
@@ -93,6 +94,22 @@ fn hlicc_build_emits_stats_and_trace() {
         events.iter().filter_map(|e| e.get("name").and_then(|v| v.as_str())).collect();
     assert!(names.iter().any(|n| n.starts_with("hlicc.front")), "{names:?}");
     assert!(names.iter().any(|n| n.starts_with("hlicc.back")), "{names:?}");
+
+    // Spans are the one stage timer: every traced name has its
+    // `obs.phase.<name>.ns` histogram, with one sample per event.
+    let mut events_per_name = std::collections::BTreeMap::<&str, f64>::new();
+    for n in &names {
+        *events_per_name.entry(n).or_default() += 1.0;
+    }
+    for (name, events) in events_per_name {
+        let key = format!("obs.phase.{name}.ns");
+        let count = stats
+            .get("histograms")
+            .and_then(|h| h.get(&key))
+            .and_then(|h| h.get("count"))
+            .and_then(|c| c.as_num());
+        assert_eq!(count, Some(events), "{key}: histogram count vs trace events");
+    }
 
     let _ = std::fs::remove_file(&src_path);
     let _ = std::fs::remove_file(&trace_path);

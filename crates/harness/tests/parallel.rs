@@ -292,7 +292,7 @@ fn chrome_trace_is_jobs_invariant_under_logical_clock() {
     let seq = trace_obs_at(1);
     let par = trace_obs_at(8);
     assert!(
-        seq.contains("\"traceEvents\"") && seq.contains("bench."),
+        seq.contains("\"traceEvents\"") && seq.contains("\"harness.run\""),
         "a traced suite run must record per-benchmark spans: {seq}"
     );
     assert_eq!(

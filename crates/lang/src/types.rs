@@ -31,11 +31,6 @@ impl Type {
         }
     }
 
-    /// Is this a scalar (register-assignable) type?
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, Type::Int | Type::Double | Type::Ptr(_))
-    }
-
     pub fn is_array(&self) -> bool {
         matches!(self, Type::Array(..))
     }
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(a.array_dims(), vec![20, 10]);
         assert_eq!(*a.base_scalar(), Type::Double);
         assert!(a.is_array());
-        assert!(!a.is_scalar());
     }
 
     #[test]

@@ -56,7 +56,7 @@ const MAX_STEPS: u64 = 200_000_000;
 
 /// Run functionally, discarding the trace.
 pub fn execute(prog: &RtlProgram) -> Result<RunResult, ExecError> {
-    let _t = hli_obs::phase::timed("machine.execute");
+    let _s = hli_obs::span("machine.execute");
     run_traced(prog, &mut ())
 }
 
@@ -73,14 +73,14 @@ pub fn execute(prog: &RtlProgram) -> Result<RunResult, ExecError> {
 pub fn execute_with_func_trace(
     prog: &RtlProgram,
 ) -> Result<(RunResult, Vec<DynInsn>, Vec<u32>), ExecError> {
-    let _t = hli_obs::phase::timed("machine.execute");
+    let _s = hli_obs::span("machine.execute");
     let mut sink = FuncTrace::default();
     let res = run_traced(prog, &mut sink)?;
     Ok((res, sink.events, sink.funcs))
 }
 
 /// Run, handing every dynamic instruction to `sink` as it executes. No
-/// phase timer: the caller decides what the run's time is charged to.
+/// span: the caller decides what the run's time is charged to.
 pub(crate) fn run_traced(
     prog: &RtlProgram,
     sink: &mut impl TraceSink,

@@ -86,13 +86,15 @@ const CHUNK: usize = 1024;
 /// executed. Returns, per backend and in input order, the stats and the
 /// cycles attributed to each function of `prog.funcs`.
 ///
-/// Each model's time is recorded as phase `machine.model.<name>`, and
-/// phase `machine.execute` gets the executor's own time (the run minus
-/// the models).
+/// The whole call is the span `machine.time`. Inside it, each model's
+/// time is recorded as stage `machine.model.<name>`, and stage
+/// `machine.execute` gets the executor's own time (the run minus the
+/// models).
 pub fn time_on(
     prog: &hli_backend::RtlProgram,
     machs: &[&dyn MachineBackend],
 ) -> Result<(RunResult, Vec<ModelTiming>), ExecError> {
+    let _s = hli_obs::span("machine.time");
     if machs.is_empty() {
         return execute(prog).map(|res| (res, Vec::new()));
     }

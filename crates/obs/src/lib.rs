@@ -6,8 +6,11 @@
 //! way to produce such numbers — and the timing behind them — instead of
 //! ad-hoc structs per pass:
 //!
-//! * [`trace`] — a span/phase tracer: RAII guards around named phases with
-//!   wall-clock timing, nested into a trace tree, exportable as Chrome
+//! * [`trace`] — spans, the one stage timer: an RAII guard around one
+//!   named stage, opened in the function that is the stage. Closing it
+//!   records the stage's wall-clock time into the `obs.phase.*`
+//!   histograms ([`phase`]) and, when the tracer records (the global one
+//!   does only under `--trace-out`), a trace event, exportable as Chrome
 //!   `trace_event` JSON (loadable in `chrome://tracing` or
 //!   `ui.perfetto.dev`);
 //! * [`metrics`] — a registry of cheap atomic counters, gauges and
@@ -18,7 +21,7 @@
 //!   [`provenance::DecisionRecord`]s, one per back-end decision an HLI
 //!   answer justified (reorder allowed, CSE entry purged, load hoisted),
 //!   each citing the monotonic query ids behind the verdict; exportable
-//!   as JSONL and text, off by default;
+//!   as JSONL, off by default;
 //! * [`json`] — the tiny JSON writer the emitters share, plus a minimal
 //!   linear-time parser that decodes serve requests and cache objects and
 //!   lets tests validate emitted output, without external dependencies.
@@ -36,7 +39,9 @@
 //! instrumented layer resolves [`metrics::cur`] at phase entry, so the
 //! whole pipeline below that thread writes into the scoped registry. The
 //! scope owner then merges its snapshot into the global registry with
-//! [`metrics::MetricsRegistry::absorb`].
+//! [`metrics::MetricsRegistry::absorb`]. Stage times are the exception:
+//! a closing span always writes the global registry, so scoped snapshots
+//! stay free of wall-clock noise.
 
 pub mod json;
 pub mod mem;
@@ -50,7 +55,7 @@ pub mod trace;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use provenance::{DecisionRecord, ProvenanceSink, QueryRef, Verdict};
 pub use shard::{capture, capture_cfg, commit, CaptureCfg, ObsShard};
-pub use trace::{span, Clock, SpanGuard, Tracer};
+pub use trace::{span, SpanGuard, Tracer};
 
 /// Version of every JSON artifact this workspace emits (`--stats json`
 /// snapshots, the provenance JSONL header record, `BENCH_*.json` perf

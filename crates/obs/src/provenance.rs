@@ -245,37 +245,6 @@ pub fn to_jsonl(records: &[DecisionRecord]) -> String {
     out
 }
 
-/// Human-readable rendering, one record per line.
-pub fn to_text(records: &[DecisionRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        let region = r.region_id.map(|x| format!("r{x}")).unwrap_or_else(|| "-".into());
-        let verdict = match &r.verdict {
-            Verdict::Applied => "applied".to_string(),
-            Verdict::Blocked { reason } => format!("blocked ({reason})"),
-        };
-        let qids: Vec<String> = r.hli_queries.iter().map(|q| q.0.to_string()).collect();
-        let span = if r.span == 0 {
-            "-".into()
-        } else {
-            format!("s{}", r.span)
-        };
-        let _ = writeln!(
-            out,
-            "{:<18} {:<16} {:>4} line {:<5} {:<6} est {:<5} [{}] {}",
-            r.pass,
-            r.function,
-            region,
-            r.order,
-            span,
-            r.est_cycles,
-            qids.join(","),
-            verdict
-        );
-    }
-    out
-}
-
 struct Node {
     rec: DecisionRecord,
     next: *mut Node,
@@ -621,8 +590,6 @@ mod tests {
             rec("a.b", Verdict::Applied),
             rec("c.d", Verdict::Blocked { reason: "r".into() }),
         ];
-        let text = to_text(&recs);
-        assert!(text.contains("a.b") && text.contains("c.d") && text.contains("blocked (r)"));
         let jsonl = to_jsonl(&recs);
         assert_eq!(jsonl.lines().count(), 2);
     }

@@ -320,7 +320,7 @@ mod tests {
         }
         let spans = parent.finished_spans();
         assert_eq!(
-            spans.iter().map(|s| (s.name.as_str(), s.start_ns)).collect::<Vec<_>>(),
+            spans.iter().map(|s| (s.name, s.start_ns)).collect::<Vec<_>>(),
             vec![("f1", 0), ("f2", 2)]
         );
     }

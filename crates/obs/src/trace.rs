@@ -1,8 +1,23 @@
-//! Span/phase tracer: RAII guards around named phases, nested into a
-//! trace tree, exportable as Chrome `trace_event` JSON (loadable in
-//! `chrome://tracing` / `ui.perfetto.dev`).
+//! Spans: the one stage timer. A [`span`] is an RAII guard around one
+//! named pipeline stage, opened in the function that *is* the stage.
 //!
-//! Each thread keeps its own open-span stack in a thread-local, so nesting
+//! When the guard drops it does two things:
+//!
+//! * it records its inclusive wall-clock duration into the histogram
+//!   `obs.phase.<name>.ns` of the **global** registry, through
+//!   [`crate::phase::record`] — always, whichever tracer is current and
+//!   whether or not it records (see [`crate::phase`] for why timing never
+//!   lands in a scoped registry);
+//! * if the current tracer is enabled, it appends a trace event, nested
+//!   into a trace tree and exportable as Chrome `trace_event` JSON
+//!   (loadable in `chrome://tracing` / `ui.perfetto.dev`).
+//!
+//! Span names are `&'static str`: a stage name is a bounded histogram key,
+//! and no span allocates. The [`global`] tracer starts disabled; the
+//! harness binaries enable it for `--trace-out`, so a process keeps trace
+//! events only when something will write them.
+//!
+//! Each thread keeps its own open-span depth in a thread-local, so nesting
 //! is tracked without locks; completed spans are appended to the tracer's
 //! shared log under a mutex (one lock per span *close*, not per event).
 //! The log is capped; spans past the cap are counted, not stored.
@@ -16,7 +31,7 @@ use std::time::Instant;
 /// A completed span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRec {
-    pub name: String,
+    pub name: &'static str,
     /// Nanoseconds since the tracer's epoch.
     pub start_ns: u64,
     pub dur_ns: u64,
@@ -65,6 +80,7 @@ impl Default for Tracer {
 }
 
 impl Tracer {
+    /// An enabled wall-clock tracer.
     pub fn new() -> Self {
         Self::with_cap(DEFAULT_CAP)
     }
@@ -91,10 +107,6 @@ impl Tracer {
         }
     }
 
-    pub fn clock(&self) -> Clock {
-        self.clock
-    }
-
     pub fn is_logical(&self) -> bool {
         self.clock == Clock::Logical
     }
@@ -107,7 +119,8 @@ impl Tracer {
     }
 
     /// Enable or disable recording. Guards created while disabled still
-    /// nest correctly (depth bookkeeping continues) but record nothing.
+    /// nest correctly (depth bookkeeping continues) and still feed
+    /// `obs.phase.*`, but append no trace event.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -117,7 +130,7 @@ impl Tracer {
     }
 
     /// Open a span; it closes (and is recorded) when the guard drops.
-    pub fn span(self: &Arc<Self>, name: impl Into<String>) -> SpanGuard {
+    pub fn span(self: &Arc<Self>, name: &'static str) -> SpanGuard {
         let depth = THREAD.with(|t| {
             let mut t = t.borrow_mut();
             let d = t.depth;
@@ -130,20 +143,19 @@ impl Tracer {
         };
         SpanGuard {
             tracer: self.clone(),
-            name: name.into(),
+            name,
             start: Instant::now(),
             open_seq,
             depth,
         }
     }
 
-    fn record(&self, name: String, start: Instant, open_seq: u64, depth: u32) {
+    fn record(&self, name: &'static str, start: Instant, wall_ns: u64, open_seq: u64, depth: u32) {
         if !self.is_enabled() {
             return;
         }
         let (start_ns, dur_ns, tid) = match self.clock {
             Clock::Wall => {
-                let dur_ns = start.elapsed().as_nanos() as u64;
                 let start_ns = start.duration_since(self.epoch).as_nanos() as u64;
                 let tid = THREAD.with(|t| {
                     let mut t = t.borrow_mut();
@@ -156,7 +168,7 @@ impl Tracer {
                         }
                     }
                 });
-                (start_ns, dur_ns, tid)
+                (start_ns, wall_ns, tid)
             }
             Clock::Logical => {
                 let close_seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -218,7 +230,7 @@ impl Tracer {
         for (i, s) in spans.iter().enumerate() {
             out.push_str(if i == 0 { "\n  " } else { ",\n  " });
             out.push_str("{\"name\": ");
-            escape_into(&mut out, &s.name);
+            escape_into(&mut out, s.name);
             out.push_str(", \"ph\": \"X\", \"ts\": ");
             push_f64(&mut out, s.start_ns as f64 / 1e3);
             out.push_str(", \"dur\": ");
@@ -240,10 +252,11 @@ thread_local! {
         const { std::cell::RefCell::new(ThreadState { depth: 0, tid: None }) };
 }
 
-/// RAII guard for an open span; records the span on drop.
+/// RAII guard for an open span: on drop it records `obs.phase.<name>.ns`
+/// and, if its tracer is enabled, a trace event.
 pub struct SpanGuard {
     tracer: Arc<Tracer>,
-    name: String,
+    name: &'static str,
     start: Instant,
     open_seq: u64,
     depth: u32,
@@ -255,16 +268,24 @@ impl Drop for SpanGuard {
             let mut t = t.borrow_mut();
             t.depth = t.depth.saturating_sub(1);
         });
-        self.tracer
-            .record(std::mem::take(&mut self.name), self.start, self.open_seq, self.depth);
+        let wall_ns = self.start.elapsed().as_nanos() as u64;
+        crate::phase::record(self.name, wall_ns);
+        self.tracer.record(self.name, self.start, wall_ns, self.open_seq, self.depth);
     }
 }
 
 static GLOBAL: OnceLock<Arc<Tracer>> = OnceLock::new();
 
-/// The process-global tracer.
+/// The process-global tracer. It starts disabled, so a process keeps no
+/// trace events unless something enables it (`--trace-out` does).
 pub fn global() -> Arc<Tracer> {
-    GLOBAL.get_or_init(|| Arc::new(Tracer::new())).clone()
+    GLOBAL
+        .get_or_init(|| {
+            let t = Tracer::new();
+            t.set_enabled(false);
+            Arc::new(t)
+        })
+        .clone()
 }
 
 thread_local! {
@@ -303,11 +324,12 @@ pub fn cur() -> Arc<Tracer> {
 ///
 /// ```
 /// {
-///     let _g = hli_obs::span("frontend.itemgen");
-///     // ... phase body ...
-/// } // span recorded here
+///     let _g = hli_obs::span("example.stage");
+///     // ... the stage ...
+/// } // records `obs.phase.example.stage.ns`, and a trace event if
+///   // the current tracer is enabled
 /// ```
-pub fn span(name: impl Into<String>) -> SpanGuard {
+pub fn span(name: &'static str) -> SpanGuard {
     cur().span(name)
 }
 
@@ -354,16 +376,20 @@ mod tests {
     #[test]
     fn random_nesting_invariants() {
         let mut rng = Rng(0x9E3779B97F4A7C15);
-        for round in 0..50 {
+        // Span names are `&'static str`; a fresh tracer per round keeps
+        // one name per step unique.
+        let names: Vec<&'static str> = (0..40)
+            .map(|i| &*Box::leak(format!("test.nest.s{i}").into_boxed_str()))
+            .collect();
+        for _round in 0..50 {
             let t = Arc::new(Tracer::new());
             let mut stack: Vec<(SpanGuard, u32)> = Vec::new();
-            let mut expect: Vec<(String, u32)> = Vec::new();
-            for step in 0..40 {
+            let mut expect: Vec<(&str, u32)> = Vec::new();
+            for &name in &names {
                 let open = stack.is_empty() || rng.next().is_multiple_of(2);
                 if open && stack.len() < 12 {
-                    let name = format!("s{round}_{step}");
                     let depth = stack.len() as u32;
-                    expect.push((name.clone(), depth));
+                    expect.push((name, depth));
                     stack.push((t.span(name), depth));
                 } else {
                     stack.pop(); // guard dropped here
@@ -374,7 +400,7 @@ mod tests {
             let spans = t.finished_spans();
             assert_eq!(spans.len(), expect.len());
             for (name, depth) in &expect {
-                let s = spans.iter().find(|s| &s.name == name).unwrap();
+                let s = spans.iter().find(|s| s.name == *name).unwrap();
                 assert_eq!(s.depth, *depth, "depth mismatch for {name}");
             }
             // Interval containment: each deeper span that closed while its
@@ -396,11 +422,18 @@ mod tests {
     #[test]
     fn cap_drops_and_counts() {
         let t = Arc::new(Tracer::with_cap(2));
-        for i in 0..5 {
-            let _g = t.span(format!("s{i}"));
+        for _ in 0..5 {
+            let _g = t.span("test.capped");
         }
         assert_eq!(t.finished_spans().len(), 2);
         assert_eq!(t.dropped(), 3);
+    }
+
+    #[test]
+    fn global_tracer_starts_disabled() {
+        // No unit test in this crate enables the global tracer; the
+        // harness binaries do, for `--trace-out`.
+        assert!(!global().is_enabled());
     }
 
     #[test]

@@ -83,11 +83,19 @@ if [ "$status" -ne 1 ] || ! grep -q "HLI decode error" target/ci-fig45-cut.err; 
   exit 1
 fi
 
-echo "== counters do not depend on the provenance sink (every counter of a plain"
-echo "   run reappears unchanged in the same run with --provenance-out)"
+echo "== counters do not depend on the provenance sink or on tracing (every counter"
+echo "   of a plain run reappears unchanged in the same run with --provenance-out,"
+echo "   and with --trace-out, which must write span events)"
 target/release/table2 12 2 --stats json --provenance-out target/ci-table2.jsonl \
   2>/dev/null > target/ci-table2-prov.txt
 target/release/obsdiff target/obsdiff-current.txt target/ci-table2-prov.txt --allow-new > /dev/null
+target/release/table2 12 2 --stats json --trace-out target/ci-table2-trace.json \
+  2>/dev/null > target/ci-table2-traced.txt
+target/release/obsdiff target/obsdiff-current.txt target/ci-table2-traced.txt --allow-new > /dev/null
+if ! grep -q '"ph": "X"' target/ci-table2-trace.json; then
+  echo "FAIL: table2 --trace-out wrote no span events to target/ci-table2-trace.json"
+  exit 1
+fi
 target/release/hlicc build tests/fixtures/fig45.c --cse --licm --stats json \
   > target/ci-fig45-plain-stats.json 2>/dev/null
 target/release/obsdiff target/ci-fig45-plain-stats.json target/ci-fig45-stats.json \
