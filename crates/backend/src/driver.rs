@@ -3,7 +3,7 @@
 //! The paper's on-demand import (Section 3.2.1) makes each function's trip
 //! through the back-end — fetch its HLI unit, map it onto RTL, build the
 //! DDG, schedule — independent of every other function's. This module
-//! shards that pipeline across an [`hli_pool`] work-stealing pool, one
+//! shards that pipeline across the [`hli_pool`] parallel map, one
 //! work item per function, with each item running *all* requested
 //! scheduling passes back to back over one [`HliQuery`] index of the
 //! function's unit.
@@ -152,7 +152,7 @@ pub fn schedule_program_passes<'h>(
 ) -> Vec<(RtlProgram, QueryStats)> {
     let _s = hli_obs::span("backend.schedule");
     // Probed on the caller's thread: workers cannot see a thread-scoped
-    // sink/tracer, and the verdict must not depend on item placement.
+    // sink, and the verdict must not depend on item placement.
     let obs_cfg = hli_obs::CaptureCfg::from_env();
     let results = hli_pool::run(jobs, &prog.funcs, |_w, f| {
         hli_obs::capture_cfg(obs_cfg, || {

@@ -601,7 +601,7 @@ fn main() {
 
     let ks: Vec<u64> = (0..n).collect();
     let (byte_out, byte_wall) =
-        hli_obs::timing::time(|| hli_harness::par_map(&ks, |&k| byte_iteration(&preps, seed, k)));
+        hli_obs::timing::time(|| hli_pool::run(0, &ks, |_w, &k| byte_iteration(&preps, seed, k)));
     let mut bc = [0u64; 5];
     for o in byte_out {
         match o {
@@ -626,7 +626,7 @@ fn main() {
 
     let tks: Vec<u64> = (0..table_n).collect();
     let (table_out, table_wall) =
-        hli_obs::timing::time(|| hli_harness::par_map(&tks, |&k| table_iteration(&preps, seed, k)));
+        hli_obs::timing::time(|| hli_pool::run(0, &tks, |_w, &k| table_iteration(&preps, seed, k)));
     let mut tc = [0u64; 5];
     for o in table_out {
         match o {

@@ -17,10 +17,10 @@
 //! `.hlicc-cache`); `--cache-max-mb N` bounds it, `--jobs N` sizes the
 //! miss fan-out pool. The wire and cache contract is docs/SERVE.md.
 //!
-//! Back-end flags: `--no-hli` (GCC-only build), `--dump-rtl`, `--unroll N`,
-//! `--cse`, `--licm`, `--machine NAME[,NAME...]` (select machine models;
-//! the first drives the scheduler's latency table), `--time` (simulate on
-//! every selected model).
+//! Back-end flags: `--no-hli` (GCC-only build: the same transforms, on
+//! GCC's dependences alone), `--dump-rtl`, `--unroll N`, `--cse`, `--licm`,
+//! `--machine NAME[,NAME...]` (select machine models; the first drives the
+//! scheduler's latency table), `--time` (simulate on every selected model).
 //!
 //! Every subcommand also accepts the observability flags:
 //! `--stats [text|json]` prints the metrics registry after the normal
@@ -111,11 +111,6 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
     }
     let image = image.unwrap_or_else(|e| fail(&e.to_string()));
     let maintain = flags.unroll.is_some() || flags.cse || flags.licm;
-    let mode = if flags.use_hli {
-        DepMode::Combined
-    } else {
-        DepMode::GccOnly
-    };
     let mach = *flags.machines.first().unwrap_or_else(|| fail("no machine models selected"));
 
     // One pool work item per function (`--jobs N`, 0 = all CPUs). Each
@@ -143,7 +138,7 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
                     Some(Err(why))
                 }
             };
-            let tables = match vetted {
+            let mut entry = match vetted {
                 Some(Ok(tables)) => Some(tables.into_owned()),
                 Some(Err(why)) => {
                     messages.push(format!(
@@ -154,84 +149,71 @@ fn back(input: &str, hli_path: &str, temporary: bool, flags: BackFlags) {
                 }
                 None => None,
             };
+            // One transform sequence, unroll → CSE → LICM → schedule, with
+            // or without tables: without them every pass runs on GCC's
+            // dependences alone and no HLI is maintained.
             let mut cur = f.clone();
-            let mut stats = hli_backend::ddg::QueryStats::default();
-            let scheduled = match tables {
-                Some(mut entry) => {
-                    let mut map = map_function(&cur, &entry);
-                    if !map.unmapped_insns.is_empty() || !map.unmapped_items.is_empty() {
-                        messages.push(format!(
-                            "warning: `{}`: {} refs / {} items unmapped (treated as unknown)",
-                            f.name,
-                            map.unmapped_insns.len(),
-                            map.unmapped_items.len()
-                        ));
-                    }
-                    if let Some(u) = flags.unroll {
-                        let r = unroll_function(
-                            &cur,
-                            &loops[&f.name],
-                            u,
-                            Some((&mut entry, &mut map)),
-                            mach,
-                        );
-                        cur = r.func;
-                        if r.unrolled > 0 {
-                            messages.push(format!(
-                                "`{}`: unrolled {} loop(s) by {u}",
-                                f.name, r.unrolled
-                            ));
-                        }
-                    }
-                    if flags.cse {
-                        let r = cse_function(&cur, Some((&mut entry, &mut map)), mode, mach);
-                        if r.loads_eliminated > 0 {
-                            messages.push(format!(
-                                "`{}`: CSE removed {} load(s)",
-                                f.name, r.loads_eliminated
-                            ));
-                        }
-                        cur = r.func;
-                    }
-                    if flags.licm {
-                        let r = licm_function(&cur, Some((&mut entry, &mut map)), mode, mach);
-                        if r.hoisted > 0 {
-                            messages
-                                .push(format!("`{}`: LICM hoisted {} load(s)", f.name, r.hoisted));
-                        }
-                        cur = r.func;
-                    }
-                    // Unlike import-time corruption (quarantined above), a
-                    // verify failure *after* maintenance is our own bug —
-                    // keep it fatal so it cannot hide.
-                    let errs = if maintain { entry.verify() } else { Vec::new() };
-                    if let Some(first) = errs.first() {
-                        return Err(format!(
-                            "maintenance broke `{}`: {first} ({} violation(s))",
-                            f.name,
-                            errs.len()
-                        ));
-                    }
-                    let q = HliQuery::new(&entry);
-                    let side = hli_backend::disamb::HliSide { query: &q, map: &map };
-                    let r = schedule_function(&cur, Some(&side), mode, mach);
-                    stats.add(&r.stats);
-                    r.func
+            let mut map = entry.as_ref().map(|e| map_function(&cur, e));
+            if let Some(map) = &map {
+                if !map.unmapped_insns.is_empty() || !map.unmapped_items.is_empty() {
+                    messages.push(format!(
+                        "warning: `{}`: {} refs / {} items unmapped (treated as unknown)",
+                        f.name,
+                        map.unmapped_insns.len(),
+                        map.unmapped_items.len()
+                    ));
                 }
-                _ => {
-                    if flags.cse {
-                        cur = cse_function(&cur, None, DepMode::GccOnly, mach).func;
-                    }
-                    if flags.licm {
-                        cur = licm_function(&cur, None, DepMode::GccOnly, mach).func;
-                    }
-                    let r = schedule_function(&cur, None, DepMode::GccOnly, mach);
-                    stats.add(&r.stats);
-                    r.func
-                }
+            }
+            let mode = if entry.is_some() {
+                DepMode::Combined
+            } else {
+                DepMode::GccOnly
             };
-            let dump = flags.dump_rtl.then(|| dump_func(&scheduled));
-            Ok(FuncOut { messages, dump, stats, func: scheduled })
+            if let Some(u) = flags.unroll {
+                let hli = entry.as_mut().zip(map.as_mut());
+                let r = unroll_function(&cur, &loops[&f.name], u, hli, mach);
+                cur = r.func;
+                if r.unrolled > 0 {
+                    messages.push(format!("`{}`: unrolled {} loop(s) by {u}", f.name, r.unrolled));
+                }
+            }
+            if flags.cse {
+                let r = cse_function(&cur, entry.as_mut().zip(map.as_mut()), mode, mach);
+                if r.loads_eliminated > 0 {
+                    messages
+                        .push(format!("`{}`: CSE removed {} load(s)", f.name, r.loads_eliminated));
+                }
+                cur = r.func;
+            }
+            if flags.licm {
+                let r = licm_function(&cur, entry.as_mut().zip(map.as_mut()), mode, mach);
+                if r.hoisted > 0 {
+                    messages.push(format!("`{}`: LICM hoisted {} load(s)", f.name, r.hoisted));
+                }
+                cur = r.func;
+            }
+            // Unlike import-time corruption (quarantined above), a verify
+            // failure *after* maintenance is our own bug — keep it fatal
+            // so it cannot hide.
+            let errs = match &entry {
+                Some(e) if maintain => e.verify(),
+                _ => Vec::new(),
+            };
+            if let Some(first) = errs.first() {
+                return Err(format!(
+                    "maintenance broke `{}`: {first} ({} violation(s))",
+                    f.name,
+                    errs.len()
+                ));
+            }
+            let query = entry.as_ref().map(HliQuery::new);
+            let side = query
+                .as_ref()
+                .zip(map.as_ref())
+                .map(|(query, map)| hli_backend::disamb::HliSide { query, map });
+            let r = schedule_function(&cur, side.as_ref(), mode, mach);
+            let dump = flags.dump_rtl.then(|| dump_func(&r.func));
+            Ok(FuncOut { messages, dump, stats: r.stats, func: r.func })
         })
     });
 

@@ -260,17 +260,6 @@ fn run_pipeline(
     })
 }
 
-/// Ordered parallel map over a slice on the work-stealing pool, with all
-/// available CPUs; results come back in input order.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    hli_pool::run(0, items, |_w, t| f(t))
-}
-
 /// Run `benches` (the fixed paper suite from [`hli_suite::all`], or a
 /// generated [`hli_suite::corpus`]) on `jobs` pool workers (`0` = one per
 /// CPU, `1` = inline sequential), one benchmark per work item, on the

@@ -18,8 +18,7 @@ use hli_harness::attr::rollup;
 use hli_harness::{default_machines, run_benchmarks_jobs_on, BenchReport};
 use hli_machine::MachineBackend;
 use hli_obs::{
-    metrics, provenance, trace, DecisionRecord, MetricsRegistry, MetricsSnapshot, ProvenanceSink,
-    Tracer,
+    metrics, provenance, DecisionRecord, MetricsRegistry, MetricsSnapshot, ProvenanceSink,
 };
 use hli_suite::Scale;
 use std::sync::atomic::AtomicU64;
@@ -270,36 +269,6 @@ fn image_lookup_answers_are_byte_identical_to_in_memory_file() {
             "provenance JSONL diverges between owned and image at --jobs {jobs}"
         );
     }
-}
-
-/// Run the tiny suite at `jobs` with a scoped **logical-clock** tracer
-/// installed, returning the Chrome JSON a `--trace-out` run would write.
-fn trace_obs_at(jobs: usize) -> String {
-    let reg = Arc::new(MetricsRegistry::new());
-    let tracer = Arc::new(Tracer::logical());
-    {
-        let _m = metrics::scoped(reg.clone());
-        let _t = trace::scoped(tracer.clone());
-        for r in tiny_suite_on(jobs, &default_machines()) {
-            assert!(r.expect("benchmark must compile").validated);
-        }
-    }
-    tracer.to_chrome_json()
-}
-
-#[test]
-fn chrome_trace_is_jobs_invariant_under_logical_clock() {
-    let seq = trace_obs_at(1);
-    let par = trace_obs_at(8);
-    assert!(
-        seq.contains("\"traceEvents\"") && seq.contains("\"harness.run\""),
-        "a traced suite run must record per-benchmark spans: {seq}"
-    );
-    assert_eq!(
-        seq, par,
-        "--trace-out Chrome JSON diverges between --jobs 1 and --jobs 8: shard \
-         span absorption must renumber logical ticks in commit order"
-    );
 }
 
 /// Run the tiny suite at `jobs` and return the raw attribution inputs an

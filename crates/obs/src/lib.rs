@@ -35,13 +35,16 @@
 //! There is one process-global registry ([`metrics::global`]) and one
 //! process-global tracer ([`trace::global`]). Code that needs per-task
 //! isolation (the harness measuring one benchmark on one worker thread)
-//! installs a thread-scoped registry with [`metrics::scoped`]; every
+//! installs a thread-scoped registry with [`metrics::scoped`], and a
+//! thread-scoped provenance sink with [`provenance::scoped`]; every
 //! instrumented layer resolves [`metrics::cur`] at phase entry, so the
 //! whole pipeline below that thread writes into the scoped registry. The
 //! scope owner then merges its snapshot into the global registry with
-//! [`metrics::MetricsRegistry::absorb`]. Stage times are the exception:
-//! a closing span always writes the global registry, so scoped snapshots
-//! stay free of wall-clock noise.
+//! [`metrics::MetricsRegistry::absorb`] ([`shard`] packages that as
+//! capture and commit). Spans are never scoped: [`span`] opens on the
+//! global tracer from any thread, and a closing span always writes its
+//! stage time to the global registry, so scoped snapshots stay free of
+//! wall-clock noise.
 
 pub mod json;
 pub mod mem;

@@ -22,10 +22,14 @@
 //! Shards nest: a suite-level shard may contain function-level commits,
 //! since the function-level [`commit`] resolves the *benchmark's* scoped
 //! registry/sink/ids on the committing thread.
+//!
+//! Spans are not captured. A work item's spans record their stage times
+//! into the global registry (never into a shard; see [`crate::phase`])
+//! and their trace events into the global tracer, on the wall clock of
+//! the thread that ran them.
 
 use crate::metrics::{self, MetricsRegistry, MetricsSnapshot};
 use crate::provenance::{self, DecisionRecord, ProvenanceSink};
-use crate::trace::{self, SpanRec, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,36 +43,26 @@ pub struct ObsShard {
     pub records: Vec<DecisionRecord>,
     /// How many query/span ids the work item stamped.
     pub ids_used: u64,
-    /// Logical spans the work item traced (local ticks `0..seq_used`,
-    /// rebased at [`commit`]); empty unless the capture ran with
-    /// [`CaptureCfg::trace`].
-    pub spans: Vec<SpanRec>,
-    /// Logical trace ticks the work item consumed.
-    pub seq_used: u64,
 }
 
 /// What a [`capture`] should isolate, decided on the *parent* thread —
-/// a pool worker cannot see the parent's thread-scoped sinks, so neither
-/// flag may be probed inside the work item.
+/// a pool worker cannot see the parent's thread-scoped sinks, so the flag
+/// may not be probed inside the work item.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CaptureCfg {
     /// Capture decision records + query ids (normally
     /// `provenance::active().is_some()` on the parent thread).
     pub provenance: bool,
-    /// Capture spans into a deterministic logical tracer (normally
-    /// `trace::cur().is_logical()` on the parent thread: a logical parent
-    /// wants jobs-invariant traces; a wall-clock parent — the `--trace-out`
-    /// global — keeps receiving worker spans directly, timestamps and all).
+    /// Read by nothing: kept only because the benchmark under `hlibench/`
+    /// still sets it. Spans are never captured; they go to the global
+    /// tracer from whichever thread runs them.
     pub trace: bool,
 }
 
 impl CaptureCfg {
-    /// Probe both flags from the calling thread's current sinks.
+    /// Probe the provenance flag from the calling thread's current sink.
     pub fn from_env() -> Self {
-        CaptureCfg {
-            provenance: provenance::active().is_some(),
-            trace: trace::cur().is_logical(),
-        }
+        CaptureCfg { provenance: provenance::active().is_some(), trace: false }
     }
 }
 
@@ -80,12 +74,12 @@ impl CaptureCfg {
 /// `provenance::active().is_some()` on the parent thread) rather than
 /// probed here: a pool worker thread cannot see the parent's thread-scoped
 /// sink, and the decision must not depend on which thread the item happens
-/// to run on. Use [`capture_cfg`] to also capture logical trace spans.
+/// to run on.
 pub fn capture<R>(provenance_on: bool, f: impl FnOnce() -> R) -> (R, ObsShard) {
     capture_cfg(CaptureCfg { provenance: provenance_on, trace: false }, f)
 }
 
-/// [`capture`] with explicit control over every captured dimension.
+/// [`capture`], configured by a [`CaptureCfg`].
 pub fn capture_cfg<R>(cfg: CaptureCfg, f: impl FnOnce() -> R) -> (R, ObsShard) {
     let reg = Arc::new(MetricsRegistry::new());
     // With provenance off we still install a (disabled) scoped sink: the
@@ -95,20 +89,16 @@ pub fn capture_cfg<R>(cfg: CaptureCfg, f: impl FnOnce() -> R) -> (R, ObsShard) {
     scoped_sink.set_enabled(cfg.provenance);
     let sink = cfg.provenance.then(|| scoped_sink.clone());
     let ids = cfg.provenance.then(|| Arc::new(AtomicU64::new(1)));
-    let tracer = cfg.trace.then(|| Arc::new(Tracer::logical()));
     let out = {
         let _m = metrics::scoped(reg.clone());
         let _s = provenance::scoped(scoped_sink.clone());
         let _i = ids.clone().map(provenance::scoped_ids);
-        let _t = tracer.clone().map(trace::scoped);
         f()
     };
     let shard = ObsShard {
         metrics: reg.snapshot(),
         records: sink.map(|s| s.drain()).unwrap_or_default(),
         ids_used: ids.map(|i| i.load(Ordering::Relaxed) - 1).unwrap_or(0),
-        spans: tracer.as_ref().map(|t| t.drain_spans()).unwrap_or_default(),
-        seq_used: tracer.map(|t| t.seq_used()).unwrap_or(0),
     };
     (out, shard)
 }
@@ -122,9 +112,6 @@ pub fn capture_cfg<R>(cfg: CaptureCfg, f: impl FnOnce() -> R) -> (R, ObsShard) {
 /// determinism.
 pub fn commit(shard: ObsShard) {
     metrics::cur().absorb(&shard.metrics);
-    if !shard.spans.is_empty() || shard.seq_used > 0 {
-        trace::cur().absorb_logical(shard.spans, shard.seq_used);
-    }
     if shard.ids_used == 0 && shard.records.is_empty() {
         return;
     }
@@ -298,30 +285,5 @@ mod tests {
         assert_eq!(out[0].span, 21, "span renumbered by the same offset");
         assert_eq!(out[0].hli_queries, vec![provenance::QueryRef(22)]);
         assert_eq!(out[1].span, 0, "no-span records keep 0");
-    }
-
-    #[test]
-    fn capture_cfg_traces_logically_and_commit_rebases() {
-        // A logical parent tracer + two committed shards: spans land
-        // rebased in commit order, independent of which thread ran what.
-        let parent = Arc::new(Tracer::logical());
-        let _t = trace::scoped(parent.clone());
-        assert!(CaptureCfg::from_env().trace, "logical parent ⇒ capture traces");
-        let mut shards = Vec::new();
-        for name in ["f1", "f2"] {
-            let ((), shard) = capture_cfg(CaptureCfg { provenance: false, trace: true }, || {
-                let _g = trace::span(name);
-            });
-            assert_eq!(shard.seq_used, 2);
-            shards.push(shard);
-        }
-        for s in shards {
-            commit(s);
-        }
-        let spans = parent.finished_spans();
-        assert_eq!(
-            spans.iter().map(|s| (s.name, s.start_ns)).collect::<Vec<_>>(),
-            vec![("f1", 0), ("f2", 2)]
-        );
     }
 }

@@ -5,17 +5,19 @@
 //!
 //! * it records its inclusive wall-clock duration into the histogram
 //!   `obs.phase.<name>.ns` of the **global** registry, through
-//!   [`crate::phase::record`] — always, whichever tracer is current and
-//!   whether or not it records (see [`crate::phase`] for why timing never
-//!   lands in a scoped registry);
-//! * if the current tracer is enabled, it appends a trace event, nested
-//!   into a trace tree and exportable as Chrome `trace_event` JSON
-//!   (loadable in `chrome://tracing` / `ui.perfetto.dev`).
+//!   [`crate::phase::record`] — always, whichever tracer the span opened
+//!   on and whether or not that tracer records (see [`crate::phase`] for
+//!   why timing never lands in a scoped registry);
+//! * if its tracer is enabled, it appends a trace event, nested into a
+//!   trace tree and exportable as Chrome `trace_event` JSON (loadable in
+//!   `chrome://tracing` / `ui.perfetto.dev`).
 //!
 //! Span names are `&'static str`: a stage name is a bounded histogram key,
-//! and no span allocates. The [`global`] tracer starts disabled; the
-//! harness binaries enable it for `--trace-out`, so a process keeps trace
-//! events only when something will write them.
+//! and no span allocates. [`span`] opens on the [`global`] tracer, which
+//! starts disabled; the harness binaries enable it for `--trace-out`, so a
+//! process keeps trace events only when something will write them. Pool
+//! workers open their spans on the same global tracer, so a `--jobs N`
+//! trace shows every worker's spans on the wall clock, one `tid` each.
 //!
 //! Each thread keeps its own open-span depth in a thread-local, so nesting
 //! is tracked without locks; completed spans are appended to the tracer's
@@ -45,27 +47,10 @@ pub struct SpanRec {
 /// produces, but bounds memory if instrumentation ends up in a hot loop.
 const DEFAULT_CAP: usize = 1 << 16;
 
-/// What a tracer's timestamps mean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Clock {
-    /// Nanoseconds of wall time since the tracer's epoch (the default;
-    /// what `--trace-out` ships to `chrome://tracing`).
-    Wall,
-    /// A deterministic event counter: each span open and close draws one
-    /// tick, `start_ns` is the open tick, `dur_ns` is close − open ticks,
-    /// and `tid` is always 0. Byte-identical output for identical span
-    /// sequences — the mode [`crate::shard::capture`] uses so traces can
-    /// be pinned across `--jobs` values.
-    Logical,
-}
-
 /// A tracer instance. Usually used through [`global`] + [`span`].
 #[derive(Debug)]
 pub struct Tracer {
     epoch: Instant,
-    clock: Clock,
-    /// Logical tick counter (next tick to issue); unused under `Wall`.
-    seq: AtomicU64,
     enabled: AtomicBool,
     spans: Mutex<Vec<SpanRec>>,
     dropped: AtomicU64,
@@ -86,36 +71,14 @@ impl Tracer {
     }
 
     pub fn with_cap(cap: usize) -> Self {
-        Self::with_cap_clock(cap, Clock::Wall)
-    }
-
-    /// A deterministic tracer ([`Clock::Logical`]).
-    pub fn logical() -> Self {
-        Self::with_cap_clock(DEFAULT_CAP, Clock::Logical)
-    }
-
-    fn with_cap_clock(cap: usize, clock: Clock) -> Self {
         Tracer {
             epoch: Instant::now(),
-            clock,
-            seq: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
             spans: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
             cap,
             next_tid: AtomicU64::new(0),
         }
-    }
-
-    pub fn is_logical(&self) -> bool {
-        self.clock == Clock::Logical
-    }
-
-    /// Logical ticks issued so far (0 under [`Clock::Wall`]). A shard
-    /// commit reserves this many ticks in the parent with
-    /// [`Tracer::absorb_logical`].
-    pub fn seq_used(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
     }
 
     /// Enable or disable recording. Guards created while disabled still
@@ -137,44 +100,18 @@ impl Tracer {
             t.depth += 1;
             d
         });
-        let open_seq = match self.clock {
-            Clock::Wall => 0,
-            Clock::Logical => self.seq.fetch_add(1, Ordering::Relaxed),
-        };
-        SpanGuard {
-            tracer: self.clone(),
-            name,
-            start: Instant::now(),
-            open_seq,
-            depth,
-        }
+        SpanGuard { tracer: self.clone(), name, start: Instant::now(), depth }
     }
 
-    fn record(&self, name: &'static str, start: Instant, wall_ns: u64, open_seq: u64, depth: u32) {
+    fn record(&self, name: &'static str, start: Instant, dur_ns: u64, depth: u32) {
         if !self.is_enabled() {
             return;
         }
-        let (start_ns, dur_ns, tid) = match self.clock {
-            Clock::Wall => {
-                let start_ns = start.duration_since(self.epoch).as_nanos() as u64;
-                let tid = THREAD.with(|t| {
-                    let mut t = t.borrow_mut();
-                    match t.tid {
-                        Some(id) => id,
-                        None => {
-                            let id = self.next_tid.fetch_add(1, Ordering::Relaxed);
-                            t.tid = Some(id);
-                            id
-                        }
-                    }
-                });
-                (start_ns, wall_ns, tid)
-            }
-            Clock::Logical => {
-                let close_seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                (open_seq, close_seq - open_seq, 0)
-            }
-        };
+        let start_ns = start.duration_since(self.epoch).as_nanos() as u64;
+        let tid = THREAD.with(|t| {
+            let mut t = t.borrow_mut();
+            *t.tid.get_or_insert_with(|| self.next_tid.fetch_add(1, Ordering::Relaxed))
+        });
         let mut spans = self.spans.lock().unwrap();
         if spans.len() >= self.cap {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -186,29 +123,6 @@ impl Tracer {
     /// Take every recorded span (close order), leaving the tracer empty.
     pub fn drain_spans(&self) -> Vec<SpanRec> {
         std::mem::take(&mut *self.spans.lock().unwrap())
-    }
-
-    /// Merge a worker shard's logical spans: reserve `seq_used` ticks in
-    /// this tracer's counter and append `spans` rebased by the reserved
-    /// offset. Committing shards in a stable order reproduces exactly the
-    /// tick numbering a sequential run would have produced (the trace
-    /// analogue of [`crate::provenance::claim_ids`]). No-op on a
-    /// [`Clock::Wall`] tracer — wall timestamps from another tracer's
-    /// epoch are meaningless here.
-    pub fn absorb_logical(&self, spans: Vec<SpanRec>, seq_used: u64) {
-        if !self.is_logical() || !self.is_enabled() {
-            return;
-        }
-        let offset = self.seq.fetch_add(seq_used, Ordering::Relaxed);
-        let mut log = self.spans.lock().unwrap();
-        for mut s in spans {
-            if log.len() >= self.cap {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                s.start_ns += offset;
-                log.push(s);
-            }
-        }
     }
 
     /// Number of spans discarded because the cap was reached.
@@ -258,7 +172,6 @@ pub struct SpanGuard {
     tracer: Arc<Tracer>,
     name: &'static str,
     start: Instant,
-    open_seq: u64,
     depth: u32,
 }
 
@@ -270,7 +183,7 @@ impl Drop for SpanGuard {
         });
         let wall_ns = self.start.elapsed().as_nanos() as u64;
         crate::phase::record(self.name, wall_ns);
-        self.tracer.record(self.name, self.start, wall_ns, self.open_seq, self.depth);
+        self.tracer.record(self.name, self.start, wall_ns, self.depth);
     }
 }
 
@@ -288,49 +201,17 @@ pub fn global() -> Arc<Tracer> {
         .clone()
 }
 
-thread_local! {
-    static SCOPED: std::cell::RefCell<Vec<Arc<Tracer>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Install `tracer` as this thread's current tracer until the guard drops
-/// (shadows the global one for [`span`] / [`cur`]). Mirrors
-/// [`crate::metrics::scoped`] / [`crate::provenance::scoped`].
-pub fn scoped(tracer: Arc<Tracer>) -> ScopedTracer {
-    SCOPED.with(|s| s.borrow_mut().push(tracer));
-    ScopedTracer { _priv: () }
-}
-
-/// RAII guard returned by [`scoped`].
-pub struct ScopedTracer {
-    _priv: (),
-}
-
-impl Drop for ScopedTracer {
-    fn drop(&mut self) {
-        SCOPED.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
-/// The tracer [`span`] appends to right now: the innermost thread-scoped
-/// tracer, else the global one.
-pub fn cur() -> Arc<Tracer> {
-    SCOPED.with(|s| s.borrow().last().cloned()).unwrap_or_else(global)
-}
-
-/// Open a span on the current tracer — the usual entry point:
+/// Open a span on the [`global`] tracer — the usual entry point:
 ///
 /// ```
 /// {
 ///     let _g = hli_obs::span("example.stage");
 ///     // ... the stage ...
 /// } // records `obs.phase.example.stage.ns`, and a trace event if
-///   // the current tracer is enabled
+///   // the global tracer is enabled
 /// ```
 pub fn span(name: &'static str) -> SpanGuard {
-    cur().span(name)
+    global().span(name)
 }
 
 #[cfg(test)]
@@ -463,67 +344,5 @@ mod tests {
             assert!(e.get("dur").unwrap().as_num().is_some());
         }
         assert!(events.iter().any(|e| e.get("name").unwrap().as_str() == Some("phase \"x\"")));
-    }
-
-    #[test]
-    fn logical_clock_is_deterministic() {
-        let run = || {
-            let t = Arc::new(Tracer::logical());
-            {
-                let _a = t.span("outer");
-                let _b = t.span("inner");
-            }
-            {
-                let _c = t.span("next");
-            }
-            (t.seq_used(), t.finished_spans(), t.to_chrome_json())
-        };
-        let (seq1, spans1, json1) = run();
-        let (seq2, spans2, json2) = run();
-        assert_eq!(seq1, 6, "3 spans = 6 ticks");
-        assert_eq!(seq1, seq2);
-        assert_eq!(spans1, spans2, "logical spans carry no wall time");
-        assert_eq!(json1, json2);
-        assert!(spans1.iter().all(|s| s.tid == 0));
-        // outer opened at tick 0, closed at tick 3.
-        let outer = spans1.iter().find(|s| s.name == "outer").unwrap();
-        assert_eq!((outer.start_ns, outer.dur_ns), (0, 3));
-    }
-
-    #[test]
-    fn absorb_logical_rebases_shard_ticks() {
-        let parent = Arc::new(Tracer::logical());
-        {
-            let _w = parent.span("warmup"); // ticks 0..2
-        }
-        let shard = Arc::new(Tracer::logical());
-        {
-            let _s = shard.span("worker"); // local ticks 0..2
-        }
-        parent.absorb_logical(shard.drain_spans(), shard.seq_used());
-        let spans = parent.finished_spans();
-        let worker = spans.iter().find(|s| s.name == "worker").unwrap();
-        assert_eq!(worker.start_ns, 2, "rebased past parent's 2 used ticks");
-        assert_eq!(parent.seq_used(), 4);
-        // Wall tracers refuse foreign logical ticks.
-        let wall = Arc::new(Tracer::new());
-        wall.absorb_logical(vec![worker.clone()], 2);
-        assert!(wall.finished_spans().is_empty());
-    }
-
-    #[test]
-    fn scoped_tracer_shadows_global_for_span() {
-        let local = Arc::new(Tracer::logical());
-        {
-            let _g = scoped(local.clone());
-            assert!(Arc::ptr_eq(&cur(), &local));
-            let _s = span("scoped.only");
-        }
-        assert_eq!(local.finished_spans().len(), 1);
-        assert!(
-            global().finished_spans().iter().all(|s| s.name != "scoped.only"),
-            "global untouched by scoped recording"
-        );
-        assert!(Arc::ptr_eq(&cur(), &global()));
     }
 }

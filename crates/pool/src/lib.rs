@@ -1,22 +1,17 @@
-//! # hli-pool — a std-only work-stealing thread pool
+//! # hli-pool — a std-only scoped parallel map
 //!
 //! The paper's on-demand, per-function HLI import (Section 3.2.1) makes
 //! each program unit a self-contained piece of compilation work: the
 //! back-end can fetch one unit's tables, build its DDG, schedule it and
 //! maintain its HLI without touching any other unit. This crate supplies
-//! the scheduling substrate that exploits that: a scoped, work-stealing
-//! parallel map over a slice of work items.
+//! the scheduling substrate that exploits that: a scoped parallel map over
+//! a slice of work items.
 //!
 //! The workspace is intentionally dependency-free, so this is plain `std`:
 //!
-//! * each worker owns a deque of item indices, seeded with a contiguous
-//!   chunk of the input;
-//! * a worker pops from the **back** of its own deque (LIFO, cache-warm)
-//!   and, when empty, steals the **front half** of the fullest victim's
-//!   deque (FIFO, oldest work first) — the classic Cilk/Chase-Lev
-//!   discipline, here with a mutex per deque instead of a lock-free deque
-//!   because work items (whole functions through the back-end pipeline)
-//!   are far coarser than the lock;
+//! * the workers share one atomic next-index counter, and each claims the
+//!   next unclaimed item whenever it finishes one, so a slow item holds
+//!   back no other item;
 //! * results land in per-index slots, so the output order is the input
 //!   order no matter which worker ran which item or when it finished.
 //!
@@ -25,7 +20,6 @@
 //! returns — see `hli_obs::shard` for the capture/commit pair the
 //! compiler drivers use.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -39,170 +33,69 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// Counters describing one [`run_with_stats`] execution, for tests and
-/// benchmarks that want to see the pool actually balancing load. Not
-/// mirrored into the metrics registry: steal counts depend on OS
-/// scheduling and would make `--stats` output nondeterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Workers that executed at least one item.
-    pub workers_used: usize,
-    /// Successful steal operations (batches moved, not items).
-    pub steals: u64,
-    /// Items executed by a worker other than the one they were seeded to.
-    pub stolen_items: u64,
-}
-
-/// Work-stealing parallel map: apply `f` to every item of `items` on up to
-/// `jobs` workers (`0` = one per CPU) and return the results in input
-/// order. `f` receives `(worker_index, &item)`; worker indices are in
-/// `0..jobs` and stable for the duration of the call, so callers can keep
-/// per-worker scratch state keyed by them.
+/// Parallel map: apply `f` to every item of `items` on up to `jobs`
+/// workers (`0` = one per CPU) and return the results in input order. `f`
+/// receives `(worker_index, &item)`; worker indices are in `0..jobs` and
+/// stable for the duration of the call, so callers can keep per-worker
+/// scratch state keyed by them.
 ///
 /// `jobs <= 1` (or a 0/1-item input) runs everything inline on the caller
 /// thread as worker 0 — same code path, no thread spawn — so a `--jobs 1`
 /// run is a true sequential baseline.
+///
+/// A panicking item stops the claiming of further items; the panic is
+/// re-thrown on the caller's thread once every worker has returned.
 pub fn run<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_with_stats(jobs, items, f).0
-}
-
-/// [`run`], also returning the load-balance counters.
-pub fn run_with_stats<T, R, F>(jobs: usize, items: &[T], f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let n = items.len();
-    let jobs = resolve_jobs(jobs).min(n.max(1));
-    if jobs <= 1 || n <= 1 {
-        let out = items.iter().map(|t| f(0, t)).collect();
-        return (
-            out,
-            PoolStats { workers_used: usize::from(n > 0), ..PoolStats::default() },
-        );
+    let jobs = resolve_jobs(jobs).min(n);
+    if jobs <= 1 {
+        return items.iter().map(|t| f(0, t)).collect();
     }
 
-    // Seed each worker's deque with a contiguous chunk (ceil division so
-    // the leading workers absorb the remainder).
-    let chunk = n.div_ceil(jobs);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new((w * chunk..((w + 1) * chunk).min(n)).collect()))
-        .collect();
-    let done = AtomicUsize::new(0);
+    // The counter publishes no data: a claimed item's result goes through
+    // its slot's mutex, and the scope's join orders every write before
+    // the reads below, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
     let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let steals = AtomicUsize::new(0);
-    let stolen_items = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let slots = Mutex::new(slots);
-    let worker_used: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
 
     std::thread::scope(|s| {
         for w in 0..jobs {
-            let queues = &queues;
-            let done = &done;
-            let panic_payload = &panic_payload;
-            let steals = &steals;
-            let stolen_items = &stolen_items;
-            let slots = &slots;
-            let worker_used = &worker_used;
-            let f = &f;
-            s.spawn(move || {
-                let mut idle_spins = 0u32;
-                loop {
-                    // Own work first: LIFO keeps the most recently seeded
-                    // (cache-warm) indices local.
-                    let mine = queues[w].lock().unwrap().pop_back();
-                    let task = mine.or_else(|| {
-                        // Steal the front half of the fullest victim.
-                        // `try_lock` when sizing: a busy queue is being
-                        // popped by its owner and can be skipped this
-                        // round rather than waited on.
-                        let victim = (0..jobs)
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| queues[v].try_lock().map(|q| q.len()).unwrap_or(0))?;
-                        let mut vq = queues[victim].lock().unwrap();
-                        let take = vq.len().div_ceil(2);
-                        if take == 0 {
-                            return None;
-                        }
-                        let batch: Vec<usize> = vq.drain(..take).collect();
-                        drop(vq);
-                        steals.fetch_add(1, Ordering::Relaxed);
-                        stolen_items.fetch_add(batch.len(), Ordering::Relaxed);
-                        let mut q = queues[w].lock().unwrap();
-                        q.extend(batch);
-                        q.pop_back()
-                    });
-                    match task {
-                        Some(i) => {
-                            idle_spins = 0;
-                            if panic_payload.lock().unwrap().is_some() {
-                                // Already unwinding: drain without running.
-                                done.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            worker_used[w].store(1, Ordering::Relaxed);
-                            // A panicking item must not leave the other
-                            // workers spinning on a `done` count that can
-                            // never complete: capture the payload, count
-                            // the item as done, rethrow after the join.
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                f(w, &items[i])
-                            })) {
-                                Ok(r) => slots.lock().unwrap()[i] = Some(r),
-                                Err(p) => {
-                                    panic_payload.lock().unwrap().get_or_insert(p);
-                                }
-                            }
-                            done.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => {
-                            if done.load(Ordering::Acquire) >= n {
-                                break;
-                            }
-                            // Someone else still runs the tail items; back
-                            // off politely instead of hammering the locks.
-                            // Exponential up to ~3 ms: work items are whole
-                            // functions or benchmarks, so a parked thief
-                            // waking a few hundred times a second loses
-                            // nothing — while busy-polling here measurably
-                            // starves the workers on small machines.
-                            idle_spins += 1;
-                            if idle_spins > 16 {
-                                let exp = (idle_spins - 16).min(6);
-                                std::thread::sleep(std::time::Duration::from_micros(50u64 << exp));
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
+            let (next, panic_payload, slots, f) = (&next, &panic_payload, &slots, &f);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(w, &items[i]))) {
+                    Ok(r) => slots.lock().expect("no slot write panics")[i] = Some(r),
+                    Err(p) => {
+                        // No worker claims another item; the first
+                        // payload is re-thrown after the join.
+                        next.store(n, Ordering::Relaxed);
+                        panic_payload.lock().expect("no payload write panics").get_or_insert(p);
                     }
                 }
             });
         }
     });
 
-    if let Some(p) = panic_payload.into_inner().unwrap() {
+    if let Some(p) = panic_payload.into_inner().expect("no payload write panics") {
         std::panic::resume_unwind(p);
     }
-    let out: Vec<R> = slots
+    slots
         .into_inner()
-        .unwrap()
+        .expect("no slot write panics")
         .into_iter()
         .map(|r| r.expect("every index was claimed by exactly one worker"))
-        .collect();
-    let stats = PoolStats {
-        workers_used: worker_used.iter().filter(|u| u.load(Ordering::Relaxed) != 0).count(),
-        steals: steals.load(Ordering::Relaxed) as u64,
-        stolen_items: stolen_items.load(Ordering::Relaxed) as u64,
-    };
-    (out, stats)
+        .collect()
 }
 
 #[cfg(test)]
@@ -220,14 +113,14 @@ mod tests {
 
     #[test]
     fn jobs_one_is_inline_and_sequential() {
+        let caller = std::thread::current().id();
         let items = [1, 2, 3];
-        let (out, stats) = run_with_stats(1, &items, |w, &x| {
+        let out = run(1, &items, |w, &x| {
             assert_eq!(w, 0, "sequential path runs as worker 0");
+            assert_eq!(std::thread::current().id(), caller, "sequential path spawns no thread");
             x + 1
         });
         assert_eq!(out, vec![2, 3, 4]);
-        assert_eq!(stats.steals, 0);
-        assert_eq!(stats.workers_used, 1);
     }
 
     #[test]
@@ -248,47 +141,33 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_a_blocked_one() {
-        // Two workers, chunked seeding: worker 0 gets indices 0..4, worker
-        // 1 gets 4..8. Workers pop their own deque from the back, so item 3
-        // is the first thing worker 0 runs and item 7 the first thing
-        // worker 1 runs. Item 7 waits until item 3 has started, so worker 1
-        // cannot steal item 3 away; item 3 then blocks worker 0 until items
-        // 0..3 have run, which only worker 1 — done with its own chunk —
-        // can do, by stealing them.
-        let ran_by: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let started_3 = AtomicU64::new(0);
-        let done_0_to_2 = AtomicU64::new(0);
-        let items: Vec<usize> = (0..8).collect();
-        let (_, stats) = run_with_stats(2, &items, |w, &i| {
-            match i {
-                3 => {
-                    started_3.store(1, Ordering::SeqCst);
-                    wait_until(
-                        || done_0_to_2.load(Ordering::SeqCst) == 3,
-                        "items 0..3 were never stolen from the worker blocked in item 3",
-                    );
-                }
-                7 => wait_until(
-                    || started_3.load(Ordering::SeqCst) == 1,
-                    "worker 0 never started item 3",
-                ),
-                _ => {}
+    fn a_blocked_item_holds_back_no_other_item() {
+        // Two workers. Item 0 is claimed first and waits until items 1..9
+        // have all run, which only the other worker can do: it must keep
+        // claiming items while its sibling is blocked.
+        let ran_by: Vec<AtomicU64> = (0..9).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let done_rest = AtomicU64::new(0);
+        let items: Vec<usize> = (0..9).collect();
+        run(2, &items, |w, &i| {
+            if i == 0 {
+                wait_until(
+                    || done_rest.load(Ordering::SeqCst) == 8,
+                    "items 1..9 never ran while item 0 was blocked",
+                );
             }
-            ran_by[i].store(w as u64, Ordering::Relaxed);
-            if i < 3 {
-                done_0_to_2.fetch_add(1, Ordering::SeqCst);
+            ran_by[i].store(w as u64, Ordering::SeqCst);
+            if i > 0 {
+                done_rest.fetch_add(1, Ordering::SeqCst);
             }
         });
-        assert!(stats.steals > 0, "worker 1 must have stolen from worker 0");
-        for (i, by) in ran_by.iter().enumerate().take(3) {
-            assert_eq!(
-                by.load(Ordering::Relaxed),
-                1,
-                "item {i} was seeded to the blocked worker and must be stolen"
+        let blocked = ran_by[0].load(Ordering::SeqCst);
+        for (i, by) in ran_by.iter().enumerate().skip(1) {
+            assert_ne!(
+                by.load(Ordering::SeqCst),
+                blocked,
+                "item {i} ran on the worker blocked in item 0"
             );
         }
-        assert_eq!(stats.workers_used, 2);
     }
 
     #[test]

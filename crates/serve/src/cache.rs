@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The serializable part of an [`ObsShard`]: everything a compile
-/// capture produces (captures never trace, so spans are always empty).
+/// The serializable form of an [`ObsShard`]: the same fields, read and
+/// written as part of a cache object.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardData {
     /// Query/span ids the capture stamped (renumbered at commit).
@@ -54,8 +54,6 @@ impl ShardData {
             metrics: self.metrics,
             records: self.records,
             ids_used: self.ids_used,
-            spans: Vec::new(),
-            seq_used: 0,
         }
     }
 }

@@ -211,12 +211,10 @@ impl Server {
                         let slot = miss_slot[&(pi, qi)];
                         let ((dump, stats), shard) =
                             compiled[slot].take().expect("each miss compiled exactly once");
-                        // The capture ran untraced, so the fields a cache
-                        // object keeps are the whole shard: move them into
-                        // the object, store it, and commit them from there
-                        // as a hit does. `put` writes only `serve.*` keys,
-                        // so committing after it changes no byte.
-                        debug_assert!(shard.spans.is_empty() && shard.seq_used == 0);
+                        // A cache object keeps the whole shard: move it
+                        // into the object, store it, and commit it from
+                        // there as a hit does. `put` writes only `serve.*`
+                        // keys, so committing after it changes no byte.
                         let mut obj = CachedObject {
                             key: plan.key,
                             function: plan.name,

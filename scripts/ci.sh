@@ -85,7 +85,8 @@ fi
 
 echo "== counters do not depend on the provenance sink or on tracing (every counter"
 echo "   of a plain run reappears unchanged in the same run with --provenance-out,"
-echo "   and with --trace-out, which must write span events)"
+echo "   and with --trace-out, which must write span events whose names and counts"
+echo "   do not depend on --jobs)"
 target/release/table2 12 2 --stats json --provenance-out target/ci-table2.jsonl \
   2>/dev/null > target/ci-table2-prov.txt
 target/release/obsdiff target/obsdiff-current.txt target/ci-table2-prov.txt --allow-new > /dev/null
@@ -94,6 +95,18 @@ target/release/table2 12 2 --stats json --trace-out target/ci-table2-trace.json 
 target/release/obsdiff target/obsdiff-current.txt target/ci-table2-traced.txt --allow-new > /dev/null
 if ! grep -q '"ph": "X"' target/ci-table2-trace.json; then
   echo "FAIL: table2 --trace-out wrote no span events to target/ci-table2-trace.json"
+  exit 1
+fi
+for j in 1 4; do
+  target/release/table2 12 2 --jobs "$j" --trace-out "target/ci-table2-trace-j$j.json" \
+    > /dev/null 2>&1
+  grep -o '"name": "[^"]*"' "target/ci-table2-trace-j$j.json" | sort | uniq -c \
+    > "target/ci-table2-spans-j$j.txt"
+done
+if [ ! -s target/ci-table2-spans-j1.txt ] \
+  || ! cmp -s target/ci-table2-spans-j1.txt target/ci-table2-spans-j4.txt; then
+  echo "FAIL: table2 --trace-out span names or counts differ between --jobs 1 and 4:"
+  diff target/ci-table2-spans-j1.txt target/ci-table2-spans-j4.txt || true
   exit 1
 fi
 target/release/hlicc build tests/fixtures/fig45.c --cse --licm --stats json \
