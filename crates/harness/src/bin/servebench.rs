@@ -24,6 +24,10 @@
 //!   populated cache produces byte-identical provenance JSONL and
 //!   metrics modulo the `serve.*` namespace, and response lines that
 //!   differ only in `"source"`/hit counters;
+//! * **direct mode** — the warm replay answers every program from its
+//!   entry (`serve.program.hits` = programs × epochs, no
+//!   `serve.program.misses`), and each steady-state epoch of the cold run
+//!   preps exactly one program, the edited one;
 //! * **steady-state hit rate ≥ 80%**.
 
 use hli_obs::provenance::ProvenanceSink;
@@ -146,6 +150,8 @@ struct RunOut {
     responses: Vec<String>,
     /// Per-epoch `(hits, misses)`.
     epochs: Vec<(u64, u64)>,
+    /// Per-epoch `serve.program.misses`: programs prepped.
+    prepped: Vec<u64>,
     snapshot: MetricsSnapshot,
     jsonl: String,
 }
@@ -179,10 +185,18 @@ fn run_scoped(cache_dir: &Path, max_bytes: u64, jobs: usize, lines: &[String]) -
         jobs,
     })
     .unwrap_or_else(|e| fail(&format!("cache {}: {e}", cache_dir.display())));
-    let responses: Vec<String> = lines.iter().map(|l| server.handle_line(l).0).collect();
+    let prepped_so_far = || reg.snapshot().counter("serve.program.misses");
+    let mut prepped = Vec::with_capacity(lines.len());
+    let mut responses = Vec::with_capacity(lines.len());
+    for line in lines {
+        let before = prepped_so_far();
+        responses.push(server.handle_line(line).0);
+        prepped.push(prepped_so_far() - before);
+    }
     let epochs = responses.iter().map(|r| epoch_outcome(r)).collect();
     RunOut {
         epochs,
+        prepped,
         responses,
         snapshot: reg.snapshot(),
         jsonl: provenance::to_jsonl(&sink.drain()),
@@ -267,6 +281,21 @@ fn check(args: &Args, lines: &[String]) -> bool {
         "warm replay is all hits",
         warm_misses == 0,
         format!("{warm_misses} misses"),
+    );
+    let (entry_hits, prepped) = (
+        c.snapshot.counter("serve.program.hits"),
+        c.snapshot.counter("serve.program.misses"),
+    );
+    let programs = (args.programs * args.epochs) as u64;
+    gate(
+        "warm replay answers every program from its entry",
+        entry_hits == programs && prepped == 0,
+        format!("{entry_hits} of {programs} programs from entries, {prepped} prepped"),
+    );
+    gate(
+        "each steady-state epoch preps exactly one program",
+        a.prepped[1..].iter().all(|&n| n == 1),
+        format!("programs prepped per epoch: {:?}", a.prepped),
     );
     gate(
         "cold-vs-warm responses identical modulo cache markers",

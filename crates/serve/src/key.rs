@@ -9,8 +9,12 @@
 //! digits. The pinned-hash test at the bottom freezes the recipe — any
 //! byte-level drift (a reordered component, a changed separator) fails
 //! there rather than silently orphaning every deployed cache.
+//!
+//! A program key ([`program_key`]) addresses the direct-mode entry in
+//! front of the function keys (docs/SERVE.md, "Direct mode"): the
+//! program's source bytes and flags under one daemon build.
 
-use crate::proto::CompileFlags;
+use crate::proto::{CompileFlags, ProgramReq};
 use hli_core::image::EntryRef;
 use hli_core::serialize::{encode_entry, SerializeOpts};
 
@@ -116,6 +120,22 @@ pub fn function_key(body_dump: &str, hli: Option<&EntryRef<'_>>, flags: &Compile
     CacheKey(h.finish())
 }
 
+/// Derive a program's direct-mode key: its source bytes and the flags
+/// that change a function key, under the daemon build `build` (which
+/// stands in for everything prep does to those bytes). The program's
+/// name and `dump` flag are not components. The byte layout is normative
+/// — see docs/SERVE.md ("Direct mode").
+pub fn program_key(build: &str, req: &ProgramReq) -> CacheKey {
+    let mut h = Fnv::new();
+    h.write(format!("hlicc-serve-program/{}\0", crate::SERVE_VERSION).as_bytes());
+    h.write(format!("schema={}\0", hli_obs::SCHEMA_VERSION).as_bytes());
+    h.component("build", build.as_bytes());
+    h.component("source", req.source.as_bytes());
+    h.component("machine", req.flags.machine.canonical().as_bytes());
+    h.component("mode", req.flags.mode.canonical().as_bytes());
+    CacheKey(h.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +214,38 @@ mod tests {
             base,
             "dump flag is not a key component"
         );
+    }
+
+    fn req(source: &str, flags: CompileFlags) -> ProgramReq {
+        ProgramReq { name: "p".into(), source: source.into(), flags }
+    }
+
+    #[test]
+    fn program_key_is_pinned() {
+        // Normative like the function recipe (docs/SERVE.md, "Direct
+        // mode"); the value was checked against an independent FNV-1a 64
+        // over the documented byte sequence.
+        let k = program_key("build-1", &req(SRC, CompileFlags::default()));
+        assert_eq!(k.hex(), "8937ab039268564d", "program-key recipe drifted");
+    }
+
+    #[test]
+    fn each_program_component_changes_the_program_key() {
+        let base_req = req(SRC, CompileFlags::default());
+        let base = program_key("build-1", &base_req);
+        let edited = req(&SRC.replacen("8);", "8); ", 1), CompileFlags::default());
+        assert_ne!(program_key("build-1", &edited), base, "source");
+        let r10k = req(SRC, CompileFlags { machine: Machine::R10000, ..Default::default() });
+        assert_ne!(program_key("build-1", &r10k), base, "machine");
+        let gcc = req(SRC, CompileFlags { mode: Mode::GccOnly, ..Default::default() });
+        assert_ne!(program_key("build-1", &gcc), base, "mode");
+        assert_ne!(program_key("build-2", &base_req), base, "build");
+
+        // Neither changes a function key, so neither is a component.
+        let with_dump = req(SRC, CompileFlags { dump: true, ..Default::default() });
+        assert_eq!(program_key("build-1", &with_dump), base, "dump");
+        let renamed = ProgramReq { name: "q".into(), ..base_req };
+        assert_eq!(program_key("build-1", &renamed), base, "name");
     }
 
     #[test]

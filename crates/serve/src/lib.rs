@@ -8,7 +8,10 @@
 //! boundary as an *artifact*; this crate leans on exactly that property:
 //! because a function's compile inputs (lowered body, HLI unit bytes +
 //! generation, machine model, dependence mode) are all serializable, a
-//! compile answer is addressable by their hash.
+//! compile answer is addressable by their hash. In front of those keys a
+//! program's direct-mode entry, addressed by its source bytes, flags and
+//! the daemon's build, keeps the function keys the front end derived, so
+//! a batch runs the front end only for programs without a usable entry.
 //!
 //! **The contract lives in `docs/SERVE.md`** — wire framing, request and
 //! response schemas, the cache-key recipe, the on-disk object layout,
@@ -16,12 +19,14 @@
 //! implement it and the tests pin them to it:
 //!
 //! * [`proto`] — NDJSON request/response types and canonical codecs;
-//! * [`key`] — domain-separated FNV-1a 64 cache keys (pinned-hash test);
-//! * [`cache`] — the `<root>/v1/objects/…` store: atomic writes, LRU
-//!   eviction, quarantine-on-corruption;
-//! * [`daemon`] — [`Server`]: batch handling, pool fan-out of cache
-//!   misses, stable-order shard commits that make cached and cold
-//!   output byte-identical.
+//! * [`key`] — domain-separated FNV-1a 64 function and program keys
+//!   (pinned-hash tests);
+//! * [`cache`] — the `<root>/v1/objects/…` store of function objects and
+//!   program entries: atomic writes, LRU eviction,
+//!   quarantine-on-corruption;
+//! * [`daemon`] — [`Server`]: batch handling, direct-mode entry lookup,
+//!   pool fan-out of cache misses, stable-order shard commits that make
+//!   cached and cold output byte-identical.
 //!
 //! ## Determinism
 //!
@@ -30,7 +35,9 @@
 //! shard — counters, gauges, histograms, decision records, id count — is
 //! stored in the cache object. A hit replays the stored shard through
 //! [`hli_obs::commit`] in the same stable order a cold run would have
-//! committed its capture, so `--stats json` snapshots and provenance
+//! committed its capture. The front end's own work (prep) is captured
+//! the same way and stored in the program's entry, which commits it when
+//! it answers in prep's place. So `--stats json` snapshots and provenance
 //! JSONL are byte-identical between a cold and a warm run (`serve.*`
 //! metrics excepted — they *describe* the cache) and across `--jobs`
 //! values (`serve.*` included).
@@ -40,9 +47,9 @@ pub mod daemon;
 pub mod key;
 pub mod proto;
 
-pub use cache::{CachedObject, DiskCache, ShardData};
+pub use cache::{CachedObject, DiskCache, ProgramEntry, ShardData};
 pub use daemon::{ServeConfig, Server};
-pub use key::{fnv1a, function_key, CacheKey, Fnv};
+pub use key::{fnv1a, function_key, program_key, CacheKey, Fnv};
 pub use proto::{
     CompileFlags, FuncResult, Machine, Mode, ProgramReq, ProgramResult, Request, Response,
 };

@@ -132,6 +132,29 @@ echo "== servebench check (docs/SERVE.md determinism contract: jobs-1-vs-8 and"
 echo "   cold-vs-warm byte identity, steady-state hit rate >= 80%)"
 target/release/servebench --programs 2 --funcs 5 --epochs 3 --jobs 4 --check > /dev/null
 
+echo "== direct-mode entries survive a restart (two hlicc serve processes on one fresh"
+echo "   cache, each compiling tests/fixtures/fig45.c twice: the second process answers"
+echo "   both compiles from the program's entry, the same bytes as the first's second)"
+rm -rf target/ci-serve-cache
+python3 -c 'import json
+src = open("tests/fixtures/fig45.c").read()
+for i in (1, 2):
+    print(json.dumps({"op": "compile", "id": i, "programs": [{"name": "fig45", "source": src}]}))
+print(json.dumps({"op": "stats", "id": 3}))' > target/ci-serve-in.ndjson
+for run in 1 2; do
+  target/release/hlicc serve --cache target/ci-serve-cache --jobs 1 \
+    < target/ci-serve-in.ndjson > "target/ci-serve-out-$run.ndjson"
+done
+stats=$(sed -n 3p target/ci-serve-out-2.ndjson)
+if ! grep -q '"serve.program.hits": 2' <<< "$stats" || grep -q '"serve.cache.misses"' <<< "$stats"; then
+  echo "FAIL: a restarted hlicc serve did not answer fig45.c from its entry: $stats"
+  exit 1
+fi
+if [ "$(sed -n 2p target/ci-serve-out-1.ndjson)" != "$(sed -n 2p target/ci-serve-out-2.ndjson)" ]; then
+  echo "FAIL: the restarted daemon's second compile line differs from the first daemon's"
+  exit 1
+fi
+
 echo "== benchmark build and self-test (hlibench builds against these crates; no timing)"
 python3 hlibench/run.py --test
 
