@@ -23,10 +23,9 @@
 //!   [`DepMode`] and the Table-2 query counters, asked by the DDG, CSE and
 //!   LICM alike;
 //! * [`ddg`] — data dependence graph construction for the scheduler;
-//! * [`lir`] — RTL → canonical-LIR lowering: the pre-resolved op-class /
-//!   operand-kind view ([`hli_lir`]) the scheduler and benefit estimators
-//!   price instructions through, against the active
-//!   [`hli_lir::MachineBackend`];
+//! * [`lir`] — [`op_class`], the one classification of an RTL op into
+//!   the [`hli_lir::OpClass`] the scheduler prices it at, through the
+//!   active [`hli_lir::MachineBackend`];
 //! * [`sched`] — a basic-block list scheduler (the paper's experiments
 //!   schedule within basic blocks only); latencies and issue width come
 //!   from the machine backend, never from a scheduler-private table;
@@ -53,7 +52,7 @@ pub mod unroll;
 
 pub use disamb::{DepMode, QueryStats};
 pub use driver::{schedule_program_passes, PassSpec};
-pub use lir::{lir_function, op_class};
+pub use lir::op_class;
 pub use lower::lower_program;
 pub use mapping::HliMap;
 pub use rtl::{Insn, MemRef, Op, RtlFunc, RtlProgram};

@@ -1,21 +1,15 @@
-//! RTL → canonical LIR lowering.
+//! RTL opcode classification for costing.
 //!
-//! The LIR ([`hli_lir::LirFunc`]) is the pre-resolved view of a function
-//! the scheduler and the benefit estimators price ops through: one
-//! [`hli_lir::LirOp`] per RTL instruction, index-aligned with
-//! `RtlFunc::insns`, carrying the opcode class, the operand kinds and the
-//! provenance hooks (instruction id, source line). The lowering is a pure
-//! per-instruction map — deterministic by construction, so parallel
-//! workers lowering the same function agree byte-for-byte.
-//!
-//! [`op_class`] is the *only* place an RTL `Op` is classified for costing;
-//! the machine models classify dynamic events with
-//! [`hli_lir::DynKind::class`], and the latency-agreement test in
+//! [`op_class`] is the *only* place an RTL `Op` is classified for costing:
+//! the list scheduler prices an instruction at
+//! `class_latency(op_class(&insn.op))` on the active
+//! [`hli_lir::MachineBackend`]. The machine models classify dynamic events
+//! with [`hli_lir::DynKind::class`], and the latency-agreement test in
 //! `hli-machine` pins that the two classifications land every op in the
 //! same priced class.
 
-use crate::rtl::{FBinOp, IBinOp, Op, RtlFunc};
-use hli_lir::{LirFunc, LirOp, OpClass, OperandKind};
+use crate::rtl::{FBinOp, IBinOp, Op};
+use hli_lir::OpClass;
 
 /// The opcode class a machine backend prices `op` at.
 pub fn op_class(op: &Op) -> OpClass {
@@ -39,78 +33,9 @@ pub fn op_class(op: &Op) -> OpClass {
     }
 }
 
-/// Operand kinds of `op`: the destination kind and up to three sources.
-fn operands(op: &Op) -> (OperandKind, [OperandKind; 3], u8) {
-    use OperandKind as K;
-    match op {
-        Op::LiI(..) | Op::LiF(..) => (K::Reg, [K::Imm, K::None, K::None], 1),
-        Op::Move(..) | Op::CvtIF(..) | Op::CvtFI(..) => (K::Reg, [K::Reg, K::None, K::None], 1),
-        Op::IBin(..) | Op::FBin(..) | Op::ICmp(..) | Op::FCmp(..) => {
-            (K::Reg, [K::Reg, K::Reg, K::None], 2)
-        }
-        Op::IBinI(..) => (K::Reg, [K::Reg, K::Imm, K::None], 2),
-        Op::La(..) => (K::Reg, [K::Sym, K::Imm, K::None], 2),
-        Op::Load(..) => (K::Reg, [K::Mem, K::None, K::None], 1),
-        Op::Store(..) => (K::Mem, [K::Reg, K::None, K::None], 1),
-        Op::Call { dst, .. } => (
-            if dst.is_some() { K::Reg } else { K::None },
-            [K::Sym, K::None, K::None],
-            1,
-        ),
-        Op::Label(..) => (K::None, [K::Label, K::None, K::None], 1),
-        Op::Jump(..) => (K::None, [K::Label, K::None, K::None], 1),
-        Op::Branch(..) => (K::None, [K::Reg, K::Reg, K::Label], 3),
-        Op::Ret(r) => (
-            K::None,
-            [if r.is_some() { K::Reg } else { K::None }, K::None, K::None],
-            1,
-        ),
-    }
-}
-
-/// Lower one function to its canonical LIR (index-aligned with
-/// `f.insns`).
-pub fn lir_function(f: &RtlFunc) -> LirFunc {
-    let ops = f
-        .insns
-        .iter()
-        .map(|insn| {
-            let (dst, srcs, n_srcs) = operands(&insn.op);
-            LirOp {
-                id: insn.id,
-                line: insn.line,
-                class: op_class(&insn.op),
-                dst,
-                srcs,
-                n_srcs,
-            }
-        })
-        .collect();
-    LirFunc { name: f.name.clone(), ops }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_program;
-    use hli_lang::compile_to_ast;
-
-    #[test]
-    fn lir_is_index_aligned_and_deterministic() {
-        let src = "double x[8]; int g;\n\
-            int main() { int i; for (i = 0; i < 8; i++) x[i] = x[i] * 2.0; return g / 3; }";
-        let (p, s) = compile_to_ast(src).unwrap();
-        let prog = lower_program(&p, &s);
-        let f = prog.func("main").unwrap();
-        let a = lir_function(f);
-        let b = lir_function(f);
-        assert_eq!(a.ops, b.ops, "pure map: two lowerings agree");
-        assert_eq!(a.ops.len(), f.insns.len(), "one LirOp per instruction");
-        for (op, insn) in a.ops.iter().zip(&f.insns) {
-            assert_eq!(op.id, insn.id);
-            assert_eq!(op.class, op_class(&insn.op));
-        }
-    }
 
     #[test]
     fn classes_cover_the_op_vocabulary() {

@@ -1,4 +1,4 @@
-//! # hli-lir — the canonical low-level IR and the machine-backend contract
+//! # hli-lir — opcode classes, trace events and the machine-backend contract
 //!
 //! The crates above this one used to disagree about what an instruction
 //! costs: the scheduler carried its own latency table, each timing
@@ -10,13 +10,11 @@
 //!
 //! This crate is the fix, in two layers:
 //!
-//! * **A canonical LIR.** [`OpClass`] is the closed set of opcode classes
-//!   a machine model prices; [`LirOp`]/[`LirFunc`] are the pre-resolved,
-//!   deterministically ordered view of a lowered function (one `LirOp`
-//!   per RTL instruction, index-aligned, carrying the opcode class, the
-//!   operand kinds and the source line that joins back to HLI items and
-//!   provenance records). [`DynKind`]/[`DynInsn`] are the *dynamic* side:
-//!   trace events the executor emits and the timing models consume.
+//! * **Opcode classes and trace events.** [`OpClass`] is the closed set
+//!   of opcode classes a machine model prices; the back end classifies
+//!   each RTL instruction into one (`hli_backend::op_class`).
+//!   [`DynKind`]/[`DynInsn`] are the *dynamic* side: trace events the
+//!   executor emits and the timing models consume.
 //! * **The [`MachineBackend`] trait.** One object per target; its
 //!   [`MachineBackend::class_latency`] table is the **single source of
 //!   truth** for operation cost. The scheduler, the LICM/unroll/CSE
@@ -221,66 +219,6 @@ pub fn rename(trace: &[RegInsn]) -> Vec<DynInsn> {
     out
 }
 
-/// What an operand *is*, statically. The LIR does not rename or renumber —
-/// it only classifies, so a backend can price an op without looking at the
-/// RTL it came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OperandKind {
-    /// No operand in this slot.
-    #[default]
-    None,
-    /// A virtual register.
-    Reg,
-    /// An integer or FP immediate.
-    Imm,
-    /// A memory reference (the op's single load/store slot).
-    Mem,
-    /// A symbol (global address, call target).
-    Sym,
-    /// A branch/jump label.
-    Label,
-}
-
-/// One pre-resolved low-level op: the opcode class, the operand kinds and
-/// the provenance hooks (`id` joins to the RTL instruction and through it
-/// to the HLI mapping; `line` joins to `DecisionRecord.order`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LirOp {
-    /// The originating RTL instruction id (stable across scheduling).
-    pub id: u32,
-    /// Source line, for provenance joins.
-    pub line: u32,
-    pub class: OpClass,
-    pub dst: OperandKind,
-    pub srcs: [OperandKind; 3],
-    pub n_srcs: u8,
-}
-
-/// The LIR view of one function: `ops[i]` describes the function's `i`-th
-/// instruction, in instruction order. Deterministic by construction — the
-/// lowering is a pure index-aligned map, so two workers lowering the same
-/// function produce byte-identical LIR (pipeit ADR-025's property: keep
-/// the IR pre-resolved and ordered so parallel determinism stays cheap).
-#[derive(Debug, Clone, Default)]
-pub struct LirFunc {
-    pub name: String,
-    pub ops: Vec<LirOp>,
-}
-
-/// Structural scheduling facts about a target — what the static scheduler
-/// is allowed to assume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleConstraints {
-    /// Whether the machine issues strictly in program order (the schedule
-    /// *is* the issue order) or reorders dynamically.
-    pub in_order: bool,
-    /// Instructions the machine can issue per cycle; the list scheduler
-    /// models its makespans at this width.
-    pub issue_width: u32,
-    /// Dynamic lookahead (active-list size); 1 for pure in-order targets.
-    pub window: u32,
-}
-
 /// Timing outcome of running a trace on a backend, in target-neutral
 /// shape. `detail` carries the model-specific counters (stall cycles, LSQ
 /// stalls, idle slots ...) keyed by their metric leaf names.
@@ -299,14 +237,14 @@ impl MachStats {
 }
 
 /// A pluggable target machine: the one place its latency table, issue
-/// shape and cycle simulator live.
+/// width and cycle simulator live.
 ///
 /// The contract (DESIGN.md, "Machine description is the single latency
 /// source"): [`MachineBackend::class_latency`] is the *only* latency
-/// table. The default [`MachineBackend::latency`] derives per-op cost
-/// from it, the scheduler and benefit estimators call through it, and a
-/// conforming `cycles` implementation prices operands with it too — so a
-/// scheduler and simulator handed the same backend cannot disagree.
+/// table. The scheduler and benefit estimators price each instruction
+/// through it, and a conforming `cycles` implementation prices operands
+/// with it too — so a scheduler and simulator handed the same backend
+/// cannot disagree.
 pub trait MachineBackend: Sync {
     /// Stable target id ("r4600", "r10000", "w4"); used in CLI flags,
     /// metric keys (`machine.<name>.*`, `attr.*.<name>.*`) and the serve
@@ -317,18 +255,9 @@ pub trait MachineBackend: Sync {
     /// of truth for this target's operation costs.
     fn class_latency(&self, class: OpClass) -> u64;
 
-    /// Latency of one LIR op. Defaults to the class table; a backend may
-    /// refine per-op (e.g. operand-kind-dependent costs) but must stay a
-    /// pure function of the op.
-    fn latency(&self, op: &LirOp) -> u64 {
-        self.class_latency(op.class)
-    }
-
-    fn issue_width(&self) -> u32 {
-        self.schedule_constraints().issue_width
-    }
-
-    fn schedule_constraints(&self) -> ScheduleConstraints;
+    /// Instructions the machine can issue per cycle; the list scheduler
+    /// models its makespans at this width.
+    fn issue_width(&self) -> u32;
 
     /// Start one run of this target's timing model, attributing cycles
     /// to `nfuncs` function bins (0 = no attribution).
@@ -468,8 +397,8 @@ impl MachineBackend for TableBackend {
         self.table[class.index()]
     }
 
-    fn schedule_constraints(&self) -> ScheduleConstraints {
-        ScheduleConstraints { in_order: true, issue_width: self.issue_width, window: 1 }
+    fn issue_width(&self) -> u32 {
+        self.issue_width
     }
 
     fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
@@ -541,20 +470,6 @@ mod tests {
         assert_eq!(DynKind::Branch { taken: true }.class(), OpClass::Branch);
         assert_eq!(DynKind::Branch { taken: false }.class(), OpClass::Branch);
         assert_eq!(DynKind::Load.class(), OpClass::Load);
-    }
-
-    #[test]
-    fn default_latency_is_the_class_table() {
-        let b = TableBackend::scalar();
-        let op = LirOp {
-            id: 0,
-            line: 1,
-            class: OpClass::IDiv,
-            dst: OperandKind::Reg,
-            srcs: [OperandKind::Reg, OperandKind::Reg, OperandKind::None],
-            n_srcs: 2,
-        };
-        assert_eq!(b.latency(&op), b.class_latency(OpClass::IDiv));
     }
 
     #[test]

@@ -44,10 +44,9 @@ pub struct RunResult {
     pub calls: u64,
 }
 
-// The dynamic-trace vocabulary (`DynKind`, `DynInsn`) is the
-// canonical-LIR crate's: the executor emits it, every `MachineBackend`
-// prices it, and re-exporting here keeps `hli_machine::exec::DynInsn`
-// paths working.
+// The dynamic-trace vocabulary (`DynKind`, `DynInsn`) is `hli-lir`'s: the
+// executor emits it, every `MachineBackend` prices it, and re-exporting
+// here keeps `hli_machine::exec::DynInsn` paths working.
 pub use hli_lir::{DynInsn, DynKind};
 
 /// Dynamic instructions a run may execute before it is stopped as

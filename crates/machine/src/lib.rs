@@ -39,7 +39,7 @@ pub mod r4600;
 pub mod w4;
 
 pub use exec::{execute, execute_with_func_trace, DynInsn, DynKind, ExecError, RunResult};
-pub use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass, ScheduleConstraints};
+pub use hli_lir::{CycleSim, MachStats, MachineBackend, OpClass};
 pub use r10000::R10000Config;
 pub use r4600::R4600Config;
 pub use w4::W4Config;

@@ -41,7 +41,7 @@
 //! returning a cycle count.
 
 use crate::exec::{DynInsn, DynKind};
-use hli_lir::{longest_latency, CycleSim, MachStats, MachineBackend, OpClass, ScheduleConstraints};
+use hli_lir::{longest_latency, CycleSim, MachStats, MachineBackend, OpClass};
 
 /// Machine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -122,12 +122,8 @@ impl MachineBackend for R10000Config {
         }
     }
 
-    fn schedule_constraints(&self) -> ScheduleConstraints {
-        ScheduleConstraints {
-            in_order: false,
-            issue_width: self.width as u32,
-            window: self.window as u32,
-        }
+    fn issue_width(&self) -> u32 {
+        self.width as u32
     }
 
     fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {

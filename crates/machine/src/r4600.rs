@@ -7,9 +7,7 @@
 //! has completed; a taken branch costs one bubble.
 
 use crate::exec::{DynInsn, DynKind};
-use hli_lir::{
-    longest_latency, CycleSim, MachStats, MachineBackend, OpClass, ReadyRing, ScheduleConstraints,
-};
+use hli_lir::{longest_latency, CycleSim, MachStats, MachineBackend, OpClass, ReadyRing};
 
 /// Latency configuration (cycles until the result is usable).
 #[derive(Debug, Clone, Copy)]
@@ -39,10 +37,6 @@ impl R4600Config {
         call_overhead: 2,
         taken_branch_bubble: 1,
     };
-
-    fn latency(&self, k: DynKind) -> u64 {
-        self.class_latency(k.class())
-    }
 }
 
 impl Default for R4600Config {
@@ -73,8 +67,8 @@ impl MachineBackend for R4600Config {
         }
     }
 
-    fn schedule_constraints(&self) -> ScheduleConstraints {
-        ScheduleConstraints { in_order: true, issue_width: 1, window: 1 }
+    fn issue_width(&self) -> u32 {
+        1
     }
 
     fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {
@@ -142,7 +136,7 @@ impl CycleSim for R4600Sim<'_> {
                 }
                 _ => {}
             }
-            self.ready.push(issue + cfg.latency(ev.kind));
+            self.ready.push(issue + cfg.class_latency(ev.kind.class()));
             // Charge the full advance (issue stall + execute + bubbles) to
             // the function that owns this event; the per-function sums
             // then equal the total cycle count exactly.

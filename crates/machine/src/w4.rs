@@ -19,9 +19,7 @@
 //! charges).
 
 use crate::exec::{DynInsn, DynKind};
-use hli_lir::{
-    longest_latency, CycleSim, MachStats, MachineBackend, OpClass, ReadyRing, ScheduleConstraints,
-};
+use hli_lir::{longest_latency, CycleSim, MachStats, MachineBackend, OpClass, ReadyRing};
 
 /// Latency/shape configuration for the wide in-order core.
 #[derive(Debug, Clone, Copy)]
@@ -170,8 +168,8 @@ impl MachineBackend for W4Config {
         }
     }
 
-    fn schedule_constraints(&self) -> ScheduleConstraints {
-        ScheduleConstraints { in_order: true, issue_width: self.width as u32, window: 1 }
+    fn issue_width(&self) -> u32 {
+        self.width as u32
     }
 
     fn sim(&self, nfuncs: usize) -> Box<dyn CycleSim + '_> {

@@ -9,19 +9,18 @@
 //! 1. the static classification (`hli_backend::op_class` on RTL ops) and
 //!    the dynamic classification (`DynKind::class` on trace events) land
 //!    each Op/DynKind pair in the same priced class;
-//! 2. the scheduler-side per-op latency (`MachineBackend::latency` over
-//!    the lowered `LirOp`) equals the simulator-side per-event latency
+//! 2. the scheduler-side per-op latency (`class_latency` of the op's
+//!    `op_class`) equals the simulator-side per-event latency
 //!    (`class_latency` of the event's class) — for every pair, on every
 //!    registered backend;
 //! 3. the simulators *behave* at those latencies (a load-use pair stalls
 //!    for exactly `class_latency(Load) - 1` on the in-order cores);
-//! 4. the R4600 values are the model's, not the drifted copies.
+//! 4. the R4600 values are the model's, not the drifted copies;
+//! 5. each registered target reports the issue width its model has.
 
-use hli_backend::lir::{lir_function, op_class};
-use hli_backend::lower::lower_program;
+use hli_backend::op_class;
 use hli_backend::rtl::{CmpOp, FBinOp, IBinOp, MemRef, Op};
-use hli_lang::compile_to_ast;
-use hli_lir::{LirOp, OpClass, OperandKind};
+use hli_lir::OpClass;
 use hli_machine::{
     all_backends, backend_by_name, DynInsn, DynKind, MachineBackend, R4600Config, W4Config,
 };
@@ -63,17 +62,6 @@ fn rep_pairs() -> Vec<(Op, DynKind)> {
     ]
 }
 
-fn lir_op_of(op: &Op) -> LirOp {
-    LirOp {
-        id: 0,
-        line: 0,
-        class: op_class(op),
-        dst: OperandKind::None,
-        srcs: [OperandKind::None; 3],
-        n_srcs: 0,
-    }
-}
-
 #[test]
 fn scheduler_and_simulator_share_one_table_on_every_target() {
     let backends = all_backends();
@@ -85,7 +73,7 @@ fn scheduler_and_simulator_share_one_table_on_every_target() {
             "static and dynamic classification disagree for {op:?} / {kind:?}"
         );
         for mach in backends {
-            let sched_side = mach.latency(&lir_op_of(&op));
+            let sched_side = mach.class_latency(op_class(&op));
             let sim_side = mach.class_latency(kind.class());
             assert_eq!(
                 sched_side,
@@ -165,31 +153,12 @@ fn in_order_simulators_behave_at_the_advertised_latencies() {
     }
 }
 
-/// End-to-end: lower a real function and check every LIR op prices
-/// identically through `latency` and `class_latency` on all targets —
-/// i.e. there is no per-op side table hiding anywhere.
-#[test]
-fn lowered_functions_price_through_the_class_table() {
-    let src = "double x[16]; int g;\n\
-        int main() { int i; for (i = 0; i < 16; i++) x[i] = x[i] * 2.0 + g; return g / 3; }";
-    let (p, s) = compile_to_ast(src).unwrap();
-    let prog = lower_program(&p, &s);
-    for f in &prog.funcs {
-        let lir = lir_function(f);
-        assert_eq!(lir.ops.len(), f.insns.len());
-        for mach in all_backends() {
-            for op in &lir.ops {
-                assert_eq!(mach.latency(op), mach.class_latency(op.class));
-            }
-        }
-    }
-}
-
 #[test]
 fn registry_resolves_all_three_targets() {
-    for name in ["r4600", "r10000", "w4"] {
+    for (name, width) in [("r4600", 1), ("r10000", 4), ("w4", 4)] {
         let b = backend_by_name(name).expect(name);
         assert_eq!(b.name(), name);
+        assert_eq!(b.issue_width(), width, "{name} issue width");
     }
     assert!(backend_by_name("r8000").is_none());
     let names: Vec<_> = all_backends().iter().map(|b| b.name()).collect();

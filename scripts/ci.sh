@@ -43,6 +43,16 @@ echo "== interpreter oracle == its golden table (return value, checksum and"
 echo "   InterpStats on the suite at both scales and the BENCH_6.json corpus)"
 cargo test -q --release -p hli-suite --test oracle_golden -- --include-ignored
 
+echo "== examples (cargo test only compiles them; running them executes their"
+echo "   asserts: Figure 4's REF/MOD purge eliminates more loads, and every"
+echo "   rewritten build matches the interpreter)"
+cargo build --release -p hli-harness --examples
+target/release/examples/quickstart > /dev/null
+target/release/examples/hli_explorer @102.swim > /dev/null
+target/release/examples/scheduler_speedup > /dev/null
+target/release/examples/cse_refmod > /dev/null
+target/release/examples/unroll_maintenance > /dev/null
+
 echo "== three-target smoke (tiny Table 2 on every registered machine model)"
 for m in r4600 r10000 w4; do
   target/release/table2 12 2 --machine "$m" > /dev/null

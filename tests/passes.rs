@@ -109,7 +109,7 @@ fn pass_stack_preserves_semantics_combined_mode() {
 
 #[test]
 fn pass_stack_with_unrolling() {
-    for factor in [2u32, 3, 4] {
+    for factor in [2u32, 3, 4, 8] {
         for (name, src) in PROGRAMS {
             full_pass_stack(name, src, DepMode::Combined, Some(factor));
         }
